@@ -27,7 +27,6 @@ from .kernel import (
     HyperRingSpec,
     SubsetMask,
     check_mode,
-    require_ring,
     verify_axioms,
 )
 
@@ -44,18 +43,25 @@ class HyperRingHom:
     def apply(self, x: int) -> int:
         return self.mapping[x]
 
+    def image_bits(self, bits: int) -> int:
+        out = 0
+        for x in range(bits.bit_length()):
+            if bits >> x & 1:
+                out |= 1 << self.mapping[x]
+        return out
+
+    def preimage_bits(self, bits: int) -> int:
+        out = 0
+        for x in range(self.source.order):
+            if bits >> self.mapping[x] & 1:
+                out |= 1 << x
+        return out
+
     def image_of(self, subset: SubsetMask) -> SubsetMask:
-        bits = 0
-        for x in subset:
-            bits |= 1 << self.mapping[x]
-        return SubsetMask(self.target, bits)
+        return SubsetMask(self.target, self.image_bits(subset.bits))
 
     def preimage_of(self, subset: SubsetMask) -> SubsetMask:
-        bits = 0
-        for x in range(self.source.order):
-            if self.mapping[x] in subset:
-                bits |= 1 << x
-        return SubsetMask(self.source, bits)
+        return SubsetMask(self.source, self.preimage_bits(subset.bits))
 
     @property
     def kernel(self) -> SubsetMask:
@@ -93,23 +99,14 @@ def check_homomorphism(
         raise ValueError("mapping must be total on the source")
     if mapping[source.one] != target.one:
         return HomViolation("identity", (source.one,), "the identity is not preserved")
+    hom = HyperRingHom(source, target, tuple(mapping), len(set(mapping)) == target.order)
     for key in combinations_with_replacement(range(source.order), source.m):
-        image = 0
-        bits = source.f_bits(key)
-        i = 0
-        while bits:
-            if bits & 1:
-                image |= 1 << mapping[i]
-            bits >>= 1
-            i += 1
-        direct = target._hyperadd_bits(*(mapping[x] for x in key))
-        if image != direct:
+        if hom.image_bits(source.f_bits(key)) != target._hyperadd_bits(*(mapping[x] for x in key)):
             return HomViolation("hyperaddition", key, "images of the sum differ")
     for key in combinations_with_replacement(range(source.order), source.n):
         if mapping[source.g_at(key)] != target.g_at(tuple(mapping[x] for x in key)):
             return HomViolation("multiplication", key, "images of the product differ")
-    surjective = len(set(mapping)) == target.order
-    return HyperRingHom(source=source, target=target, mapping=tuple(mapping), surjective=surjective)
+    return hom
 
 
 def identity_hom(ring: HyperRing) -> HyperRingHom:
@@ -313,6 +310,13 @@ def ring_from_ring_table(
 ) -> HyperRingSpec:
     """Present a finite commutative unital ring as a (2,2)-hyperring with
     singleton hyperaddition; the axiom verifier is the ring detector."""
+    return _ring_from_tables(add_table, mul_table, zero, one, name, element_names).spec
+
+
+def _ring_from_tables(
+    add_table: list[list[int]], mul_table: list[list[int]], zero: int, one: int,
+    name: str, element_names: tuple[str, ...] | None,
+) -> HyperRing:
     order = len(add_table)
     if element_names is None:
         element_names = tuple(str(i) for i in range(order))
@@ -338,7 +342,7 @@ def ring_from_ring_table(
     if isinstance(result, AxiomReport):
         failing = ", ".join(result.failures())
         raise NotARing(f"tables do not define a ring: {failing}")
-    return spec
+    return result
 
 
 def cyclic_ring(k: int) -> HyperRing:
@@ -347,4 +351,4 @@ def cyclic_ring(k: int) -> HyperRing:
         raise ValueError("modulus must be at least 2")
     add = [[(a + b) % k for b in range(k)] for a in range(k)]
     mul = [[(a * b) % k for b in range(k)] for a in range(k)]
-    return require_ring(ring_from_ring_table(add, mul, 0, 1, name=f"z{k}"))
+    return _ring_from_tables(add, mul, 0, 1, f"z{k}", None)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from .analysis import PASS, Verdict
 from .errors import (
     EmptySubset,
     ImproperIdeal,
@@ -40,22 +40,6 @@ def check_order(ring: HyperRing) -> None:
     limit = order_limit()
     if ring.order > limit:
         raise OrderLimitExceeded(ring.order, limit)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a single check; negative verdicts carry a witness tuple."""
-
-    ok: bool
-    clause: str | None = None
-    witness: tuple[int, ...] | None = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-PASS = Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -100,40 +84,7 @@ def is_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> V
         raise ValueError("subset belongs to a different ring")
     if subset.is_empty:
         raise EmptySubset("hyperideal candidate must be non-empty")
-    return _hyperideal_verdict(ring, subset.bits, check_mode(mode))
-
-
-@lru_cache(maxsize=None)
-def _hyperideal_verdict(ring: HyperRing, bits: int, mode: str) -> Verdict:
-    if not (bits >> ring.zero & 1):
-        return Verdict(False, "zero-membership", (ring.zero,), "zero is missing")
-    members = [i for i in range(ring.order) if bits >> i & 1]
-    for key in combinations_with_replacement(members, ring.m):
-        value = ring.f_bits(key)
-        if value & ~bits:
-            out = next(i for i in range(ring.order) if (value & ~bits) >> i & 1)
-            return Verdict(False, "f-closure", key, f"hyperaddition escapes via {ring.elements[out]}")
-    for x in members:
-        for rest in combinations_with_replacement(range(ring.order), ring.n - 1):
-            prod = ring.g_at((x, *rest))
-            if not (bits >> prod & 1):
-                return Verdict(
-                    False,
-                    "g-absorption",
-                    (x, *rest),
-                    f"product {ring.elements[prod]} escapes",
-                )
-    if mode == "strict":
-        for x in members:
-            neg = ring.negation[x]
-            if not (bits >> neg & 1):
-                return Verdict(
-                    False,
-                    "negation-closure",
-                    (x,),
-                    f"-{ring.elements[x]} = {ring.elements[neg]} is missing",
-                )
-    return PASS
+    return ring.analysis.hyperideal(subset.bits, check_mode(mode))
 
 
 def require_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str) -> None:
@@ -188,19 +139,7 @@ def generated_hyperideal(ring: HyperRing, seed: SubsetMask, mode: str = LENIENT)
 def enumerate_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
     """All hyperideals in ascending mask order, the whole ring included."""
     check_order(ring)
-    return [SubsetMask(ring, bits) for bits in _hyperideal_bits_list(ring, check_mode(mode))]
-
-
-@lru_cache(maxsize=None)
-def _hyperideal_bits_list(ring: HyperRing, mode: str) -> tuple[int, ...]:
-    zero_bit = 1 << ring.zero
-    found = []
-    for bits in range(1, ring.full_bits + 1):
-        if not (bits & zero_bit):
-            continue
-        if _hyperideal_verdict(ring, bits, mode).ok:
-            found.append(bits)
-    return tuple(found)
+    return [SubsetMask(ring, bits) for bits in ring.analysis.ideals(check_mode(mode))]
 
 
 def proper_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
@@ -211,101 +150,38 @@ def proper_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]
 # classification
 
 
-@lru_cache(maxsize=None)
-def _prime_verdict(ring: HyperRing, bits: int) -> Verdict:
-    for tup, prod, _subs in ring.g_tuples:
-        if bits >> prod & 1 and not any(bits >> x & 1 for x in tup):
-            return Verdict(False, "prime", tup, "product lands in the ideal, no factor does")
-    return PASS
-
-
-@lru_cache(maxsize=None)
-def _semiprime_verdict(ring: HyperRing, bits: int) -> Verdict:
-    for p in range(ring.order):
-        prod = ring.g_at((p,) * ring.n)
-        if bits >> prod & 1 and not (bits >> p & 1):
-            return Verdict(False, "semiprime", (p,), "n-th power lands in the ideal")
-    return PASS
-
-
-@lru_cache(maxsize=None)
-def _primary_verdict(ring: HyperRing, bits: int, mode: str) -> Verdict:
-    rad = _radical_bits(ring, bits, mode)
-    for tup, prod, subs in ring.g_tuples:
-        if not (bits >> prod & 1):
-            continue
-        if not any(bits >> tup[i] & 1 or rad >> subs[i] & 1 for i in range(ring.n)):
-            return Verdict(
-                False,
-                "primary",
-                tup,
-                "no factor in the ideal and no substituted product in its radical",
-            )
-    return PASS
-
-
-@lru_cache(maxsize=None)
-def _maximal_verdict(ring: HyperRing, bits: int, mode: str) -> Verdict:
-    for other in _hyperideal_bits_list(ring, mode):
-        if other == bits or other == ring.full_bits:
-            continue
-        if not (bits & ~other):
-            return Verdict(
-                False,
-                "maximal",
-                tuple(i for i in range(ring.order) if other >> i & 1),
-                "a proper hyperideal lies strictly above",
-            )
-    return PASS
-
-
 def classify_ideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> IdealProfile:
     """Full classification of a proper hyperideal; pure and deterministic."""
     check_mode(mode)
+    check_order(ring)
     require_proper_hyperideal(ring, subset, mode)
     bits = subset.bits
+    analysis = ring.analysis
     return IdealProfile(
         subset=subset,
         mode=mode,
         hyperideal=PASS,
         proper=True,
-        prime=_prime_verdict(ring, bits),
-        primary=_primary_verdict(ring, bits, mode),
-        semiprime=_semiprime_verdict(ring, bits),
-        maximal=_maximal_verdict(ring, bits, mode),
+        prime=analysis.prime(bits),
+        primary=analysis.primary(bits, mode),
+        semiprime=analysis.semiprime(bits),
+        maximal=analysis.maximal(bits, mode),
     )
 
 
 def prime_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
-    return [SubsetMask(ring, bits) for bits in _prime_bits_list(ring, check_mode(mode))]
-
-
-@lru_cache(maxsize=None)
-def _prime_bits_list(ring: HyperRing, mode: str) -> tuple[int, ...]:
-    return tuple(
-        bits
-        for bits in _hyperideal_bits_list(ring, mode)
-        if bits != ring.full_bits and _prime_verdict(ring, bits).ok
-    )
+    check_mode(mode)
+    check_order(ring)
+    return [SubsetMask(ring, bits) for bits in ring.analysis.primes(mode)]
 
 
 def radical(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> SubsetMask:
     """Intersection of all prime hyperideals containing the set; the whole
     ring when no prime contains it."""
     check_mode(mode)
+    check_order(ring)
     require_hyperideal(ring, subset, mode)
-    return SubsetMask(ring, _radical_bits(ring, subset.bits, mode))
-
-
-@lru_cache(maxsize=None)
-def _radical_bits(ring: HyperRing, bits: int, mode: str) -> int:
-    out = ring.full_bits
-    found = False
-    for prime in _prime_bits_list(ring, mode):
-        if not (bits & ~prime):
-            out &= prime
-            found = True
-    return out if found else ring.full_bits
+    return SubsetMask(ring, ring.analysis.radical(subset.bits, mode))
 
 
 def radical_power_diagnostic(
@@ -318,8 +194,9 @@ def radical_power_diagnostic(
     anomaly rather than raising.
     """
     check_mode(mode)
+    check_order(ring)
     require_hyperideal(ring, subset, mode)
-    in_radical = bool(_radical_bits(ring, subset.bits, mode) >> p & 1)
+    in_radical = bool(ring.analysis.radical(subset.bits, mode) >> p & 1)
     seen = set()
     w = 1
     exponent = None
@@ -343,14 +220,9 @@ def radical_power_diagnostic(
 def minimal_primes_over(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> list[SubsetMask]:
     """Inclusion-minimal prime hyperideals containing the given hyperideal."""
     check_mode(mode)
+    check_order(ring)
     require_proper_hyperideal(ring, subset, mode)
-    containing = [q for q in _prime_bits_list(ring, mode) if not (subset.bits & ~q)]
-    minimal = [
-        q
-        for q in containing
-        if not any(other != q and not (other & ~q) for other in containing)
-    ]
-    return [SubsetMask(ring, q) for q in minimal]
+    return [SubsetMask(ring, q) for q in ring.analysis.minimal_primes_over(subset.bits, mode)]
 
 
 def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
@@ -373,19 +245,14 @@ def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
                 break
         if found:
             regulars |= 1 << p
+    analysis = ring.analysis
     jacobson = ring.full_bits
-    for bits in _hyperideal_bits_list(ring, mode):
-        if bits != ring.full_bits and _maximal_verdict(ring, bits, mode).ok:
+    for bits in analysis.proper(mode):
+        if analysis.maximal(bits, mode).ok:
             jacobson &= bits
-    primes = list(_prime_bits_list(ring, mode))
-    min_primes = tuple(
-        SubsetMask(ring, q)
-        for q in primes
-        if not any(other != q and not (other & ~q) for other in primes)
-    )
     return SpecialSets(
         units=SubsetMask(ring, units),
         regulars=SubsetMask(ring, regulars),
         jacobson=SubsetMask(ring, jacobson),
-        min_primes=min_primes,
+        min_primes=tuple(SubsetMask(ring, q) for q in analysis.min_primes(mode)),
     )

@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from .analysis import RingAnalysis
 from .errors import (
     ArityMismatch,
     ArityOutOfRange,
@@ -457,6 +458,12 @@ class HyperRing:
         return self.negation[x]
 
     # -- precomputed views ------------------------------------------------
+
+    @cached_property
+    def analysis(self) -> RingAnalysis:
+        """Derived lists and verdict memos, built on first use and freed with
+        the ring."""
+        return RingAnalysis(self)
 
     @cached_property
     def _bp(self) -> tuple[tuple[int, ...], ...]:

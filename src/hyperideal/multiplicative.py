@@ -10,10 +10,8 @@ radical of P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
-from itertools import combinations_with_replacement
 
+from .analysis import SClassification, SVerdict, SWitness, Verdict
 from .errors import (
     EmptySubset,
     HypothesisViolation,
@@ -21,38 +19,12 @@ from .errors import (
     NotMultiplicative,
 )
 from .ideals import (
-    PASS,
-    Verdict,
-    _radical_bits,
     check_order,
     require_hyperideal,
     require_proper_hyperideal,
+    special_sets,
 )
 from .kernel import LENIENT, HyperRing, SubsetMask, check_mode
-
-
-class SVerdict(Enum):
-    S_HYPERIDEAL = "s-hyperideal"
-    SR_ONLY = "sr-hyperideal-only"
-    NEITHER = "neither"
-
-
-@dataclass(frozen=True)
-class SWitness:
-    """A product in P with a factor from S whose unit substitution escapes."""
-
-    tuple_: tuple[int, ...]
-    position: int  # 1-based
-    product: int
-    substituted: int
-
-
-@dataclass(frozen=True)
-class SClassification:
-    verdict: SVerdict
-    witness: SWitness | None
-    mode: str
-    witnesses: tuple[SWitness, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -76,17 +48,7 @@ def is_multiplicative_set(ring: HyperRing, subset: SubsetMask) -> Verdict:
     """Exhaustive closure scan over all size-n multisets of the subset."""
     if subset.is_empty:
         raise EmptySubset("multiplicative set candidate must be non-empty")
-    return _ms_verdict(ring, subset.bits)
-
-
-@lru_cache(maxsize=None)
-def _ms_verdict(ring: HyperRing, bits: int) -> Verdict:
-    members = [i for i in range(ring.order) if bits >> i & 1]
-    for key in combinations_with_replacement(members, ring.n):
-        prod = ring.g_at(key)
-        if not (bits >> prod & 1):
-            return Verdict(False, "g-closure", key, f"product {ring.elements[prod]} escapes")
-    return PASS
+    return ring.analysis.ms(subset.bits)
 
 
 def multiplicative_set(ring: HyperRing, subset: SubsetMask) -> MulSet:
@@ -102,44 +64,7 @@ def multiplicative_set(ring: HyperRing, subset: SubsetMask) -> MulSet:
 def enumerate_multiplicative_sets(ring: HyperRing) -> list[SubsetMask]:
     """All non-empty multiplicatively closed subsets, ascending mask order."""
     check_order(ring)
-    return [SubsetMask(ring, bits) for bits in _ms_bits_list(ring)]
-
-
-@lru_cache(maxsize=None)
-def _ms_bits_list(ring: HyperRing) -> tuple[int, ...]:
-    if ring.order <= 8:
-        return tuple(
-            bits for bits in range(1, ring.full_bits + 1) if _ms_verdict(ring, bits).ok
-        )
-    # Larger carriers: walk the lattice of closed sets instead of filtering
-    # the whole power set.
-    def closure(bits: int) -> int:
-        while True:
-            members = [i for i in range(ring.order) if bits >> i & 1]
-            new = bits
-            for key in combinations_with_replacement(members, ring.n):
-                new |= 1 << ring.g_at(key)
-            if new == bits:
-                return bits
-            bits = new
-
-    seen: set[int] = set()
-    frontier = []
-    for x in range(ring.order):
-        c = closure(1 << x)
-        if c not in seen:
-            seen.add(c)
-            frontier.append(c)
-    while frontier:
-        current = frontier.pop()
-        for x in range(ring.order):
-            if current >> x & 1:
-                continue
-            c = closure(current | (1 << x))
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
-    return tuple(sorted(seen))
+    return [SubsetMask(ring, bits) for bits in ring.analysis.ms_all]
 
 
 # ---------------------------------------------------------------------------
@@ -166,72 +91,26 @@ def classify_s(
     first failing (tuple, position) pair.
     """
     check_mode(mode)
+    check_order(ring)
     require_proper_hyperideal(ring, ideal, mode)
     s_mask = _require_ms(ring, s)
     if all_witnesses:
-        return _classify_s_full(ring, ideal.bits, s_mask.bits, mode)
-    return _classify_s_cached(ring, ideal.bits, s_mask.bits, mode)
-
-
-@lru_cache(maxsize=None)
-def _classify_s_cached(ring: HyperRing, p_bits: int, s_bits: int, mode: str) -> SClassification:
-    return _classify_s_full(ring, p_bits, s_bits, mode, first_only=True)
-
-
-def _classify_s_full(
-    ring: HyperRing, p_bits: int, s_bits: int, mode: str, first_only: bool = False
-) -> SClassification:
-    rad = _radical_bits(ring, p_bits, mode)
-    s_witness: SWitness | None = None
-    sr_witness: SWitness | None = None
-    collected: list[SWitness] = []
-    for tup, prod, subs in ring.g_tuples:
-        if not (p_bits >> prod & 1):
-            continue
-        for i in range(ring.n):
-            if not (s_bits >> tup[i] & 1):
-                continue
-            sub = subs[i]
-            if p_bits >> sub & 1:
-                continue
-            wit = SWitness(tuple_=tup, position=i + 1, product=prod, substituted=sub)
-            if s_witness is None:
-                s_witness = wit
-            if not first_only:
-                collected.append(wit)
-            if not (rad >> sub & 1) and sr_witness is None:
-                sr_witness = wit
-            if first_only and s_witness is not None and sr_witness is not None:
-                break
-        if first_only and s_witness is not None and sr_witness is not None:
-            break
-    if s_witness is None:
-        verdict, witness = SVerdict.S_HYPERIDEAL, None
-    elif sr_witness is None:
-        verdict, witness = SVerdict.SR_ONLY, s_witness
-    else:
-        verdict, witness = SVerdict.NEITHER, sr_witness
-    return SClassification(
-        verdict=verdict, witness=witness, mode=mode, witnesses=tuple(collected)
-    )
+        return ring.analysis.scan_s(ideal.bits, s_mask.bits, mode)
+    return ring.analysis.classify_s(ideal.bits, s_mask.bits, mode)
 
 
 def is_s_hyperideal(
     ring: HyperRing, ideal: SubsetMask, s: SubsetMask | MulSet, mode: str = LENIENT
-) -> SClassification:
-    """Membership test against the ideal itself: verdict S_HYPERIDEAL or not."""
-    return classify_s(ring, ideal, s, mode)
+) -> bool:
+    """Whether the substitution property holds against the ideal itself."""
+    return classify_s(ring, ideal, s, mode).verdict is SVerdict.S_HYPERIDEAL
 
 
 def is_sr_hyperideal(
     ring: HyperRing, ideal: SubsetMask, s: SubsetMask | MulSet, mode: str = LENIENT
-) -> SClassification:
-    """Membership test against the radical: any verdict but NEITHER passes."""
-    return classify_s(ring, ideal, s, mode)
-
-
-def _is_s_bits(ring: HyperRing, p_bits: int, s_bits: int, mode: str) -> bool:
-    return _classify_s_cached(ring, p_bits, s_bits, mode).verdict is SVerdict.S_HYPERIDEAL
+) -> bool:
+    """Whether the substitution property holds against the radical."""
+    return classify_s(ring, ideal, s, mode).verdict is not SVerdict.NEITHER
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +124,7 @@ def residual(ring: HyperRing, ideal: SubsetMask, by: SubsetMask, mode: str = LEN
     require_hyperideal(ring, ideal, mode)
     if by.is_empty:
         raise EmptySubset("residual divisor must be non-empty")
-    return SubsetMask(ring, _residual_bits(ring, ideal.bits, by.bits))
-
-
-@lru_cache(maxsize=None)
-def _residual_bits(ring: HyperRing, p_bits: int, x_bits: int) -> int:
-    bp = ring._bp
-    out = 0
-    members = [i for i in range(ring.order) if x_bits >> i & 1]
-    for a in range(ring.order):
-        row = bp[a]
-        if all(p_bits >> row[x] & 1 for x in members):
-            out |= 1 << a
-    return out
+    return SubsetMask(ring, ring.analysis.residual(ideal.bits, by.bits))
 
 
 def saturation(
@@ -272,23 +139,12 @@ def saturation(
     check_mode(mode)
     require_hyperideal(ring, ideal, mode)
     s_mask = _require_ms(ring, s)
-    bits = _saturation_bits(ring, ideal.bits, s_mask.bits)
+    bits = ring.analysis.saturation(ideal.bits, s_mask.bits)
     return SaturationResult(
         subset=SubsetMask(ring, bits),
         one_in_s=bool(s_mask.bits >> ring.one & 1),
         proper=bits != ring.full_bits,
     )
-
-
-@lru_cache(maxsize=None)
-def _saturation_bits(ring: HyperRing, q_bits: int, s_bits: int) -> int:
-    bp = ring._bp
-    members = [i for i in range(ring.order) if s_bits >> i & 1]
-    out = 0
-    for x in range(ring.order):
-        if any(q_bits >> bp[t][x] & 1 for t in members):
-            out |= 1 << x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +156,8 @@ def maximal_ms_for(ring: HyperRing, ideal: SubsetMask, mode: str = LENIENT) -> M
     the substitution property, built by exhaustive scan and re-verified."""
     check_mode(mode)
     require_proper_hyperideal(ring, ideal, mode)
-    bits = _maximal_ms_bits(ring, ideal.bits)
-    verdict = _ms_verdict(ring, bits)
+    bits = ring.analysis.maximal_ms(ideal.bits)
+    verdict = ring.analysis.ms(bits)
     if not verdict:
         raise InternalContradiction(
             f"candidate {ring.render_bits(bits)} is not multiplicatively closed at "
@@ -310,41 +166,14 @@ def maximal_ms_for(ring: HyperRing, ideal: SubsetMask, mode: str = LENIENT) -> M
     return MulSet(subset=SubsetMask(ring, bits), contains_one=bool(bits >> ring.one & 1))
 
 
-@lru_cache(maxsize=None)
-def _maximal_ms_bits(ring: HyperRing, p_bits: int) -> int:
-    out = 0
-    for x in range(ring.order):
-        good = True
-        for rest in combinations_with_replacement(range(ring.order), ring.n - 1):
-            if p_bits >> ring.g_at((x, *rest)) & 1 and not (
-                p_bits >> ring.g_at((ring.one, *rest)) & 1
-            ):
-                good = False
-                break
-        if good:
-            out |= 1 << x
-    return out
-
-
 def s_maximal_hyperideals(
     ring: HyperRing, s: SubsetMask | MulSet, mode: str = LENIENT
 ) -> list[SubsetMask]:
     """Inclusion-maximal members of the family of S-hyperideals."""
     check_mode(mode)
+    check_order(ring)
     s_mask = _require_ms(ring, s)
-    from .ideals import _hyperideal_bits_list
-
-    family = [
-        bits
-        for bits in _hyperideal_bits_list(ring, mode)
-        if bits != ring.full_bits and _is_s_bits(ring, bits, s_mask.bits, mode)
-    ]
-    maximal = [
-        bits
-        for bits in family
-        if not any(other != bits and not (bits & ~other) for other in family)
-    ]
-    return [SubsetMask(ring, bits) for bits in maximal]
+    return [SubsetMask(ring, bits) for bits in ring.analysis.s_maximal(s_mask.bits, mode)]
 
 
 def primary_decomposition(
@@ -363,8 +192,6 @@ def primary_decomposition(
     require_proper_hyperideal(ring, ideal, mode)
     if not min_primes:
         raise HypothesisViolation("at least one minimal prime is required")
-    from .ideals import special_sets
-
     actual = {q.bits for q in special_sets(ring, mode).min_primes}
     union = 0
     for q in min_primes:
@@ -374,13 +201,12 @@ def primary_decomposition(
     s_bits = ring.full_bits & ~union
     if s_bits == 0:
         raise HypothesisViolation("the complement of the union is empty")
-    verdict = _ms_verdict(ring, s_bits)
-    if not verdict:
+    analysis = ring.analysis
+    if not analysis.ms(s_bits):
         raise HypothesisViolation("the complement of the union is not multiplicatively closed")
-    if not _is_s_bits(ring, ideal.bits, s_bits, mode):
+    if not analysis.is_s(ideal.bits, s_bits, mode):
         raise HypothesisViolation("the ideal is not an S-hyperideal for the complement")
-    components = []
-    for q in min_primes:
-        comp_bits = ring.full_bits & ~q.bits
-        components.append(SubsetMask(ring, _saturation_bits(ring, ideal.bits, comp_bits)))
-    return components
+    return [
+        SubsetMask(ring, analysis.saturation(ideal.bits, ring.full_bits & ~q.bits))
+        for q in min_primes
+    ]

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, determinism, report formats."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,11 +10,12 @@ import pytest
 from hyperideal import fixtures, serialize_spec
 
 
-def invoke(*argv):
+def invoke(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "hyperideal", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -200,3 +202,11 @@ def test_unknown_command_exits_2():
 
 def test_missing_file_exits_2():
     assert invoke("verify", "/nonexistent/ring.json").returncode == 2
+
+
+def test_classify_and_radical_respect_order_limit(z6_path):
+    env = dict(os.environ, HYPERIDEAL_ORDER_LIMIT="4")
+    for command in ("classify", "radical"):
+        result = invoke(command, z6_path, "--ideal", "0,3", env=env)
+        assert result.returncode == 2
+        assert "exceeds the enumeration limit 4" in result.stderr

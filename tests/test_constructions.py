@@ -40,6 +40,22 @@ def test_ring_from_tables_z6():
     assert ring.order == 6 and ring.m == 2 and ring.n == 2
 
 
+def test_cyclic_ring_verifies_once(monkeypatch):
+    from hyperideal import constructions, kernel
+
+    verified = []
+    real = kernel.verify_axioms
+
+    def counting(spec):
+        verified.append(spec.name)
+        return real(spec)
+
+    monkeypatch.setattr(kernel, "verify_axioms", counting)
+    monkeypatch.setattr(constructions, "verify_axioms", counting)
+    cyclic_ring(6)
+    assert verified == ["z6"]
+
+
 def test_ring_from_tables_rejects_bad_multiplication():
     add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     mul = [[(a * b) % 4 for b in range(4)] for a in range(4)]

@@ -1,5 +1,9 @@
 """Theorem catalog, suite aggregation, fixtures."""
 
+import gc
+import sys
+import weakref
+
 import pytest
 
 from hyperideal import (
@@ -8,7 +12,10 @@ from hyperideal import (
     FIXTURE_NAMES,
     check_theorem,
     fixtures,
+    parse_spec,
+    require_ring,
     run_suite,
+    serialize_spec,
 )
 from hyperideal.errors import UnknownFixture, UnknownTheorem
 
@@ -76,6 +83,15 @@ def test_tavoid_exercised_on_z6(z6):
     assert report.status == "holds"
     assert report.hypothesis_met >= 1
     assert not report.truncated
+
+
+def test_tavoid_cap_counts_only_checked_instances(z12, monkeypatch):
+    from hyperideal import harness
+
+    monkeypatch.setattr(harness, "AVOIDANCE_CONFIG_CAP", 50)
+    report = check_theorem(z12, "TAVOID")
+    assert report.instances_checked == 50
+    assert report.truncated
 
 
 def test_tavoid_never_met_on_small_fixtures(paper, z2):
@@ -156,14 +172,14 @@ def test_checker_reports_injected_disjointness_violation(monkeypatch):
     ring = require_ring(fixtures("z6").spec)  # fresh identity, cold caches
     bad_p = (1 << 0) | (1 << 3)
     bad_s = 1 << 3
-    real = harness._is_s_bits
+    real = ring.analysis.is_s
 
-    def lying(r, p, s, mode):
-        if r is ring and p == bad_p and s == bad_s:
+    def lying(p, s, mode):
+        if p == bad_p and s == bad_s:
             return True
-        return real(r, p, s, mode)
+        return real(p, s, mode)
 
-    monkeypatch.setattr(harness, "_is_s_bits", lying)
+    monkeypatch.setattr(ring.analysis, "is_s", lying)
     report = harness.check_theorem(ring, "T1.1")
     assert report.status == "counterexample"
     assert report.counterexamples[0]["P"] == "{0,3}"
@@ -173,15 +189,15 @@ def test_checker_reports_injected_saturation_drift(monkeypatch):
     from hyperideal import harness, require_ring
 
     ring = require_ring(fixtures("z6").spec)
-    real = harness._saturation_bits
+    real = ring.analysis.saturation
 
-    def lying(r, q, s):
-        out = real(r, q, s)
-        if r is ring and q == 1 and s == (1 << 1):
+    def lying(q, s):
+        out = real(q, s)
+        if q == 1 and s == (1 << 1):
             return out | (1 << 2)
         return out
 
-    monkeypatch.setattr(harness, "_saturation_bits", lying)
+    monkeypatch.setattr(ring.analysis, "saturation", lying)
     report = harness.check_theorem(ring, "T5")
     assert report.status == "counterexample"
 
@@ -191,3 +207,29 @@ def test_default_suite_fixture_list():
         "paper-example", "z2", "z4", "z6", "z8", "z12", "z2xz3", "z6-mod-3",
     )
     assert set(DEFAULT_SUITE_FIXTURES) <= set(FIXTURE_NAMES)
+
+
+def test_ring_is_freed_with_its_analysis():
+    # z4 is small enough for TPROD, so its analysis also holds a product ring
+    ring = require_ring(parse_spec(serialize_spec(fixtures("z4").spec)))
+    run_suite([ring])
+    alive = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert alive() is None
+
+
+def test_repeated_parse_and_suite_retains_nothing():
+    doc = serialize_spec(fixtures("z12").spec)
+
+    def one_round():
+        run_suite([require_ring(parse_spec(doc))])
+
+    one_round()  # the first round also fills interpreter-level caches
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(5):
+        one_round()
+    gc.collect()
+    # a retained ring with its lists and memos is ~40k blocks
+    assert sys.getallocatedblocks() - before < 1000

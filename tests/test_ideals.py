@@ -293,3 +293,27 @@ def test_order_limit_env_override(z6, monkeypatch):
         enumerate_hyperideals(z6)
     with pytest.raises(OrderLimitExceeded):
         special_sets(z6)
+
+
+def test_order_limit_guards_every_subset_walk(z6, monkeypatch):
+    # each entry reaches the 2^order ideal walk, so each must check the limit
+    # on every call, also once the ring's lists are built
+    from hyperideal import classify_s, s_maximal_hyperideals
+    from hyperideal.errors import OrderLimitExceeded
+
+    ideal, s = z6.subset([0, 3]), z6.subset([1])
+    calls = [
+        lambda: classify_ideal(z6, ideal),
+        lambda: radical(z6, ideal),
+        lambda: radical_power_diagnostic(z6, ideal, 2),
+        lambda: prime_hyperideals(z6),
+        lambda: minimal_primes_over(z6, ideal),
+        lambda: classify_s(z6, ideal, s),
+        lambda: s_maximal_hyperideals(z6, s),
+    ]
+    for call in calls:
+        call()
+    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", "4")
+    for call in calls:
+        with pytest.raises(OrderLimitExceeded):
+            call()

@@ -101,9 +101,17 @@ def test_s_hyperideal_implies_sr(all_fixture_rings):
     for ring in all_fixture_rings:
         for s in enumerate_multiplicative_sets(ring):
             for p in proper_hyperideals(ring):
-                cl = is_s_hyperideal(ring, p, s)
-                if cl.verdict is SVerdict.S_HYPERIDEAL:
-                    assert is_sr_hyperideal(ring, p, s).verdict is not SVerdict.NEITHER
+                if is_s_hyperideal(ring, p, s):
+                    assert is_sr_hyperideal(ring, p, s)
+
+
+def test_s_predicates_are_bools_matching_the_verdict(all_fixture_rings):
+    for ring in all_fixture_rings:
+        for s in enumerate_multiplicative_sets(ring):
+            for p in proper_hyperideals(ring):
+                verdict = classify_s(ring, p, s).verdict
+                assert is_s_hyperideal(ring, p, s) is (verdict is SVerdict.S_HYPERIDEAL)
+                assert is_sr_hyperideal(ring, p, s) is (verdict is not SVerdict.NEITHER)
 
 
 def test_disjointness_of_s_hyperideals(all_fixture_rings):
