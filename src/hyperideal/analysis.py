@@ -351,14 +351,9 @@ class RingAnalysis:
     def _maximal_ms(self, p_bits: int) -> int:
         ring = self.ring
         out = 0
+        by_one = ring.g_row(ring.one)
         for x in range(ring.order):
-            good = True
-            for rest in combinations_with_replacement(range(ring.order), ring.n - 1):
-                if p_bits >> ring.g_at((x, *rest)) & 1 and not (
-                    p_bits >> ring.g_at((ring.one, *rest)) & 1
-                ):
-                    good = False
-                    break
-            if good:
+            # over ordered tuples r; g is symmetric, so this covers multisets
+            if not any(p_bits >> a & 1 and not p_bits >> b & 1 for a, b in zip(ring.g_row(x), by_one)):
                 out |= 1 << x
         return out

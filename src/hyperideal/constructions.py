@@ -26,6 +26,7 @@ from .kernel import (
     HyperRing,
     HyperRingSpec,
     SubsetMask,
+    bit_members,
     check_mode,
     verify_axioms,
 )
@@ -101,7 +102,7 @@ def check_homomorphism(
         return HomViolation("identity", (source.one,), "the identity is not preserved")
     hom = HyperRingHom(source, target, tuple(mapping), len(set(mapping)) == target.order)
     for key in combinations_with_replacement(range(source.order), source.m):
-        if hom.image_bits(source.f_bits(key)) != target._hyperadd_bits(*(mapping[x] for x in key)):
+        if hom.image_bits(source.f_bits(key)) != target.f_bits([mapping[x] for x in key]):
             return HomViolation("hyperaddition", key, "images of the sum differ")
     for key in combinations_with_replacement(range(source.order), source.n):
         if mapping[source.g_at(key)] != target.g_at(tuple(mapping[x] for x in key)):
@@ -164,10 +165,7 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
 
     f_table: dict[tuple[int, ...], frozenset[int]] = {}
     for key in combinations_with_replacement(range(total), m):
-        factor_bits = [
-            r._hyperadd_bits(*(tuples[i][j] for i in key)) for j, r in enumerate(rings)
-        ]
-        pools = [[x for x in range(r.order) if factor_bits[j] >> x & 1] for j, r in enumerate(rings)]
+        pools = [bit_members(r.f_bits([tuples[i][j] for i in key])) for j, r in enumerate(rings)]
         f_table[key] = frozenset(index_of[c] for c in product(*pools))
     g_table: dict[tuple[int, ...], int] = {}
     for key in combinations_with_replacement(range(total), n):
@@ -188,16 +186,6 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
     if isinstance(result, AxiomReport):
         raise InternalContradiction("product of valid rings failed axiom verification")
     return result
-
-
-def product_subset(ring: HyperRing, factors: list[HyperRing], masks: list[SubsetMask]) -> SubsetMask:
-    """The mask of a componentwise product subset inside a product ring."""
-    tuples = list(product(*(range(r.order) for r in factors)))
-    bits = 0
-    for i, t in enumerate(tuples):
-        if all(t[j] in masks[j] for j in range(len(factors))):
-            bits |= 1 << i
-    return SubsetMask(ring, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +230,7 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
         value: frozenset[int] | None = None
         for reps in product(*(members[c] for c in key)):
             bits = ring.f_bits(reps)
-            cosets = frozenset(coset_index[z] for z in range(ring.order) if bits >> z & 1)
+            cosets = frozenset(coset_index[z] for z in bit_members(bits))
             if value is None:
                 value = cosets
             elif value != cosets:

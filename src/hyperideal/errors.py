@@ -67,6 +67,14 @@ class OrderLimitExceeded(HyperIdealError):
         super().__init__(f"ring order {order} exceeds the enumeration limit {limit}")
 
 
+class TablesTooLarge(HyperIdealError):
+    """A spec's dense tables or associativity splits are too large to verify."""
+
+
+class InvalidOrderLimit(HyperIdealError, ValueError):
+    """The order-limit environment variable is not a non-negative integer."""
+
+
 class NotAHyperideal(HyperIdealError):
     """The given subset is not a hyperideal in the requested mode."""
 

@@ -17,6 +17,7 @@ from .analysis import PASS, Verdict
 from .errors import (
     EmptySubset,
     ImproperIdeal,
+    InvalidOrderLimit,
     NotAHyperideal,
     OrderLimitExceeded,
 )
@@ -31,9 +32,12 @@ def order_limit() -> int:
     if raw is None:
         return DEFAULT_ORDER_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        return DEFAULT_ORDER_LIMIT
+        limit = -1
+    if limit < 0:
+        raise InvalidOrderLimit(f"{ORDER_LIMIT_ENV}={raw!r} must be a non-negative integer")
+    return limit
 
 
 def check_order(ring: HyperRing) -> None:
@@ -107,27 +111,21 @@ def require_proper_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str) ->
 
 
 def generated_hyperideal(ring: HyperRing, seed: SubsetMask, mode: str = LENIENT) -> SubsetMask:
-    """Least hyperideal (in the given mode) containing the seed set.
-
-    Starts from all products g(r, x, 1^(n-2)) with x in the seed, then closes
-    under hyperaddition, absorption, and (strict mode) negation.
+    """Least hyperideal (in the given mode) containing the seed set: the
+    seed closed under hyperaddition, absorption, and (strict mode) negation.
     """
     check_mode(mode)
     if seed.is_empty:
         raise EmptySubset("generating set must be non-empty")
-    one_pad = (ring.one,) * (ring.n - 2)
-    bits = 0
-    for x in seed:
-        for r in range(ring.order):
-            bits |= 1 << ring.g_at((r, x, *one_pad))
+    bits = seed.bits
     while True:
         new = bits
         members = [i for i in range(ring.order) if new >> i & 1]
         for key in combinations_with_replacement(members, ring.m):
             new |= ring.f_bits(key)
         for x in members:
-            for rest in combinations_with_replacement(range(ring.order), ring.n - 1):
-                new |= 1 << ring.g_at((x, *rest))
+            for product in ring.g_row(x):
+                new |= 1 << product
         if mode == "strict":
             for x in members:
                 new |= 1 << ring.negation[x]
@@ -237,13 +235,7 @@ def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
             units |= 1 << p
     regulars = 0
     for p in range(ring.order):
-        pn = ring.g_at((p,) * ring.n)
-        found = False
-        for rest in combinations_with_replacement(range(ring.order), ring.n - 1):
-            if ring.g_at((pn, *rest)) == p:
-                found = True
-                break
-        if found:
+        if p in ring.g_row(ring.g_at((p,) * ring.n)):
             regulars |= 1 << p
     analysis = ring.analysis
     jacobson = ring.full_bits

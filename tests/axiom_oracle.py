@@ -1,0 +1,178 @@
+"""A naive axiom oracle and the single-entry mutations it is run against.
+
+The oracle follows each axiom's definition over ordered sequences of
+elements.  It reads a table entry only through ``f`` and ``g`` below, and
+it never walks multisets, never uses bitmasks and never indexes a dense
+table, so it shares no scan logic with ``verify_axioms``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from itertools import combinations_with_replacement, permutations, product
+
+from hyperideal import fixtures
+
+MUTATED_FIXTURES = ("paper-example", "z4", "z2-as-33")
+
+
+def single_entry_mutations(spec):
+    """Every spec that differs from ``spec`` in exactly one table entry.
+
+    f entries come first, then g entries, each in canonical key order; the
+    replacement values of one entry ascend (f values by their bitmask).
+    """
+    order = spec.order
+    for key in combinations_with_replacement(range(order), spec.m):
+        for bits in range(1, 1 << order):
+            value = frozenset(i for i in range(order) if bits >> i & 1)
+            if value != spec.f_table[key]:
+                yield replace(spec, f_table={**spec.f_table, key: value})
+    for key in combinations_with_replacement(range(order), spec.n):
+        for value in range(order):
+            if value != spec.g_table[key]:
+                yield replace(spec, g_table={**spec.g_table, key: value})
+
+
+def fixture_mutations():
+    for name in MUTATED_FIXTURES:
+        yield from single_entry_mutations(fixtures(name).spec)
+
+
+class NaiveOracle:
+    """Each axiom family checked straight from its definition."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.carrier = range(spec.order)
+        self.m, self.n = spec.m, spec.n
+        self.zero = spec.index(spec.zero)
+        self.one = spec.index(spec.one)
+
+    # -- the operations, on ordered arguments --------------------------
+
+    def f(self, args) -> set:
+        return set(self.spec.f_table[tuple(sorted(args))])
+
+    def g(self, args) -> int:
+        return self.spec.g_table[tuple(sorted(args))]
+
+    def f_of_sets(self, sets) -> set:
+        out = set()
+        for choice in product(*sets):
+            out |= self.f(choice)
+        return out
+
+    def g_of_sets(self, sets) -> set:
+        return {self.g(choice) for choice in product(*sets)}
+
+    def inverses(self, x) -> list:
+        pad = (self.zero,) * (self.m - 2)
+        return [y for y in self.carrier if self.zero in self.f((x, y, *pad))]
+
+    # -- one predicate per family; True means the instance is fine -----
+
+    def f_groupings_agree(self, seq) -> bool:
+        m = self.m
+        values = []
+        for i in range(m):
+            sets = [{x} for x in seq[:i]] + [self.f(seq[i : i + m])] + [{x} for x in seq[i + m :]]
+            values.append(self.f_of_sets(sets))
+        return all(v == values[0] for v in values)
+
+    def neutral_at(self, x, position) -> bool:
+        args = [self.zero] * self.m
+        args[position] = x
+        return self.f(args) == {x}
+
+    def inverse_unique(self, x) -> bool:
+        return len(self.inverses(x)) == 1
+
+    def reversible(self, seq) -> bool:
+        neg = [self.inverses(x)[0] for x in seq]
+        for x in self.f(seq):
+            for i in range(self.m):
+                args = neg[:i] + [x] + neg[i + 1 :]
+                if seq[i] not in self.f(args):
+                    return False
+        return True
+
+    def g_commutes(self, seq) -> bool:
+        return all(self.g(perm) == self.g(seq) for perm in permutations(seq))
+
+    def g_groupings_agree(self, seq) -> bool:
+        n = self.n
+        values = [self.g(seq[:i] + (self.g(seq[i : i + n]),) + seq[i + n :]) for i in range(n)]
+        return all(v == values[0] for v in values)
+
+    def distributes(self, q, p, slot) -> bool:
+        """``f(g(q_1, p), ..., g(q_m, p)) ⊆ g(f(q), p)`` with f(q) at ``slot``."""
+        image = self.g_of_sets([{x} for x in p[:slot]] + [self.f(q)] + [{x} for x in p[slot:]])
+        summed = self.f([self.g(p[:slot] + (qi,) + p[slot:]) for qi in q])
+        return summed <= image
+
+    def absorbs_zero(self, p, slot) -> bool:
+        return self.g(p[:slot] + (self.zero,) + p[slot:]) == self.zero
+
+    def identity_at(self, x, slot) -> bool:
+        args = [self.one] * self.n
+        args[slot] = x
+        return self.g(args) == x
+
+    # -- whole families --------------------------------------------------
+
+    def family_holds(self) -> dict[str, bool]:
+        m, n, carrier = self.m, self.n, self.carrier
+        inverses_ok = all(self.inverse_unique(x) for x in carrier)
+        return {
+            "f-associativity": all(
+                self.f_groupings_agree(seq) for seq in product(carrier, repeat=2 * m - 1)
+            ),
+            "neutral-element": all(
+                self.neutral_at(x, i) for x in carrier for i in range(m)
+            ),
+            "unique-inverses": inverses_ok,
+            # reversal is stated with the inverses, so it needs them unique
+            "reversibility": inverses_ok and all(
+                self.reversible(seq) for seq in product(carrier, repeat=m)
+            ),
+            "g-commutativity": all(self.g_commutes(seq) for seq in product(carrier, repeat=n)),
+            "g-associativity": all(
+                self.g_groupings_agree(seq) for seq in product(carrier, repeat=2 * n - 1)
+            ),
+            "distributivity": all(
+                self.distributes(q, p, slot)
+                for q in product(carrier, repeat=m)
+                for p in product(carrier, repeat=n - 1)
+                for slot in range(n)
+            ),
+            "zero-absorption": all(
+                self.absorbs_zero(p, slot)
+                for p in product(carrier, repeat=n - 1)
+                for slot in range(n)
+            ),
+            "scalar-identity": all(self.identity_at(x, i) for x in carrier for i in range(n)),
+        }
+
+    def witness_violates(self, family: str, witness: tuple) -> bool:
+        """Whether the engine's witness for ``family`` is a real violation."""
+        m = self.m
+        if family == "f-associativity":
+            return not all(self.f_groupings_agree(seq) for seq in permutations(witness))
+        if family == "neutral-element":
+            return not self.neutral_at(witness[0], 0)
+        if family == "unique-inverses":
+            return not self.inverse_unique(witness[0])
+        if family == "reversibility":
+            if not all(self.inverse_unique(x) for x in self.carrier):
+                return True
+            return not all(self.reversible(seq) for seq in permutations(witness))
+        if family == "g-associativity":
+            return not all(self.g_groupings_agree(seq) for seq in permutations(witness))
+        if family == "distributivity":
+            return not self.distributes(witness[:m], witness[m:], 0)
+        if family == "zero-absorption":
+            return witness[0] == self.zero and not self.absorbs_zero(witness[1:], 0)
+        if family == "scalar-identity":
+            return not self.identity_at(witness[0], 0)
+        raise AssertionError(f"no witness check for {family}")

@@ -210,3 +210,42 @@ def test_classify_and_radical_respect_order_limit(z6_path):
         result = invoke(command, z6_path, "--ideal", "0,3", env=env)
         assert result.returncode == 2
         assert "exceeds the enumeration limit 4" in result.stderr
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_bad_order_limit_exits_2(z6_path, raw):
+    env = dict(os.environ, HYPERIDEAL_ORDER_LIMIT=raw)
+    result = invoke("ideals", z6_path, env=env)
+    assert result.returncode == 2
+    assert "HYPERIDEAL_ORDER_LIMIT" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_null_table_document_exits_2(tmp_path):
+    doc = json.loads(serialize_spec(fixtures("z2").spec))
+    doc["f"] = None
+    path = tmp_path / "null-f.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = invoke("verify", str(path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+def test_non_utf8_document_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(serialize_spec(fixtures("z2").spec).encode("utf-8") + b"\xff")
+    for command in ("verify", "ideals"):
+        result = invoke(command, str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+
+def test_verify_warns_only_above_the_limit(tmp_path, capsys):
+    from hyperideal import cli, cyclic_ring
+
+    for k, warns in ((32, False), (33, True)):
+        path = tmp_path / f"z{k}.json"
+        path.write_text(serialize_spec(cyclic_ring(k).spec), encoding="utf-8")
+        assert cli.run(["verify", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert ("warning: order" in err) is warns

@@ -41,8 +41,10 @@ def test_ring_from_tables_z6():
 
 
 def test_cyclic_ring_verifies_once(monkeypatch):
+    # products and quotients too: each construction verifies its spec once
     from hyperideal import constructions, kernel
 
+    z2, z3, z6 = fixtures("z2"), cyclic_ring(3), fixtures("z6")
     verified = []
     real = kernel.verify_axioms
 
@@ -54,6 +56,12 @@ def test_cyclic_ring_verifies_once(monkeypatch):
     monkeypatch.setattr(constructions, "verify_axioms", counting)
     cyclic_ring(6)
     assert verified == ["z6"]
+    verified.clear()
+    product_ring([z2, z3])
+    assert verified == ["z2xz3"]
+    verified.clear()
+    quotient_ring(z6, z6.subset([0, 3]))
+    assert verified == ["z6/{0,3}"]
 
 
 def test_ring_from_tables_rejects_bad_multiplication():

@@ -317,3 +317,25 @@ def test_order_limit_guards_every_subset_walk(z6, monkeypatch):
     for call in calls:
         with pytest.raises(OrderLimitExceeded):
             call()
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_bad_order_limit_is_rejected(z6, monkeypatch, raw):
+    from hyperideal.errors import HyperIdealError
+    from hyperideal.ideals import order_limit
+
+    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", raw)
+    with pytest.raises(HyperIdealError, match="HYPERIDEAL_ORDER_LIMIT"):
+        order_limit()
+    with pytest.raises(HyperIdealError, match="HYPERIDEAL_ORDER_LIMIT"):
+        enumerate_hyperideals(z6)
+
+
+def test_zero_order_limit_is_accepted(z6, monkeypatch):
+    from hyperideal.errors import OrderLimitExceeded
+    from hyperideal.ideals import order_limit
+
+    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", "0")
+    assert order_limit() == 0
+    with pytest.raises(OrderLimitExceeded):
+        enumerate_hyperideals(z6)
