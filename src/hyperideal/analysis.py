@@ -2,6 +2,12 @@
 set lists and the verdict memos, keyed by element bitmasks and freed with the
 ring (``ring.analysis``).  The public functions in ``ideals`` and
 ``multiplicative`` add argument checks and the order limit on top.
+
+Hyperideals of either mode and multiplicative sets are each closed under
+intersection, so each family is the set of closed sets of a closure operator.
+``closed_sets`` walks them from the least one, re-closing with the
+semi-naive ``close``; its cost follows the number of closed sets, not the
+2^order subsets.  ``generated_hyperideal`` is ``close`` from the empty set.
 """
 
 from __future__ import annotations
@@ -56,12 +62,24 @@ class SClassification:
     witnesses: tuple[SWitness, ...] = ()
 
 
+def bit_members(bits: int) -> list[int]:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def extremal(family: Sequence[int], maximal: bool = False) -> tuple[int, ...]:
     """Inclusion-minimal members of a family of masks (inclusion-maximal when
     ``maximal``), in input order."""
     if maximal:
         return tuple(a for a in family if not any(b != a and not (a & ~b) for b in family))
     return tuple(a for a in family if not any(b != a and not (b & ~a) for b in family))
+
+
+MS = "ms"  # the closure kind of multiplicative sets, beside the two modes
 
 
 class RingAnalysis:
@@ -88,11 +106,10 @@ class RingAnalysis:
         self.residual = memo(self._residual)
         self.saturation = memo(self._saturation)
         self.maximal_ms = memo(self._maximal_ms)
-        self.ideals = memo(self._ideals)
+        self.ideals = memo(self.closed_sets)
         self.proper = memo(self._proper)
         self.primes = memo(self._primes)
         self.min_primes = memo(self._min_primes)
-        self.strict_closed = memo(self._strict_closed)
         self.s_family = memo(self._s_family)
         self.s_maximal = memo(self._s_maximal)
         self.quotients: dict = {}
@@ -104,56 +121,102 @@ class RingAnalysis:
         ring = self.ring
         if not (bits >> ring.zero & 1):
             return Verdict(False, "zero-membership", (ring.zero,), "zero is missing")
-        members = [i for i in range(ring.order) if bits >> i & 1]
+        members = bit_members(bits)
         for key in combinations_with_replacement(members, ring.m):
             value = ring.f_bits(key)
             if value & ~bits:
                 out = next(i for i in range(ring.order) if (value & ~bits) >> i & 1)
                 return Verdict(False, "f-closure", key, f"hyperaddition escapes via {ring.elements[out]}")
+        absorb = self.absorb
         for x in members:
-            for rest in combinations_with_replacement(range(ring.order), ring.n - 1):
-                prod = ring.g_at((x, *rest))
-                if not (bits >> prod & 1):
-                    return Verdict(
-                        False,
-                        "g-absorption",
-                        (x, *rest),
-                        f"product {ring.elements[prod]} escapes",
-                    )
+            if absorb[x] & ~bits:
+                # the first escaping (n-1)-tuple in dense order is sorted, so
+                # it is also the first escaping multiset
+                k, prod = next((k, p) for k, p in enumerate(ring.g_row(x)) if not bits >> p & 1)
+                rest = (k // ring.order**i % ring.order for i in range(ring.n - 2, -1, -1))
+                return Verdict(False, "g-absorption", (x, *rest), f"product {ring.elements[prod]} escapes")
         if mode == "strict":
             for x in members:
                 neg = ring.negation[x]
                 if not (bits >> neg & 1):
-                    return Verdict(
-                        False,
-                        "negation-closure",
-                        (x,),
-                        f"-{ring.elements[x]} = {ring.elements[neg]} is missing",
-                    )
+                    detail = f"-{ring.elements[x]} = {ring.elements[neg]} is missing"
+                    return Verdict(False, "negation-closure", (x,), detail)
         return PASS
-
-    def _ideals(self, mode: str) -> tuple[int, ...]:
-        """All hyperideals of the mode in ascending mask order, the whole ring
-        included.  The scan bypasses the verdict memo: most masks fail."""
-        zero_bit = 1 << self.ring.zero
-        return tuple(
-            bits
-            for bits in range(1, self.ring.full_bits + 1)
-            if bits & zero_bit and self._hyperideal(bits, mode).ok
-        )
 
     def _proper(self, mode: str) -> tuple[int, ...]:
         full = self.ring.full_bits
         return tuple(b for b in self.ideals(mode) if b != full)
 
-    def _strict_closed(self, mode: str) -> tuple[int, ...]:
-        """Proper hyperideals of the mode that are also negation closed."""
+    def strict_closed(self, mode: str) -> tuple[int, ...]:
+        """Proper hyperideals of the mode that are also negation closed: in
+        either mode, the proper strict hyperideals."""
+        return self.proper("strict")
+
+    # -- closed sets ---------------------------------------------------------
+
+    @cached_property
+    def absorb(self) -> list[int]:
+        """``absorb[x]``: the mask of every product g(x, r), r over (n-1)-tuples."""
+        return [sum(1 << p for p in set(self.ring.g_row(x))) for x in range(self.ring.order)]
+
+    def close(self, bits: int, new: int, kind: str) -> int:
+        """The least closed set of the kind containing the closed mask ``bits``
+        and the mask ``new``.  The kinds are the hyperideal modes (closure
+        under hyperaddition and absorption, and under negation when strict)
+        and ``MS`` (closure under multiplication).  Semi-naive: each added
+        element is handled once, with only the sums or products that take it
+        as first argument; those of old members alone already lie in ``bits``.
+        """
         ring = self.ring
-        return tuple(
-            bits
-            for bits in self.proper(mode)
-            if all(bits >> ring.negation[x] & 1 for x in range(ring.order) if bits >> x & 1)
-        )
+        order = ring.order
+        products = kind == MS
+        table, arity = (ring.g_dense, ring.n) if products else (ring.f_dense, ring.m)
+        absorb, negation = self.absorb, ring.negation if kind == "strict" else None
+        lead = order ** (arity - 1)
+        pending = new & ~bits
+        bits |= pending
+        members = bit_members(bits)
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            y = low.bit_length() - 1
+            rests = members
+            for _ in range(arity - 2):
+                rests = [r * order + z for r in rests for z in members]
+            base = y * lead
+            if products:
+                add = 0
+                for r in rests:
+                    add |= 1 << table[base + r]
+            else:
+                add = absorb[y] | (1 << negation[y] if negation else 0)
+                for r in rests:
+                    add |= table[base + r]
+            add &= ~bits
+            bits |= add
+            pending |= add
+            members += bit_members(add)
+        return bits
+
+    def closed_sets(self, kind: str) -> tuple[int, ...]:
+        """Every closed set of the kind (see ``close``), ascending: the
+        hyperideals of a mode, the whole ring included, or the multiplicative
+        sets and the empty set.  Each closed set is reached from the least one
+        by adding one element at a time and closing again; the walk does
+        that, keeping the sets it has seen."""
+        ring = self.ring
+        bottom = 0 if kind == MS else self.close(0, 1 << ring.zero, kind)
+        seen = {bottom}
+        stack = [bottom]
+        while stack:
+            current = stack.pop()
+            for x in range(ring.order):
+                if not current >> x & 1:
+                    found = self.close(current, 1 << x, kind)
+                    if found not in seen:
+                        seen.add(found)
+                        stack.append(found)
+        return tuple(sorted(seen))
 
     # -- the classical classification ---------------------------------------
 
@@ -178,12 +241,8 @@ class RingAnalysis:
             if not (bits >> prod & 1):
                 continue
             if not any(bits >> tup[i] & 1 or rad >> subs[i] & 1 for i in range(n)):
-                return Verdict(
-                    False,
-                    "primary",
-                    tup,
-                    "no factor in the ideal and no substituted product in its radical",
-                )
+                detail = "no factor in the ideal and no substituted product in its radical"
+                return Verdict(False, "primary", tup, detail)
         return PASS
 
     def _maximal(self, bits: int, mode: str) -> Verdict:
@@ -192,12 +251,8 @@ class RingAnalysis:
             if other == bits or other == ring.full_bits:
                 continue
             if not (bits & ~other):
-                return Verdict(
-                    False,
-                    "maximal",
-                    tuple(i for i in range(ring.order) if other >> i & 1),
-                    "a proper hyperideal lies strictly above",
-                )
+                detail = "a proper hyperideal lies strictly above"
+                return Verdict(False, "maximal", tuple(bit_members(other)), detail)
         return PASS
 
     def _primes(self, mode: str) -> tuple[int, ...]:
@@ -232,38 +287,7 @@ class RingAnalysis:
     @cached_property
     def ms_all(self) -> tuple[int, ...]:
         """All non-empty multiplicatively closed masks, ascending."""
-        ring = self.ring
-        if ring.order <= 8:
-            return tuple(bits for bits in range(1, ring.full_bits + 1) if self.ms(bits).ok)
-        # Larger carriers: walk the lattice of closed sets instead of filtering
-        # the whole power set.
-        def closure(bits: int) -> int:
-            while True:
-                members = [i for i in range(ring.order) if bits >> i & 1]
-                new = bits
-                for key in combinations_with_replacement(members, ring.n):
-                    new |= 1 << ring.g_at(key)
-                if new == bits:
-                    return bits
-                bits = new
-
-        seen: set[int] = set()
-        frontier = []
-        for x in range(ring.order):
-            c = closure(1 << x)
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
-        while frontier:
-            current = frontier.pop()
-            for x in range(ring.order):
-                if current >> x & 1:
-                    continue
-                c = closure(current | (1 << x))
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        return tuple(sorted(seen))
+        return self.closed_sets(MS)[1:]
 
     @cached_property
     def ms_with_one(self) -> tuple[int, ...]:

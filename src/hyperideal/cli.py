@@ -82,8 +82,7 @@ def _load_ring(path: str) -> HyperRing:
 def _parse_subset(ring: HyperRing, raw: str, option: str) -> SubsetMask:
     if raw != raw.strip() or " " in raw or "\t" in raw:
         raise _CliError(f"{option} must be comma-joined element names without whitespace")
-    names = raw.split(",")
-    return ring.subset_from_names(names)
+    return ring.subset_from_names(raw.split(","))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -354,10 +353,7 @@ def run(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except HyperIdealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HyperIdealError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

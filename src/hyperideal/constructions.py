@@ -205,18 +205,13 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
     coset_bits = [
         ring._hyperadd_bits(x, modulus, *zero_pad) for x in range(ring.order)
     ]
-    distinct: list[int] = []
-    for bits in coset_bits:
-        if bits not in distinct:
-            distinct.append(bits)
-    distinct.sort(key=lambda b: next(i for i in range(ring.order) if b >> i & 1))
+    # by least member; overlapping cosets that tie keep their first-seen order
+    distinct = sorted(dict.fromkeys(coset_bits), key=lambda b: b & -b)
     for i, a in enumerate(distinct):
         for b in distinct[i + 1 :]:
             if a & b:
                 raise CosetsNotPartition(ring.names_of_bits(a), ring.names_of_bits(b))
-    covered = 0
-    for bits in distinct:
-        covered |= bits
+    covered = sum(distinct)  # the cosets are disjoint by now
     if covered != ring.full_bits:
         raise CosetsNotPartition(ring.names_of_bits(covered), ())
 

@@ -760,7 +760,7 @@ def check_theorem(ring: HyperRing, ident: str, mode: str = LENIENT) -> TheoremRe
 @dataclass
 class SuiteResult:
     entries: list[tuple[str, TheoremReport]]
-    aggregate: str  # pass | counterexample | hypothesis-gap
+    aggregate: str  # counterexample | hypothesis-gap | truncated | pass, first match wins
 
     def to_json(self, include_timings: bool = False) -> str:
         rows = []
@@ -792,7 +792,10 @@ def run_suite(
         exercised = {ident: 0 for ident in idents}
         for _, r in entries:
             exercised[r.id] += r.hypothesis_met
-        aggregate = "hypothesis-gap" if any(v == 0 for v in exercised.values()) else "pass"
+        if any(v == 0 for v in exercised.values()):
+            aggregate = "hypothesis-gap"
+        else:
+            aggregate = "truncated" if any(r.truncated for _, r in entries) else "pass"
     return SuiteResult(entries=entries, aggregate=aggregate)
 
 

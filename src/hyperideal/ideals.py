@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .analysis import PASS, Verdict
 from .errors import (
@@ -117,21 +116,7 @@ def generated_hyperideal(ring: HyperRing, seed: SubsetMask, mode: str = LENIENT)
     check_mode(mode)
     if seed.is_empty:
         raise EmptySubset("generating set must be non-empty")
-    bits = seed.bits
-    while True:
-        new = bits
-        members = [i for i in range(ring.order) if new >> i & 1]
-        for key in combinations_with_replacement(members, ring.m):
-            new |= ring.f_bits(key)
-        for x in members:
-            for product in ring.g_row(x):
-                new |= 1 << product
-        if mode == "strict":
-            for x in members:
-                new |= 1 << ring.negation[x]
-        if new == bits:
-            return SubsetMask(ring, bits)
-        bits = new
+    return SubsetMask(ring, ring.analysis.close(0, seed.bits, mode))
 
 
 def enumerate_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:

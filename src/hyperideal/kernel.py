@@ -25,7 +25,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .analysis import RingAnalysis
+from .analysis import RingAnalysis, bit_members
 from .errors import (
     ArityMismatch,
     ArityOutOfRange,
@@ -131,6 +131,8 @@ def validate_spec(spec: HyperRingSpec) -> None:
         raise ArityOutOfRange("m", spec.m)
     if spec.n < 2:
         raise ArityOutOfRange("n", spec.n)
+    if max(spec.m, spec.n) > MAX_VERIFY_ARITY:  # before a key walk builds a key that long
+        raise TablesTooLarge(f"m={spec.m}, n={spec.n} is past the arity limit {MAX_VERIFY_ARITY}")
     if not spec.elements:
         raise SpecFormatError("no elements declared")
     if len(set(spec.elements)) != len(spec.elements):
@@ -596,9 +598,9 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     validate_spec(spec)
     order = spec.order
     m, n = spec.m, spec.n
-    if max(m, n) > MAX_VERIFY_ARITY or order ** max(m, n) > DENSE_TABLE_LIMIT:
-        raise TablesTooLarge(f"order {order} with m={m}, n={n} is past the limits of arity "
-                             f"{MAX_VERIFY_ARITY} and {DENSE_TABLE_LIMIT} dense table entries")
+    if order ** max(m, n) > DENSE_TABLE_LIMIT:
+        raise TablesTooLarge(f"order {order} with m={m}, n={n} is past the limit of "
+                             f"{DENSE_TABLE_LIMIT} dense table entries")
     zero = spec.index(spec.zero)
     one = spec.index(spec.one)
     f, g = _dense_tables(spec)
@@ -703,15 +705,6 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     if not report.all_pass:
         return report
     return HyperRing(spec, report, tuple(negation), f, g)
-
-
-def bit_members(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def require_ring(spec: HyperRingSpec) -> HyperRing:

@@ -132,6 +132,34 @@ def test_suite_on_reference_rings():
     assert result.aggregate == "pass"
 
 
+TRUNCATION_RINGS = ("paper-example", "z6", "z2xz3", "z6-mod-3", "z12")
+
+
+def test_truncated_suite_aggregates_as_truncated(monkeypatch):
+    from hyperideal import harness
+
+    rings = [fixtures(n) for n in TRUNCATION_RINGS]
+    assert run_suite(rings).aggregate == "pass"
+    monkeypatch.setattr(harness, "AVOIDANCE_CONFIG_CAP", 50)
+    result = run_suite(rings)
+    assert ("z12", "TAVOID") in {(ring, r.id) for ring, r in result.entries if r.truncated}
+    assert all(r.status != "counterexample" for _, r in result.entries)
+    assert result.aggregate == "truncated"
+
+
+def test_truncated_suite_cli_line_and_exit_code(monkeypatch, tmp_path, capsys):
+    from hyperideal import cli, harness
+
+    paths = []
+    for name in TRUNCATION_RINGS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_spec(fixtures(name).spec), encoding="utf-8")
+        paths.append(str(path))
+    monkeypatch.setattr(harness, "AVOIDANCE_CONFIG_CAP", 50)
+    assert cli.run(["theorems", *paths]) == 0
+    assert capsys.readouterr().out.endswith("aggregate: truncated\n")
+
+
 def test_suite_filter(paper):
     result = run_suite([paper], only=["T1.1"])
     assert len(result.entries) == 1

@@ -134,3 +134,23 @@ def test_dense_table_limit_is_enforced(monkeypatch):
     monkeypatch.setattr(kernel, "DENSE_TABLE_LIMIT", z4.order ** 2 - 1)
     with pytest.raises(TablesTooLarge):
         verify_axioms(z4.spec)
+
+
+@pytest.mark.parametrize("m", [1_000_000, 1_000_000_000])
+def test_huge_arity_is_refused_before_any_key_walk(doc_path, m):
+    import time
+
+    doc = json.loads(Z2_DOCUMENT)
+    doc["m"], doc["f"] = m, {}
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(["verify", str(doc_path)])
+        out.flush()
+        err.flush()
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    message = out.buffer.getvalue() + err.buffer.getvalue()
+    assert 0 < len(message) < 500
