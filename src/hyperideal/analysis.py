@@ -3,6 +3,14 @@ set lists and the verdict memos, keyed by element bitmasks and freed with the
 ring (``ring.analysis``).  The public functions in ``ideals`` and
 ``multiplicative`` add argument checks and the order limit on top.
 
+No memo is keyed by an (ideal, set) pair.  The S-condition is checked one
+element of S at a time, so it is fixed by one set per ideal:
+``compatible(P, P)`` is the largest compatible MS S*(P), and P is an
+S-hyperideal exactly when S lies in it (an S_r-hyperideal when S lies in
+``compatible(P, radical(P))``).  Residuals and saturations are intersections
+and unions of the colon ideals ``colons(Q)``.  ``scan_s`` walks the n-tuples
+only to name witnesses.
+
 Hyperideals of either mode and multiplicative sets are each closed under
 intersection, so each family is the set of closed sets of a closure operator.
 ``closed_sets`` walks them from the least one, re-closing with the
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .kernel import HyperRing
@@ -102,10 +110,8 @@ class RingAnalysis:
         self.maximal = memo(self._maximal)
         self.radical = memo(self._radical)
         self.ms = memo(self._ms)
-        self.classify_s = memo(self._classify_s)
-        self.residual = memo(self._residual)
-        self.saturation = memo(self._saturation)
-        self.maximal_ms = memo(self._maximal_ms)
+        self.compatible = memo(self._compatible)
+        self.colons = memo(self._colons)
         self.ideals = memo(self.closed_sets)
         self.proper = memo(self._proper)
         self.primes = memo(self._primes)
@@ -294,53 +300,40 @@ class RingAnalysis:
         one_bit = 1 << self.ring.one
         return tuple(b for b in self.ms_all if b & one_bit)
 
-    # -- S-classification -------------------------------------------------
+    # -- S-classification, residuals and saturation -------------------------
 
-    def scan_s(
-        self, p_bits: int, s_bits: int, mode: str, first_only: bool = False
-    ) -> SClassification:
-        """Scan every n-tuple in lexicographic order; the reported witness is
-        the first failing (tuple, position) pair."""
+    def _compatible(self, p_bits: int, target: int) -> int:
+        """Elements x such that, for every ordered (n-1)-tuple r, g(x, r) in P
+        implies g(1, r) in the target.  Against P itself this is the largest
+        compatible MS S*(P) of T3: P is an S-hyperideal exactly when S lies
+        in it, and an S_r-hyperideal when S lies in the set for the radical."""
         ring = self.ring
-        rad = self.radical(p_bits, mode)
-        s_witness: SWitness | None = None
-        sr_witness: SWitness | None = None
-        collected: list[SWitness] = []
-        for tup, prod, subs in ring.g_tuples:
-            if not (p_bits >> prod & 1):
-                continue
-            for i in range(ring.n):
-                if not (s_bits >> tup[i] & 1):
-                    continue
-                sub = subs[i]
-                if p_bits >> sub & 1:
-                    continue
-                wit = SWitness(tuple_=tup, position=i + 1, product=prod, substituted=sub)
-                if s_witness is None:
-                    s_witness = wit
-                if not first_only:
-                    collected.append(wit)
-                if not (rad >> sub & 1) and sr_witness is None:
-                    sr_witness = wit
-                if first_only and s_witness is not None and sr_witness is not None:
-                    break
-            if first_only and s_witness is not None and sr_witness is not None:
-                break
-        if s_witness is None:
-            verdict, witness = SVerdict.S_HYPERIDEAL, None
-        elif sr_witness is None:
-            verdict, witness = SVerdict.SR_ONLY, s_witness
-        else:
-            verdict, witness = SVerdict.NEITHER, sr_witness
-        return SClassification(
-            verdict=verdict, witness=witness, mode=mode, witnesses=tuple(collected)
-        )
+        out = 0
+        by_one = ring.g_row(ring.one)
+        for x in range(ring.order):
+            # over ordered tuples r; g is symmetric, so this covers every position
+            if not any(p_bits >> a & 1 and not target >> b & 1 for a, b in zip(ring.g_row(x), by_one)):
+                out |= 1 << x
+        return out
 
-    def _classify_s(self, p_bits: int, s_bits: int, mode: str) -> SClassification:
-        return self.scan_s(p_bits, s_bits, mode, first_only=True)
+    def classify_s(self, p_bits: int, s_bits: int, mode: str) -> SVerdict:
+        if not s_bits & ~self.compatible(p_bits, p_bits):
+            return SVerdict.S_HYPERIDEAL
+        if not s_bits & ~self.compatible(p_bits, self.radical(p_bits, mode)):
+            return SVerdict.SR_ONLY
+        return SVerdict.NEITHER
 
     def is_s(self, p_bits: int, s_bits: int, mode: str) -> bool:
-        return self.classify_s(p_bits, s_bits, mode).verdict is SVerdict.S_HYPERIDEAL
+        return not s_bits & ~self.compatible(p_bits, p_bits)
+
+    def scan_s(self, p_bits: int, s_bits: int) -> Iterator[SWitness]:
+        """Every failing (tuple, position) pair in lexicographic order: a
+        product in P with a factor from S whose unit substitution leaves P."""
+        for tup, prod, subs in self.ring.g_tuples:
+            if p_bits >> prod & 1:
+                for i, (x, sub) in enumerate(zip(tup, subs)):
+                    if s_bits >> x & 1 and not p_bits >> sub & 1:
+                        yield SWitness(tuple_=tup, position=i + 1, product=prod, substituted=sub)
 
     def _s_family(self, s_bits: int, mode: str) -> tuple[int, ...]:
         """Proper hyperideals satisfying the substitution property for S."""
@@ -349,35 +342,25 @@ class RingAnalysis:
     def _s_maximal(self, s_bits: int, mode: str) -> tuple[int, ...]:
         return extremal(self.s_family(s_bits, mode), maximal=True)
 
-    # -- residuals, saturation, the largest compatible MS -------------------
+    def _colons(self, q_bits: int) -> tuple[int, ...]:
+        """The colon ideals (q : t) = {x : g(t, x, 1^(n-2)) in q}, by t."""
+        return tuple(
+            sum(1 << x for x, prod in enumerate(row) if q_bits >> prod & 1)
+            for row in self.ring._bp
+        )
 
-    def _residual(self, p_bits: int, x_bits: int) -> int:
-        ring = self.ring
-        bp = ring._bp
-        out = 0
-        members = [i for i in range(ring.order) if x_bits >> i & 1]
-        for a in range(ring.order):
-            row = bp[a]
-            if all(p_bits >> row[x] & 1 for x in members):
-                out |= 1 << a
+    def residual(self, p_bits: int, x_bits: int) -> int:
+        """The intersection of (p : x) over x in X."""
+        colons = self.colons(p_bits)
+        out = self.ring.full_bits
+        for x in bit_members(x_bits):
+            out &= colons[x]
         return out
 
-    def _saturation(self, q_bits: int, s_bits: int) -> int:
-        ring = self.ring
-        bp = ring._bp
-        members = [i for i in range(ring.order) if s_bits >> i & 1]
+    def saturation(self, q_bits: int, s_bits: int) -> int:
+        """The union of (q : t) over t in S."""
+        colons = self.colons(q_bits)
         out = 0
-        for x in range(ring.order):
-            if any(q_bits >> bp[t][x] & 1 for t in members):
-                out |= 1 << x
-        return out
-
-    def _maximal_ms(self, p_bits: int) -> int:
-        ring = self.ring
-        out = 0
-        by_one = ring.g_row(ring.one)
-        for x in range(ring.order):
-            # over ordered tuples r; g is symmetric, so this covers multisets
-            if not any(p_bits >> a & 1 and not p_bits >> b & 1 for a, b in zip(ring.g_row(x), by_one)):
-                out |= 1 << x
+        for t in bit_members(s_bits):
+            out |= colons[t]
         return out

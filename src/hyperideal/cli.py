@@ -143,6 +143,8 @@ def _witness_text(ring: HyperRing, cl) -> str:
 
 
 def _cmd_classify(args) -> int:
+    if args.expect is not None and args.s is None:
+        raise _CliError("--expect needs --s: it asserts the S-classification verdict")
     ring = _load_ring(args.ring)
     ideal = _parse_subset(ring, args.ideal, "--ideal")
     verdict = is_hyperideal(ring, ideal, args.mode)
@@ -233,7 +235,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_theorems(args) -> int:
     rings = [_load_ring(path) for path in args.rings]
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     result = harness.run_suite(rings, args.mode, only)
     if args.format == "json":
         _emit(result.to_json(include_timings=args.timings), args.out)

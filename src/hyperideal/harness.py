@@ -253,7 +253,7 @@ def _check_t3(ring: HyperRing, mode: str, tally: _Tally) -> None:
     a = ring.analysis
     for p in a.proper(mode):
         tally.instances += 1
-        smax = a.maximal_ms(p)
+        smax = a.compatible(p, p)
         if not a.ms(smax).ok:
             tally.fail(anomaly="candidate set is not multiplicatively closed",
                        P=ring.render_bits(p), S=ring.render_bits(smax))
@@ -690,16 +690,16 @@ def _check_fw_sr(ring: HyperRing, mode: str, tally: _Tally) -> None:
         for s in a.ms_all:
             tally.instances += 1
             sr_ok = _direct_sr_scan(ring, p, s, mode)
-            cl = a.classify_s(p, s, mode)
-            if cl.verdict is SVerdict.S_HYPERIDEAL:
+            verdict = a.classify_s(p, s, mode)
+            if verdict is SVerdict.S_HYPERIDEAL:
                 tally.hypothesis += 1
                 if not sr_ok:
                     tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
                                clause="S-hyperideal fails the radical-target variant")
-            if (cl.verdict is not SVerdict.NEITHER) != sr_ok:
+            if (verdict is not SVerdict.NEITHER) != sr_ok:
                 tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
                            clause="classifier disagrees with the direct scan",
-                           verdict=cl.verdict.value, direct=str(sr_ok))
+                           verdict=verdict.value, direct=str(sr_ok))
 
 
 CATALOG: dict[str, tuple[str, object]] = {

@@ -179,6 +179,8 @@ def radical_power_diagnostic(
     check_mode(mode)
     check_order(ring)
     require_hyperideal(ring, subset, mode)
+    if not 0 <= p < ring.order:
+        raise ValueError(f"element index {p} out of range")
     in_radical = bool(ring.analysis.radical(subset.bits, mode) >> p & 1)
     seen = set()
     w = 1

@@ -87,16 +87,26 @@ def classify_s(
 ) -> SClassification:
     """Joint S / S_r classification of a proper hyperideal against an MS.
 
-    Scans every n-tuple in lexicographic order; the reported witness is the
-    first failing (tuple, position) pair.
+    The verdict compares S with the largest compatible sets of the ideal.
+    The witness is the first failing (tuple, position) pair in lexicographic
+    order; for ``NEITHER``, the first whose substitution leaves the radical.
     """
     check_mode(mode)
     check_order(ring)
     require_proper_hyperideal(ring, ideal, mode)
-    s_mask = _require_ms(ring, s)
-    if all_witnesses:
-        return ring.analysis.scan_s(ideal.bits, s_mask.bits, mode)
-    return ring.analysis.classify_s(ideal.bits, s_mask.bits, mode)
+    p_bits, s_bits = ideal.bits, _require_ms(ring, s).bits
+    a = ring.analysis
+    verdict = a.classify_s(p_bits, s_bits, mode)
+    witnesses = tuple(a.scan_s(p_bits, s_bits)) if all_witnesses else ()
+    witness = None
+    if verdict is not SVerdict.S_HYPERIDEAL:
+        # where the reported substitution lands: anywhere, or outside the radical
+        escape = ring.full_bits
+        if verdict is SVerdict.NEITHER:
+            escape &= ~a.radical(p_bits, mode)
+        scan = witnesses or a.scan_s(p_bits, s_bits)
+        witness = next(w for w in scan if escape >> w.substituted & 1)
+    return SClassification(verdict=verdict, witness=witness, mode=mode, witnesses=witnesses)
 
 
 def is_s_hyperideal(
@@ -156,7 +166,7 @@ def maximal_ms_for(ring: HyperRing, ideal: SubsetMask, mode: str = LENIENT) -> M
     the substitution property, built by exhaustive scan and re-verified."""
     check_mode(mode)
     require_proper_hyperideal(ring, ideal, mode)
-    bits = ring.analysis.maximal_ms(ideal.bits)
+    bits = ring.analysis.compatible(ideal.bits, ideal.bits)
     verdict = ring.analysis.ms(bits)
     if not verdict:
         raise InternalContradiction(

@@ -78,6 +78,13 @@ def test_classify_expect_match_exits_0(paper_path):
     assert result.returncode == 0
 
 
+def test_classify_expect_without_s_exits_2(z6_path):
+    result = invoke("classify", z6_path, "--ideal", "0,3", "--expect", "neither")
+    assert result.returncode == 2
+    assert "--expect needs --s" in result.stderr
+    assert result.stdout == ""
+
+
 def test_classify_plain_profile(z6_path):
     result = invoke("classify", z6_path, "--ideal", "0,3")
     assert result.returncode == 0
@@ -188,6 +195,15 @@ def test_unknown_theorem_id_exits_2(paper_path):
     result = invoke("theorems", paper_path, "--only", "T99")
     assert result.returncode == 2
     assert "T99" in result.stderr
+
+
+def test_empty_theorem_id_exits_2(paper_path):
+    # an empty --only names the empty id, as "T1.1,,T5" does; it is not "all"
+    for only in ("", "T1.1,,T5"):
+        result = invoke("theorems", paper_path, "--only", only)
+        assert result.returncode == 2
+        assert "unknown theorem id ''" in result.stderr
+        assert result.stdout == ""
 
 
 def test_unknown_fixture_exits_2():

@@ -222,6 +222,12 @@ def test_power_diagnostic_z6(z6):
     assert diag.in_radical and diag.exponent == 1
 
 
+@pytest.mark.parametrize("p", [6, -1, 100])
+def test_power_diagnostic_rejects_out_of_range_element(z6, p):
+    with pytest.raises(ValueError, match=f"element index {p} out of range"):
+        radical_power_diagnostic(z6, z6.subset([0, 3]), p)
+
+
 # ---------------------------------------------------------------------------
 # special sets
 
