@@ -11,6 +11,13 @@ S-hyperideal exactly when S lies in it (an S_r-hyperideal when S lies in
 and unions of the colon ideals ``colons(Q)``.  ``scan_s`` walks the n-tuples
 only to name witnesses.
 
+The multiplicative-set index names a family of MS by one int, bit i for
+``ms_all[i]``: ``containing[x]`` holds the MS with x, ``within(T)`` those
+inside the element mask T, and ``admissible(P) = within(compatible(P, P))``
+those for which P is an S-hyperideal.  ``image_ms(hom)`` marks the MS whose
+image along a homomorphism is an MS.  The harness checks the catalog with
+these masks instead of a loop over (ideal, MS) pairs.
+
 Hyperideals of either mode and multiplicative sets are each closed under
 intersection, so each family is the set of closed sets of a closure operator.
 ``closed_sets`` walks them from the least one, re-closing with the
@@ -27,6 +34,7 @@ from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
+    from .constructions import HyperRingHom
     from .kernel import HyperRing
 
 
@@ -96,8 +104,8 @@ class RingAnalysis:
     Each memo is a per-instance ``lru_cache`` held in an instance attribute,
     so a hit costs one attribute lookup and no wrapper frame.  A class-level
     descriptor of the same name would make CPython skip specialising that
-    lookup.  ``quotients`` and ``tprod_product`` hold constructions the
-    harness builds.
+    lookup.  ``quotients`` holds the projections the harness builds, each
+    with its ``image_ms`` table, and ``tprod_product`` its product ring.
     """
 
     def __init__(self, ring: HyperRing):
@@ -112,6 +120,7 @@ class RingAnalysis:
         self.ms = memo(self._ms)
         self.compatible = memo(self._compatible)
         self.colons = memo(self._colons)
+        self.within = memo(self._within)
         self.ideals = memo(self.closed_sets)
         self.proper = memo(self._proper)
         self.primes = memo(self._primes)
@@ -283,9 +292,12 @@ class RingAnalysis:
 
     def _ms(self, bits: int) -> Verdict:
         ring = self.ring
-        members = [i for i in range(ring.order) if bits >> i & 1]
-        for key in combinations_with_replacement(members, ring.n):
-            prod = ring.g_at(key)
+        g, order = ring.g_dense, ring.order
+        for key in combinations_with_replacement(bit_members(bits), ring.n):
+            k = 0
+            for x in key:
+                k = k * order + x
+            prod = g[k]
             if not (bits >> prod & 1):
                 return Verdict(False, "g-closure", key, f"product {ring.elements[prod]} escapes")
         return PASS
@@ -299,6 +311,52 @@ class RingAnalysis:
     def ms_with_one(self) -> tuple[int, ...]:
         one_bit = 1 << self.ring.one
         return tuple(b for b in self.ms_all if b & one_bit)
+
+    # -- the multiplicative-set index ---------------------------------------
+    # A family of MS is one int: bit i stands for ms_all[i].
+
+    @cached_property
+    def containing(self) -> list[int]:
+        """``containing[x]``: the MS that contain the element x."""
+        out = [0] * self.ring.order
+        for i, s in enumerate(self.ms_all):
+            for x in bit_members(s):
+                out[x] |= 1 << i
+        return out
+
+    def _within(self, t_bits: int) -> int:
+        """The MS contained in the element mask: those that contain no
+        element outside it."""
+        out = (1 << len(self.ms_all)) - 1
+        containing = self.containing
+        for x in bit_members(self.ring.full_bits & ~t_bits):
+            out &= ~containing[x]
+        return out
+
+    def admissible(self, p_bits: int) -> int:
+        """The MS S for which P has the substitution property: S within S*(P)."""
+        return self.within(self.compatible(p_bits, p_bits))
+
+    def image_ms(self, hom: HyperRingHom) -> int:
+        """The MS whose image along ``hom`` is an MS of its target.  Images
+        come from a byte-chunk lookup of the mapping, and the target's memo
+        tests each distinct image once."""
+        chunks = []
+        mapping = hom.mapping
+        for lo in range(0, len(mapping), 8):
+            table = [0]
+            for y in mapping[lo : lo + 8]:
+                table += [v | 1 << y for v in table]
+            chunks.append(table)
+        ms = hom.target.analysis.ms
+        out = 0
+        for i, s in enumerate(self.ms_all):
+            image = 0
+            for k, table in enumerate(chunks):
+                image |= table[s >> 8 * k & 255]
+            if ms(image).ok:
+                out |= 1 << i
+        return out
 
     # -- S-classification, residuals and saturation -------------------------
 

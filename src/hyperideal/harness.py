@@ -6,6 +6,16 @@ Each checker quantifies over every enumerable instance on a fixture ring
 satisfies the claim's hypotheses.  A claim whose hypotheses match nothing on
 a fixture reports ``hypothesis-never-met`` rather than a vacuous pass, so a
 suite can demand coverage from its fixture set.
+
+The checkers over (ideal, MS) pairs decide every MS at once, as masks of the
+multiplicative-set index on ``RingAnalysis`` (bit i for ``ms_all[i]``):
+instance and hypothesis counts are bit counts, and failures are named by
+walking the failure masks lowest bit first, in the order of the loops they
+replace, so reports are unchanged.  Each keeps two independently computed
+sides: ``compatible`` against the colon ideals (T1.3, T5), the base ring
+against the target ring (THOM-PRE, THOM-IMG, TQUOT), and the ``g_row`` masks
+against one n-tuple scan per ideal (FW-SR).  A target-side verdict is pulled
+back along the map: img(S) lies in C exactly when S lies in the preimage of C.
 """
 
 from __future__ import annotations
@@ -16,10 +26,9 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
 
-from .analysis import RingAnalysis, SVerdict
+from .analysis import RingAnalysis, SVerdict, bit_members
 from .constructions import (
     HyperRingHom,
-    QuotientRing,
     cyclic_ring,
     identity_hom,
     product_ring,
@@ -89,20 +98,30 @@ class _Tally:
 # constructions over a ring, kept on its analysis
 
 
-def _quotient_or_none(ring: HyperRing, modulus_bits: int, mode: str) -> QuotientRing | None:
+def _transfer(ring: HyperRing, modulus_bits: int | None, mode: str) -> tuple[HyperRingHom, int] | None:
+    """The projection onto the quotient by the modulus (the identity for
+    ``None``) with its table of MS images that are MS (``image_ms``), built
+    once per ring; ``None`` when the quotient is ill-defined.  The mode only
+    validates the modulus: a strict hyperideal is a lenient one, and the
+    quotient does not depend on the mode."""
     quotients = ring.analysis.quotients
-    key = (modulus_bits, mode)
-    if key not in quotients:
+    if modulus_bits not in quotients:
         try:
-            quotients[key] = quotient_ring(ring, SubsetMask(ring, modulus_bits), mode)
+            if modulus_bits is None:
+                hom = identity_hom(ring)
+            else:
+                hom = quotient_ring(ring, SubsetMask(ring, modulus_bits), mode).projection
         except (CosetsNotPartition, InducedOpIllDefined):
-            quotients[key] = None
-    return quotients[key]
+            quotients[modulus_bits] = None
+        else:
+            quotients[modulus_bits] = (hom, ring.analysis.image_ms(hom))
+    return quotients[modulus_bits]
 
 
-def _homs(ring: HyperRing, mode: str) -> list[HyperRingHom]:
-    quotients = (_quotient_or_none(ring, bits, mode) for bits in ring.analysis.proper(mode))
-    return [identity_hom(ring)] + [q.projection for q in quotients if q is not None]
+def _transfers(ring: HyperRing, mode: str) -> list[tuple[HyperRingHom, int]]:
+    """The identity, then the projection onto every well-defined quotient."""
+    moduli = (None, *ring.analysis.proper(mode))
+    return [t for t in (_transfer(ring, bits, mode) for bits in moduli) if t is not None]
 
 
 def _proper_s_ideal(a: RingAnalysis, bits: int, s_bits: int, mode: str) -> bool:
@@ -114,15 +133,53 @@ def _proper_s_ideal(a: RingAnalysis, bits: int, s_bits: int, mode: str) -> bool:
     )
 
 
-def _direct_sr_scan(ring: HyperRing, p_bits: int, s_bits: int, mode: str) -> bool:
-    rad = ring.analysis.radical(p_bits, mode)
+def _s_sets(a: RingAnalysis, bits: int, mode: str) -> int:
+    """The MS for which the mask is a proper S-hyperideal (``_proper_s_ideal``
+    for every S at once)."""
+    if bits == a.ring.full_bits or not a.hyperideal(bits, mode).ok:
+        return 0
+    return a.admissible(bits)
+
+
+def _image_s_sets(a: RingAnalysis, hom: HyperRingHom, image: int, mode: str) -> int:
+    """The source MS S for which the target mask is a proper S-hyperideal
+    for the image of S, decided on the target: img(S) lies in a set C
+    exactly when S lies in the preimage of C."""
+    target = hom.target
+    ta = target.analysis
+    if image == target.full_bits or not ta.hyperideal(image, mode).ok:
+        return 0
+    return a.within(hom.preimage_bits(ta.compatible(image, image)))
+
+
+def _sr_elements(ring: HyperRing, p_bits: int, rad: int) -> int:
+    """D(P): the elements x such that every product in P with x in some slot
+    stays in the radical once that slot becomes the identity.  One scan of
+    the n-tuples; P is an S_r-hyperideal exactly when S lies in D(P)."""
+    escapes = 0
     for tup, prod, subs in ring.g_tuples:
-        if not (p_bits >> prod & 1):
-            continue
-        for i in range(ring.n):
-            if s_bits >> tup[i] & 1 and not (rad >> subs[i] & 1):
-                return False
-    return True
+        if p_bits >> prod & 1:
+            for x, sub in zip(tup, subs):
+                if not rad >> sub & 1:
+                    escapes |= 1 << x
+    return ring.full_bits & ~escapes
+
+
+def _name_failures(tally: _Tally, failing: list[tuple[object, int]], fail) -> None:
+    """Report failures in the loop order of the checkers: MS ascending, then
+    the items in the given order.  ``failing`` pairs each item with the MS
+    that fail at it, and ``fail(i, item)`` reports one failure of ms_all[i];
+    naming stops once the report is full."""
+    union = 0
+    for _, mask in failing:
+        union |= mask
+    while union and len(tally.counterexamples) < MAX_COUNTEREXAMPLES:
+        low = union & -union
+        union ^= low
+        i = low.bit_length() - 1
+        for item, mask in failing:
+            if mask >> i & 1:
+                fail(i, item)
 
 
 # ---------------------------------------------------------------------------
@@ -132,65 +189,71 @@ def _direct_sr_scan(ring: HyperRing, p_bits: int, s_bits: int, mode: str) -> boo
 def _check_t1_1(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """S-hyperideals are disjoint from their multiplicative set."""
     a = ring.analysis
+    ms_all, containing = a.ms_all, a.containing
     for p in a.proper(mode):
-        for s in a.ms_all:
-            tally.instances += 1
-            if not a.is_s(p, s, mode):
-                continue
-            tally.hypothesis += 1
-            if p & s:
-                tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
-                           overlap=ring.render_bits(p & s))
+        tally.instances += len(ms_all)
+        hyp = a.admissible(p)
+        tally.hypothesis += hyp.bit_count()
+        meets = 0
+        for x in bit_members(p):
+            meets |= containing[x]
+        _name_failures(tally, [(p, hyp & meets)], lambda i, p: tally.fail(
+            P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
+            overlap=ring.render_bits(p & ms_all[i])))
 
 
 def _check_t1_2(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """The radical of an S-hyperideal is an S-hyperideal (when proper)."""
     a = ring.analysis
+    ms_all = a.ms_all
     for p in a.proper(mode):
-        for s in a.ms_all:
-            tally.instances += 1
-            if not a.is_s(p, s, mode):
-                continue
-            rad = a.radical(p, mode)
-            if rad == ring.full_bits:
-                continue  # statement presumes a proper radical
-            tally.hypothesis += 1
-            if not _proper_s_ideal(a, rad, s, mode):
-                tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
-                           radical=ring.render_bits(rad))
+        tally.instances += len(ms_all)
+        rad = a.radical(p, mode)
+        if rad == ring.full_bits:
+            continue  # statement presumes a proper radical
+        hyp = a.admissible(p)
+        tally.hypothesis += hyp.bit_count()
+        _name_failures(tally, [(p, hyp & ~_s_sets(a, rad, mode))], lambda i, p: tally.fail(
+            P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
+            radical=ring.render_bits(rad)))
 
 
 def _check_t1_3(ring: HyperRing, mode: str, tally: _Tally) -> None:
-    """Residuals of an S-hyperideal by outside sets are S-hyperideals."""
+    """Residuals of an S-hyperideal by outside sets are S-hyperideals.
+
+    The residual by Q is the intersection of the residuals by its members,
+    so each distinct intersection is decided once, for every S at once, and
+    the 2^k - 1 sets Q outside P are counted, not walked.  They are walked in
+    ascending order only to name failures."""
     a = ring.analysis
+    ms_all = a.ms_all
     for p in a.proper(mode):
+        hyp = a.admissible(p)
+        if not hyp:
+            continue
         comp = ring.full_bits & ~p
-        comp_members = [q for q in range(ring.order) if comp >> q & 1]
-        singles = {q: a.residual(p, 1 << q) for q in comp_members}
-        for s in a.ms_all:
-            if not a.is_s(p, s, mode):
-                continue
-            verdicts: dict[int, bool] = {}
-            inter: dict[int, int] = {0: ring.full_bits}
-            sub = comp
-            subsets = []
-            while sub:
-                subsets.append(sub)
-                sub = (sub - 1) & comp
-            for q_bits in sorted(subsets):
-                tally.instances += 1
-                tally.hypothesis += 1
-                low = q_bits & -q_bits
-                pq = inter[q_bits & (q_bits - 1)] & singles[low.bit_length() - 1]
-                inter[q_bits] = pq
-                ok = verdicts.get(pq)
-                if ok is None:
-                    ok = _proper_s_ideal(a, pq, s, mode)
-                    verdicts[pq] = ok
-                if not ok:
-                    tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
-                               Q=ring.render_bits(q_bits),
-                               residual=ring.render_bits(pq))
+        singles = {q: a.residual(p, 1 << q) for q in bit_members(comp)}
+        count = hyp.bit_count() * ((1 << len(singles)) - 1)
+        tally.instances += count
+        tally.hypothesis += count
+        residuals: set[int] = set()
+        for r in singles.values():
+            residuals |= {m & r for m in residuals}
+            residuals.add(r)
+        passing = {r: _s_sets(a, r, mode) for r in residuals}
+        failing = 0
+        for ok in passing.values():
+            failing |= hyp & ~ok
+        for i in bit_members(failing):
+            q_bits = (-comp) & comp  # the least non-empty subset
+            while q_bits and len(tally.counterexamples) < MAX_COUNTEREXAMPLES:
+                pq = ring.full_bits
+                for q in bit_members(q_bits):
+                    pq &= singles[q]
+                if not passing[pq] >> i & 1:
+                    tally.fail(P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
+                               Q=ring.render_bits(q_bits), residual=ring.render_bits(pq))
+                q_bits = (q_bits - comp) & comp  # the next subset, ascending
 
 
 def _check_p2(ring: HyperRing, mode: str, tally: _Tally) -> None:
@@ -303,21 +366,28 @@ def _check_t5(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Substitution property, residual fixed points, and saturation fixed
     point are equivalent."""
     a = ring.analysis
+    ms_all, containing = a.ms_all, a.containing
     for p in a.proper(mode):
-        for s in a.ms_all:
-            tally.instances += 1
-            tally.hypothesis += 1
-            direct = a.is_s(p, s, mode)
-            residual_fixed = all(
-                a.residual(p, 1 << t) == p
-                for t in range(ring.order)
-                if s >> t & 1
-            )
-            saturation_fixed = a.saturation(p, s) == p
-            if not (direct == residual_fixed == saturation_fixed):
-                tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
-                           direct=str(direct), residual=str(residual_fixed),
-                           saturation=str(saturation_fixed))
+        tally.instances += len(ms_all)
+        tally.hypothesis += len(ms_all)
+        colons = a.colons(p)
+        direct = a.admissible(p)
+        # (P : t) = P for every t in S
+        residual_fixed = a.within(sum(1 << t for t, c in enumerate(colons) if c == p))
+        # the union of (P : t) over t in S is P: no colon leaves P, and
+        # every x in P lies in the colon of some t in S
+        saturation_fixed = a.within(sum(1 << t for t, c in enumerate(colons) if not c & ~p))
+        for x in bit_members(p):
+            meets = 0
+            for t, c in enumerate(colons):
+                if c >> x & 1:
+                    meets |= containing[t]
+            saturation_fixed &= meets
+        failing = (direct ^ residual_fixed) | (direct ^ saturation_fixed)
+        _name_failures(tally, [(p, failing)], lambda i, p: tally.fail(
+            P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
+            direct=str(bool(direct >> i & 1)), residual=str(bool(residual_fixed >> i & 1)),
+            saturation=str(bool(saturation_fixed >> i & 1))))
 
 
 def _check_tprimary_eq(ring: HyperRing, mode: str, tally: _Tally) -> None:
@@ -558,84 +628,79 @@ def _check_thom_pre(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Preimages of image-MS hyperideals along homomorphisms keep the
     substitution property."""
     a = ring.analysis
-    for hom in _homs(ring, mode):
+    ms_all = a.ms_all
+    for hom, image_ms in _transfers(ring, mode):
         target = hom.target
         ta = target.analysis
-        for s in a.ms_all:
-            img_s = hom.image_bits(s)
-            if not ta.ms(img_s).ok:
-                tally.instances += 1
+        not_ms = a.within(ring.full_bits) & ~image_ms
+        targets = ta.proper(mode)
+        tally.instances += not_ms.bit_count() + image_ms.bit_count() * len(targets)
+        failing: list[tuple[object, int]] = [(None, not_ms)]
+        for q in targets:
+            hyp = image_ms & a.within(hom.preimage_bits(ta.compatible(q, q)))
+            tally.hypothesis += hyp.bit_count()
+            failing.append((q, hyp & ~_s_sets(a, hom.preimage_bits(q), mode)))
+
+        def fail(i: int, q: int | None) -> None:
+            if q is None:
                 tally.fail(anomaly="image of an MS is not an MS",
-                           S=ring.render_bits(s), hom=target.name)
-                continue
-            for q in ta.proper(mode):
-                tally.instances += 1
-                if not ta.is_s(q, img_s, mode):
-                    continue
-                tally.hypothesis += 1
-                pre = hom.preimage_bits(q)
-                if not _proper_s_ideal(a, pre, s, mode):
-                    tally.fail(hom=target.name, Q=target.render_bits(q),
-                               S=ring.render_bits(s),
-                               preimage=ring.render_bits(pre))
+                           S=ring.render_bits(ms_all[i]), hom=target.name)
+            else:
+                tally.fail(hom=target.name, Q=target.render_bits(q),
+                           S=ring.render_bits(ms_all[i]),
+                           preimage=ring.render_bits(hom.preimage_bits(q)))
+
+        _name_failures(tally, failing, fail)
 
 
 def _check_thom_img(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Images of S-hyperideals containing the kernel along epimorphisms are
     image-MS hyperideals."""
     a = ring.analysis
-    for hom in _homs(ring, mode):
+    ms_all = a.ms_all
+    for hom, image_ms in _transfers(ring, mode):
         if not hom.surjective:
             continue
         target = hom.target
-        ta = target.analysis
         ker = hom.preimage_bits(1 << target.zero)
-        for s in a.ms_all:
-            img_s = hom.image_bits(s)
-            if not ta.ms(img_s).ok:
+        tally.instances += image_ms.bit_count() * len(a.proper(mode))
+        failing: list[tuple[object, int]] = []
+        for p in a.proper(mode):
+            if ker & ~p:
                 continue
-            for p in a.proper(mode):
-                tally.instances += 1
-                if ker & ~p:
-                    continue
-                if not a.is_s(p, s, mode):
-                    continue
-                tally.hypothesis += 1
-                img = hom.image_bits(p)
-                if not _proper_s_ideal(ta, img, img_s, mode):
-                    tally.fail(hom=target.name, P=ring.render_bits(p),
-                               S=ring.render_bits(s),
-                               image=target.render_bits(img))
+            hyp = image_ms & a.admissible(p)
+            tally.hypothesis += hyp.bit_count()
+            failing.append((p, hyp & ~_image_s_sets(a, hom, hom.image_bits(p), mode)))
+        _name_failures(tally, failing, lambda i, p: tally.fail(
+            hom=target.name, P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
+            image=target.render_bits(hom.image_bits(p))))
 
 
 def _check_tquot(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """An ideal over the modulus is an S-hyperideal exactly when its image in
     the quotient is a hyperideal for the image multiplicative set."""
     a = ring.analysis
+    ms_all = a.ms_all
     for modulus in a.proper(mode):
-        q = _quotient_or_none(ring, modulus, mode)
-        if q is None:
+        transfer = _transfer(ring, modulus, mode)
+        if transfer is None:
             continue
-        proj = q.projection
-        target = q.quotient
-        ta = target.analysis
-        for s in a.ms_all:
-            img_s = proj.image_bits(s)
-            if not ta.ms(img_s).ok:
-                continue
-            for upper in a.proper(mode):
-                if modulus & ~upper:
-                    continue
-                tally.instances += 1
-                tally.hypothesis += 1
-                lhs = a.is_s(upper, s, mode)
-                img = proj.image_bits(upper)
-                rhs = _proper_s_ideal(ta, img, img_s, mode)
-                if lhs != rhs:
-                    tally.fail(modulus=ring.render_bits(modulus),
-                               Q=ring.render_bits(upper),
-                               S=ring.render_bits(s),
-                               base=str(lhs), quotient=str(rhs))
+        proj, image_ms = transfer
+        uppers = [upper for upper in a.proper(mode) if not modulus & ~upper]
+        tally.instances += image_ms.bit_count() * len(uppers)
+        tally.hypothesis += image_ms.bit_count() * len(uppers)
+        base = {upper: a.admissible(upper) for upper in uppers}
+        failing = [
+            (upper, image_ms & (base[upper] ^ _image_s_sets(a, proj, proj.image_bits(upper), mode)))
+            for upper in uppers
+        ]
+
+        def fail(i: int, upper: int) -> None:
+            lhs = bool(base[upper] >> i & 1)
+            tally.fail(modulus=ring.render_bits(modulus), Q=ring.render_bits(upper),
+                       S=ring.render_bits(ms_all[i]), base=str(lhs), quotient=str(not lhs))
+
+        _name_failures(tally, failing, fail)
 
 
 TPROD_COMPANIONS = {(2, 2): "z2", (3, 3): "z2-as-33"}  # fixture per arity pair
@@ -686,20 +751,29 @@ def _check_fw_sr(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """The radical-target classifier: S-hyperideals are S_r-hyperideals, and
     the combined verdict agrees with a direct scan against the radical."""
     a = ring.analysis
+    ms_all = a.ms_all
     for p in a.proper(mode):
-        for s in a.ms_all:
-            tally.instances += 1
-            sr_ok = _direct_sr_scan(ring, p, s, mode)
-            verdict = a.classify_s(p, s, mode)
-            if verdict is SVerdict.S_HYPERIDEAL:
-                tally.hypothesis += 1
-                if not sr_ok:
-                    tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
-                               clause="S-hyperideal fails the radical-target variant")
-            if (verdict is not SVerdict.NEITHER) != sr_ok:
-                tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
-                           clause="classifier disagrees with the direct scan",
-                           verdict=verdict.value, direct=str(sr_ok))
+        tally.instances += len(ms_all)
+        rad = a.radical(p, mode)
+        s_ideal = a.admissible(p)
+        s_r = s_ideal | a.within(a.compatible(p, rad))  # the verdict is not NEITHER
+        direct = a.within(_sr_elements(ring, p, rad))
+        tally.hypothesis += s_ideal.bit_count()
+
+        def fail(i: int, clause: str) -> None:
+            if clause == "variant":
+                tally.fail(P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
+                           clause="S-hyperideal fails the radical-target variant")
+                return
+            if s_ideal >> i & 1:
+                verdict = SVerdict.S_HYPERIDEAL
+            else:
+                verdict = SVerdict.SR_ONLY if s_r >> i & 1 else SVerdict.NEITHER
+            tally.fail(P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
+                       clause="classifier disagrees with the direct scan",
+                       verdict=verdict.value, direct=str(bool(direct >> i & 1)))
+
+        _name_failures(tally, [("variant", s_ideal & ~direct), ("classifier", s_r ^ direct)], fail)
 
 
 CATALOG: dict[str, tuple[str, object]] = {

@@ -81,10 +81,15 @@ class PowerDiagnostic:
 # hyperideal recognition
 
 
-def is_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> Verdict:
-    """Decide hyperideal-ness; the witness names the failing clause and tuple."""
+def check_ring(ring: HyperRing, subset: SubsetMask) -> None:
+    """Refuse a mask built on another ring: its bits index other elements."""
     if subset.ring is not ring:
         raise ValueError("subset belongs to a different ring")
+
+
+def is_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> Verdict:
+    """Decide hyperideal-ness; the witness names the failing clause and tuple."""
+    check_ring(ring, subset)
     if subset.is_empty:
         raise EmptySubset("hyperideal candidate must be non-empty")
     return ring.analysis.hyperideal(subset.bits, check_mode(mode))

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .ideals import (
     check_order,
+    check_ring,
     require_hyperideal,
     require_proper_hyperideal,
     special_sets,
@@ -46,6 +47,7 @@ class SaturationResult:
 
 def is_multiplicative_set(ring: HyperRing, subset: SubsetMask) -> Verdict:
     """Exhaustive closure scan over all size-n multisets of the subset."""
+    check_ring(ring, subset)
     if subset.is_empty:
         raise EmptySubset("multiplicative set candidate must be non-empty")
     return ring.analysis.ms(subset.bits)
@@ -73,6 +75,7 @@ def enumerate_multiplicative_sets(ring: HyperRing) -> list[SubsetMask]:
 
 def _require_ms(ring: HyperRing, s: SubsetMask | MulSet) -> SubsetMask:
     if isinstance(s, MulSet):
+        check_ring(ring, s.subset)
         return s.subset
     multiplicative_set(ring, s)
     return s
@@ -132,6 +135,7 @@ def residual(ring: HyperRing, ideal: SubsetMask, by: SubsetMask, mode: str = LEN
     ideal (division of the ideal by the set)."""
     check_mode(mode)
     require_hyperideal(ring, ideal, mode)
+    check_ring(ring, by)
     if by.is_empty:
         raise EmptySubset("residual divisor must be non-empty")
     return SubsetMask(ring, ring.analysis.residual(ideal.bits, by.bits))

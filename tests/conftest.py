@@ -46,3 +46,35 @@ def large_rings():
         "z2^4": product_ring([fixtures("z2")] * 4, name="z2^4"),
         "paper-example^2": product_ring([fixtures("paper-example")] * 2, name="paper-example^2"),
     }
+
+
+def order3_spec(f11, f12, f22, g22):
+    """The (2,2) table of order 3 with 0 neutral and absorbing and 1 the
+    identity, given its free entries f(1,1), f(1,2), f(2,2) and g(2,2)."""
+    from hyperideal import HyperRingSpec
+
+    f = {(0, 0): {0}, (0, 1): {1}, (0, 2): {2}, (1, 1): f11, (1, 2): f12, (2, 2): f22}
+    g = {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 1): 1, (1, 2): 2, (2, 2): g22}
+    name = "o3-" + "-".join("".join(map(str, sorted(v))) for v in (f11, f12, f22)) + f"-{g22}"
+    return HyperRingSpec(
+        name=name, m=2, n=2, elements=("0", "1", "2"), zero="0", one="1",
+        f_table={k: frozenset(v) for k, v in f.items()}, g_table=g,
+    )
+
+
+@pytest.fixture(scope="session")
+def census_rings():
+    """Every order-3 (2,2) table of ``order3_spec`` that ``verify_axioms``
+    accepts, by name: 10 of the 1029 candidates."""
+    from itertools import combinations, product
+
+    from hyperideal import HyperRing, verify_axioms
+
+    values = [set(c) for k in (1, 2, 3) for c in combinations(range(3), k)]
+    rings = {}
+    for f11, f12, f22 in product(values, repeat=3):
+        for g22 in range(3):
+            ring = verify_axioms(order3_spec(f11, f12, f22, g22))
+            if isinstance(ring, HyperRing):
+                rings[ring.name] = ring
+    return rings

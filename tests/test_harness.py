@@ -200,14 +200,15 @@ def test_checker_reports_injected_disjointness_violation(monkeypatch):
     ring = require_ring(fixtures("z6").spec)  # fresh identity, cold caches
     bad_p = (1 << 0) | (1 << 3)
     bad_s = 1 << 3
-    real = ring.analysis.is_s
+    real = ring.analysis.compatible
 
-    def lying(p, s, mode):
-        if p == bad_p and s == bad_s:
-            return True
-        return real(p, s, mode)
+    def lying(p, target):
+        # S*(P) wrongly admits the overlapping set S
+        if p == target == bad_p:
+            return real(p, target) | bad_s
+        return real(p, target)
 
-    monkeypatch.setattr(ring.analysis, "is_s", lying)
+    monkeypatch.setattr(ring.analysis, "compatible", lying)
     report = harness.check_theorem(ring, "T1.1")
     assert report.status == "counterexample"
     assert report.counterexamples[0]["P"] == "{0,3}"
@@ -217,15 +218,17 @@ def test_checker_reports_injected_saturation_drift(monkeypatch):
     from hyperideal import harness, require_ring
 
     ring = require_ring(fixtures("z6").spec)
-    real = ring.analysis.saturation
+    real = ring.analysis.colons
 
-    def lying(q, s):
-        out = real(q, s)
-        if q == 1 and s == (1 << 1):
-            return out | (1 << 2)
+    def lying(q):
+        # the saturation of {0} by S={1}, the union of the colons (q : t)
+        # over t in S, drifts to take in 2
+        out = real(q)
+        if q == 1:
+            return out[:1] + (out[1] | 1 << 2,) + out[2:]
         return out
 
-    monkeypatch.setattr(ring.analysis, "saturation", lying)
+    monkeypatch.setattr(ring.analysis, "colons", lying)
     report = harness.check_theorem(ring, "T5")
     assert report.status == "counterexample"
 

@@ -1,0 +1,158 @@
+"""The mask-algebra checkers against the loop oracles in harness_oracle."""
+
+import pytest
+from harness_oracle import ORACLES, oracle_report
+
+from hyperideal import (
+    FIXTURE_NAMES,
+    SVerdict,
+    check_theorem,
+    classify_s,
+    cyclic_ring,
+    enumerate_multiplicative_sets,
+    fixtures,
+    proper_hyperideals,
+    require_ring,
+)
+from hyperideal.analysis import Verdict
+from hyperideal.harness import MAX_COUNTEREXAMPLES
+
+MODES = ("lenient", "strict")
+
+
+@pytest.fixture(scope="session")
+def mask_rings(large_rings, census_rings):
+    """The rings of each engine-oracle comparison, by key."""
+    rings = {name: [fixtures(name)] for name in FIXTURE_NAMES}
+    rings.update((name, [ring]) for name, ring in large_rings.items())
+    rings["census"] = list(census_rings.values())
+    return rings
+
+
+RING_KEYS = (*FIXTURE_NAMES, "z16", "z2^4", "paper-example^2", "census")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("key", RING_KEYS)
+def test_engine_matches_oracle(mask_rings, monkeypatch, key, mode):
+    for ring in mask_rings[key]:
+        for ident in ORACLES:
+            engine = check_theorem(ring, ident, mode).to_dict()
+            oracle, _ = oracle_report(monkeypatch, ring, ident, mode)
+            assert engine == oracle.to_dict(), (ring.name, ident)
+
+
+# f11={1}, f12={0,1,2}, f22={2}, g22=0: not distributive in the equality form
+SR_RING = "o3-1-012-2-0"
+
+
+def test_census_counterexample_cells_are_compared(census_rings):
+    # the engine-oracle comparison above covers real counterexample payloads
+    failing = {
+        (name, ident)
+        for name, ring in census_rings.items()
+        for mode in MODES
+        for ident in ORACLES
+        if check_theorem(ring, ident, mode).status == "counterexample"
+    }
+    assert failing == {(SR_RING, "T1.3")}
+
+
+def _liar(name, lie):
+    """Patch ``name`` on a ring's analysis ``a`` with ``lie(a, real, *args)``."""
+
+    def install(monkeypatch, ring):
+        a = ring.analysis
+        real = getattr(a, name)
+        monkeypatch.setattr(a, name, lambda *args: lie(a, real, *args))
+
+    return install
+
+
+Z12 = (1 << 12) - 1
+EVERYTHING_COMPATIBLE = _liar("compatible", lambda a, real, p, target: Z12)
+# S*(P) is everything unless P is its own radical, so T1.2 must read the radical
+COMPATIBLE_BELOW_RADICALS = _liar(
+    "compatible",
+    lambda a, real, p, target: Z12 if a.radical(p, "lenient") != p else real(p, target),
+)
+# the unit 7 leaves S*(P) on z12 but not on its quotients
+COMPATIBLE_WITHOUT_7 = _liar("compatible", lambda a, real, p, target: real(p, target) & ~(1 << 7))
+NO_HYPERIDEALS = _liar("hyperideal", lambda a, real, bits, mode: Verdict(False, "lie"))
+# every colon misses its ideal, so no saturation covers it
+EMPTY_COLONS = _liar("colons", lambda a, real, q: (0,) * 12)
+# (q : t) is R \ {t} and only such masks pass as hyperideals, so in T1.3
+# every residual by two or more elements fails, and every single one passes
+COLON_COMPLEMENTS = _liar("colons", lambda a, real, q: tuple(Z12 & ~(1 << t) for t in range(12)))
+ONE_MISSING_ONLY = _liar(
+    "hyperideal",
+    lambda a, real, bits, mode: Verdict((Z12 & ~bits).bit_count() == 1, "lie"),
+)
+# the MS {1,5}, its own image along the identity, is taken for a non-MS
+UNITS_1_5_NOT_MS = _liar(
+    "ms", lambda a, real, bits: Verdict(False, "lie") if bits == 0b100010 else real(bits),
+)
+
+# per checker, faults on z12 that make it fail more than the cap
+LIARS = [
+    ("T1.1", (EVERYTHING_COMPATIBLE,)),
+    ("T1.2", (COMPATIBLE_BELOW_RADICALS,)),
+    ("T1.3", (NO_HYPERIDEALS,)),
+    ("T1.3", (COLON_COMPLEMENTS, ONE_MISSING_ONLY)),
+    ("T5", (EMPTY_COLONS,)),
+    ("THOM-PRE", (COMPATIBLE_WITHOUT_7, UNITS_1_5_NOT_MS)),
+    ("THOM-IMG", (EVERYTHING_COMPATIBLE, UNITS_1_5_NOT_MS)),
+    ("TQUOT", (EVERYTHING_COMPATIBLE,)),
+    ("FW-SR", (EVERYTHING_COMPATIBLE,)),
+]
+
+
+@pytest.mark.parametrize("ident, liars", LIARS)
+def test_lying_layer_pins_emission_order_and_cap(monkeypatch, ident, liars):
+    assert {i for i, _ in LIARS} == set(ORACLES)
+    ring = require_ring(fixtures("z12").spec)  # fresh identity, cold caches
+    for liar in liars:
+        liar(monkeypatch, ring)
+    engine = check_theorem(ring, ident)
+    oracle, failures = oracle_report(monkeypatch, ring, ident, "lenient")
+    assert failures > MAX_COUNTEREXAMPLES
+    assert engine.status == "counterexample"
+    assert len(engine.counterexamples) == MAX_COUNTEREXAMPLES
+    assert engine.to_dict() == oracle.to_dict()
+
+
+def test_fw_sr_sees_the_sr_only_pairs(census_rings):
+    ring = census_rings[SR_RING]
+    pairs = [
+        (repr(p), repr(s))
+        for p in proper_hyperideals(ring, "strict")
+        for s in enumerate_multiplicative_sets(ring)
+        if classify_s(ring, p, s, "strict").verdict is SVerdict.SR_ONLY
+    ]
+    assert pairs == [("{0}", "{0}"), ("{0}", "{0,1}"), ("{0}", "{0,2}"), ("{0}", "{0,1,2}")]
+    report = check_theorem(ring, "FW-SR", "strict")
+    assert report.status == "holds"
+    assert report.hypothesis_met >= 1
+
+
+def test_fw_sr_catches_sr_only_folded_into_neither(census_rings, monkeypatch):
+    ring = require_ring(census_rings[SR_RING].spec)
+    real = ring.analysis.compatible
+    # the radical target becomes P itself, so every SR_ONLY verdict reads NEITHER
+    monkeypatch.setattr(ring.analysis, "compatible", lambda p, target: real(p, p))
+    report = check_theorem(ring, "FW-SR", "strict")
+    assert report.status == "counterexample"
+    assert [(cx["P"], cx["S"], cx["clause"], cx["verdict"], cx["direct"])
+            for cx in report.counterexamples] == [
+        ("{0}", s, "classifier disagrees with the direct scan", "neither", "True")
+        for s in ("{0}", "{0,1}", "{0,2}", "{0,1,2}")
+    ]
+
+
+@pytest.mark.parametrize("order, instances", [(24, 357_981_811), (32, 38_571_540_425)])
+def test_t1_3_counts_large_carriers_in_closed_form(monkeypatch, order, instances):
+    # 2^(order - |P|) - 1 sets Q per admissible pair: counted, not walked
+    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", "32")
+    report = check_theorem(cyclic_ring(order), "T1.3")
+    assert report.status == "holds"
+    assert report.instances_checked == report.hypothesis_met == instances

@@ -322,3 +322,41 @@ def test_radical_of_s_hyperideal(all_fixture_rings):
                 if r.is_full:
                     continue
                 assert classify_s(ring, r, s).verdict is SVerdict.S_HYPERIDEAL
+
+
+# ---------------------------------------------------------------------------
+# masks and multiplicative sets built on another ring
+
+
+@pytest.fixture
+def foreign(z4, z6):
+    """z6 with its hyperideal {0,3}, and the MS {1,3} of z4: bits that name
+    other elements on z6."""
+    return z6, z6.subset([0, 3]), multiplicative_set(z4, z4.subset([1, 3]))
+
+
+FOREIGN_ENTRY_POINTS = {
+    "is_multiplicative_set": lambda ring, ideal, ms: is_multiplicative_set(ring, ms.subset),
+    "multiplicative_set": lambda ring, ideal, ms: multiplicative_set(ring, ms.subset),
+    "classify_s": lambda ring, ideal, ms: classify_s(ring, ideal, ms),
+    "classify_s-mask": lambda ring, ideal, ms: classify_s(ring, ideal, ms.subset),
+    "is_s_hyperideal": lambda ring, ideal, ms: is_s_hyperideal(ring, ideal, ms),
+    "is_sr_hyperideal": lambda ring, ideal, ms: is_sr_hyperideal(ring, ideal, ms),
+    "saturation": lambda ring, ideal, ms: saturation(ring, ideal, ms),
+    "residual-by": lambda ring, ideal, ms: residual(ring, ideal, ms.subset),
+    "s_maximal_hyperideals": lambda ring, ideal, ms: s_maximal_hyperideals(ring, ms),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FOREIGN_ENTRY_POINTS))
+def test_foreign_ring_argument_is_refused(foreign, entry):
+    # unchecked, the z4 bits name unrelated z6 elements and give an answer
+    with pytest.raises(ValueError, match="subset belongs to a different ring"):
+        FOREIGN_ENTRY_POINTS[entry](*foreign)
+
+
+def test_same_ring_arguments_still_accepted(foreign, z6):
+    ring, ideal, _ = foreign
+    ms = multiplicative_set(z6, z6.subset([1, 5]))
+    assert classify_s(ring, ideal, ms).verdict is SVerdict.S_HYPERIDEAL
+    assert residual(ring, ideal, z6.subset([1])) == ideal
