@@ -22,6 +22,7 @@ from .ideals import (
     special_sets,
 )
 from .kernel import (
+    AXIOM_ORDER,
     LENIENT,
     AxiomReport,
     HyperRing,
@@ -95,15 +96,16 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_verify(args) -> int:
     spec = _read_spec(args.ring)
     result = verify_axioms(spec)
-    if isinstance(result, AxiomReport):
-        lines = [f"ring: {spec.name} (order {spec.order}, m={spec.m}, n={spec.n})"]
-        lines += result.lines(spec.elements)
-        _emit("\n".join(lines) + "\n", args.out)
-        return 2
-    lines = [f"ring: {spec.name} (order {spec.order}, m={spec.m}, n={spec.n})",
-             "all axioms hold"]
+    failed = isinstance(result, AxiomReport)
+    report = result if failed else result.axiom_report
+    lines = [f"ring: {spec.name} (order {spec.order}, m={spec.m}, n={spec.n})"]
+    lines += report.lines(spec.elements) if failed else ["all axioms hold"]
+    if args.timings:
+        lines += [
+            f"{name}: {seconds * 1000:.3f} ms" for name, seconds in zip(AXIOM_ORDER, report.timings_s)
+        ]
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 2 if failed else 0
 
 
 def _cmd_ideals(args) -> int:
@@ -279,6 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check every axiom of a ring document")
     p.add_argument("ring")
+    p.add_argument("--timings", action="store_true",
+                   help="add one line per axiom with its runtime (non-deterministic)")
     add_common(p, with_mode=False)
     p.set_defaults(func=_cmd_verify)
 

@@ -13,16 +13,31 @@ every ordered tuple, indexed in mixed radix: ``(x_1, ..., x_k)`` sits at
 ``f_dense[a*order + b]`` when m=2.  ``f_dense`` holds bitmasks of element
 indices and ``g_dense`` element indices.  The verifier builds these lists,
 checks the axioms on them and hands the same lists to the ``HyperRing``.
+
+Associativity and distributivity, the costly axioms, are decided a whole
+row of the last argument c at a time.  Values get byte ids (an element is
+its own id, an f value its place among f's distinct masks), a row is a
+``bytes`` over c, and rows are composed with ``bytes.translate``: for each
+sorted multiset of the other arguments, every grouping with c in the inner
+group must give the same row, and the two sides of distributivity must give
+equal rows or, where they differ, rows whose ids pass the containment test.  Only when a row
+check fails does the multiset scan run, to name the lexicographically first
+witness, so reports do not depend on which check decided.  Rings whose ids
+do not fit in a byte (``_BYTE_IDS``) and rings of fewer than ``_MIN_ROW``
+elements, where a row costs more than the scan it replaces, are scanned
+straight away.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul, sub
+from time import perf_counter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .analysis import RingAnalysis, bit_members
@@ -43,7 +58,8 @@ LENIENT = "lenient"
 MODES = (STRICT, LENIENT)
 
 # Verification refuses specs past these: a dense table holds order**k entries
-# and associativity walks C(2k-1, k) split patterns, for k the larger arity.
+# and associativity walks up to C(2k-1, k) split patterns, for k the larger
+# arity.
 MAX_VERIFY_ARITY = 10
 DENSE_TABLE_LIMIT = 1 << 22
 
@@ -78,6 +94,9 @@ class AxiomReport:
     """Per-axiom pass/fail record; failures carry a concrete witness tuple."""
 
     entries: dict[str, AxiomStatus] = field(default_factory=dict)
+    # wall-clock seconds per axiom in AXIOM_ORDER, packed because every ring
+    # keeps its report; not part of equality or of lines()
+    timings_s: array = field(default_factory=lambda: array("d"), compare=False, repr=False)
 
     @property
     def all_pass(self) -> bool:
@@ -581,6 +600,158 @@ def _associativity(order: int, arity: int, regroup, show) -> AxiomStatus:
     return AxiomStatus(True)
 
 
+# The row checks name values by byte ids; a ring with more elements, f
+# values or lifted values than this goes straight to the scans.
+_BYTE_IDS = 256
+# A row shorter than this costs more to build and compare than the scan it
+# replaces (z2, z3 and z2-as-33 verify faster by scan), so smaller rings are
+# scanned too.
+_MIN_ROW = 4
+
+
+class _IdsOverflow(Exception):
+    """More distinct values than a byte can name."""
+
+
+class _Memo(dict):
+    """A dict that builds a missing value with ``build(key)`` and keeps it."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _intern(ids: dict, value: int) -> int:
+    """The byte id of ``value`` in ``ids``, adding it if new."""
+    i = ids.get(value)
+    if i is None:
+        i = ids[value] = len(ids)
+        if i >= _BYTE_IDS:
+            raise _IdsOverflow
+    return i
+
+
+def _picker(positions: tuple[int, ...]) -> itemgetter:
+    """Takes the entries at the non-empty ``positions`` of a sequence, as a
+    tuple (as a slice when there is one position)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    (i,) = positions
+    return itemgetter(slice(i, i + 1))
+
+
+@cache
+def _row_splits(arity: int) -> tuple:
+    """The splits (A, M - A) of a sorted (2*arity-2)-multiset M into an
+    (arity-1)-submultiset and the rest, as pickers of positions."""
+    size = 2 * arity - 2
+    return tuple(
+        (_picker(inner), _picker(tuple(i for i in range(size) if i not in inner)))
+        for inner in combinations(range(size), arity - 1)
+    )
+
+
+def _rows_agree(order: int, arity: int, ids: bytes, lift) -> bool:
+    """Associativity, decided a whole row of the free last argument c at a time.
+
+    ``ids`` holds the value id of every ordered arity-tuple in dense order.
+    ``lift(rest)``, for a sorted (arity-1)-multiset, is the translate table
+    sending a value id v to the id of v regrouped with ``rest``.  For each
+    sorted (2*arity-2)-multiset M and each (arity-1)-submultiset A, the inner
+    group A + c gives the row ``row(A).translate(lift(M - A))`` over c, and
+    these rows must be equal bytes.
+
+    The groupings with c outside the inner group need no rows of their own.
+    Take a (2*arity-1)-multiset X and two inner groups B and B'; pick x in B
+    and x' in B'.  Some inner group holds both x and x' (arity >= 2), and the
+    rows with c = x and with c = x' compare it with B and with B'.  So the
+    rows chain every grouping of X to every other.
+    """
+    # weights of the argument positions; a row of A starts at the index of
+    # (A, 0), and map stops at the end of A
+    weights = [order ** i for i in range(arity - 1, -1, -1)]
+
+    def row(a: tuple[int, ...]) -> bytes:
+        start = sum(map(mul, a, weights))
+        return ids[start : start + order]
+
+    rows, lifts = _Memo(row), _Memo(lift)
+    (inner0, rest0), *splits = _row_splits(arity)
+    for ms in combinations_with_replacement(range(order), 2 * arity - 2):
+        first = rows[inner0(ms)].translate(lifts[rest0(ms)])
+        for inner, rest in splits:
+            if rows[inner(ms)].translate(lifts[rest(ms)]) != first:
+                return False
+    return True
+
+
+def _contained_by_rows(
+    order: int, m: int, f_ids: bytes, f_values: list[int], f_members: list, columns: list,
+) -> bool:
+    """Distributivity as containment, decided a whole row of the last
+    hyperaddition argument c at a time.
+
+    For the column ``col`` = g(., p) of an (n-1)-multiset p and a sorted
+    (m-1)-multiset Q, the summed side f(col(Q), col(c)) over c is
+    ``col.translate(row(col(Q)))``, and the image side is ``row(Q)`` sent
+    through the id of each f value's image under g(., p).  Images are
+    interned among the f values, so equal bytes mean the containment holds;
+    where the rows differ, each distinct (summed, image) pair of rows is
+    tested once, id by id.
+    """
+    ids = {bits: i for i, bits in enumerate(f_values)}
+    id_bits = list(f_values)
+
+    def row(q: tuple[int, ...]) -> bytes:
+        start = _index(q, order) * order
+        return f_ids[start : start + order]
+
+    padded = _Memo(lambda key: row(key).ljust(256, b"\0"))
+    qs = [(_picker(q), row(q)) for q in combinations_with_replacement(range(order), m - 1)]
+    many = m > 2
+    contained = set()
+    for column in columns:
+        image = bytearray()
+        for zs in f_members:
+            bits = 0
+            for z in zs:
+                bits |= 1 << column[z]
+            i = _intern(ids, bits)
+            if i == len(id_bits):
+                id_bits.append(bits)
+            image.append(i)
+        image = bytes(image).ljust(256, b"\0")
+        col = bytes(column)
+        for pick, q_row in qs:
+            key = pick(col)  # a one-entry key is a sorted slice already
+            summed = col.translate(padded[tuple(sorted(key)) if many else key])
+            held = q_row.translate(image)
+            if summed != held and (summed, held) not in contained:
+                for a, b in zip(summed, held):
+                    if id_bits[a] & ~id_bits[b]:
+                        return False
+                contained.add((summed, held))
+    return True
+
+
+def _decide(rows_fit: bool, rows_hold, scan) -> AxiomStatus:
+    """Pass when the row check ``rows_hold()`` does.  When it fails, runs out
+    of byte ids midway, or does not apply (``rows_fit`` false), ``scan()``
+    decides and names the witness."""
+    if rows_fit:
+        try:
+            if rows_hold():
+                return AxiomStatus(True)
+        except _IdsOverflow:
+            pass
+    return scan()
+
+
 def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     """Check every defining axiom exhaustively.
 
@@ -607,12 +778,38 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     f_lead, g_lead = order ** (m - 1), order ** (n - 1)  # weight of argument 1
     report = AxiomReport()
     entries = report.entries
+    # the clock after each entry, which is computed in AXIOM_ORDER
+    clock = [perf_counter()]
+    tick = clock.append
 
     def f_of(args: Sequence[int]) -> int:
         return f[_index(args, order)]
 
-    # f-associativity, with the set-lifted f(value, rest) memoised for this
-    # scan only.
+    # Byte ids for the row checks: an element names itself, and an f value
+    # is named by its place among f's distinct masks.
+    rows_fit = _MIN_ROW <= order <= _BYTE_IDS
+    if rows_fit:
+        f_values = list(dict.fromkeys(f))
+        rows_fit = len(f_values) <= _BYTE_IDS
+    if rows_fit:
+        f_id = {bits: i for i, bits in enumerate(f_values)}
+        f_ids = bytes(map(f_id.__getitem__, f))
+        f_members = [bit_members(bits) for bits in f_values]
+
+    # f-associativity: the row check lifts an f value v to the id of
+    # f(v, rest); the scan memoises the lifted masks for itself.
+    lifted_ids: dict[int, int] = {}
+
+    def f_lift(rest: tuple[int, ...]) -> bytes:
+        column = f[_index(rest, order) :: f_lead]
+        out = bytearray()
+        for zs in f_members:
+            bits = 0
+            for z in zs:
+                bits |= column[z]
+            out.append(_intern(lifted_ids, bits))
+        return bytes(out).ljust(256, b"\0")
+
     lifted: dict[tuple[int, int], int] = {}
 
     def f_regroup(inner: int, rest: int) -> int:
@@ -625,7 +822,12 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
             lifted[key] = value
         return value
 
-    entries["f-associativity"] = _associativity(order, m, f_regroup, bit_members)
+    entries["f-associativity"] = _decide(
+        rows_fit,
+        lambda: _rows_agree(order, m, f_ids, f_lift),
+        lambda: _associativity(order, m, f_regroup, bit_members),
+    )
+    tick(perf_counter())
     lifted.clear()
 
     # neutral element: f(x, 0^(m-1)) = {x}.
@@ -634,6 +836,7 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
         ((x, *zeros), "hyperaddition with zeros must be the singleton")
         for x in range(order) if f_of((x, *zeros)) != 1 << x
     )
+    tick(perf_counter())
 
     # unique inverses: exactly one y with 0 in f(x, y, 0^(m-2)).
     negation = [0] * order
@@ -647,6 +850,7 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
             break
         negation[x] = ys[0]
     entries["unique-inverses"] = status
+    tick(perf_counter())
 
     # reversibility: x in f(a_1..a_m) implies a_i in f(x, -a_j for j != i).
     entries["reversibility"] = _first_failure(
@@ -657,14 +861,22 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
         if (i == 0 or ms[i] != ms[i - 1])
         and not f[x * f_lead + _index((negation[ms[j]] for j in range(m) if j != i), order)] >> ms[i] & 1
     ) if status.ok else AxiomStatus(False, (0,), "not checkable: inverses are not unique")
+    tick(perf_counter())
 
     # commutativity of g holds by multiset keying.
     entries["g-commutativity"] = AxiomStatus(True, None, "by table construction")
+    tick(perf_counter())
 
-    # g-associativity.
-    entries["g-associativity"] = _associativity(
-        order, n, lambda inner, rest: g[g[inner] * g_lead + rest], int
+    # g-associativity: lifting v with rest is g(v, rest), a column of g.
+    entries["g-associativity"] = _decide(
+        rows_fit,
+        lambda: _rows_agree(
+            order, n, bytes(g),
+            lambda rest: bytes(g[_index(rest, order) :: g_lead]).ljust(256, b"\0"),
+        ),
+        lambda: _associativity(order, n, lambda inner, rest: g[g[inner] * g_lead + rest], int),
     )
+    tick(perf_counter())
 
     # distributivity over one slot (commutativity covers the others), with
     # the column g(., p) of each (n-1)-multiset p taken once.
@@ -690,18 +902,26 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
                     )
         return AxiomStatus(True)
 
-    entries["distributivity"] = distributivity()
+    entries["distributivity"] = _decide(
+        rows_fit,
+        lambda: _contained_by_rows(order, m, f_ids, f_values, f_members, columns),
+        distributivity,
+    )
+    tick(perf_counter())
 
     entries["zero-absorption"] = _first_failure(
         ((zero, *p), "product with zero must be zero")
         for p, column in zip(ps, columns) if column[zero] != zero
     )
+    tick(perf_counter())
     ones = (one,) * (n - 1)
     entries["scalar-identity"] = _first_failure(
         ((x, *ones), "product with identities must return the element")
         for x in range(order) if g[_index((x, *ones), order)] != x
     )
+    tick(perf_counter())
 
+    report.timings_s = array("d", map(sub, clock[1:], clock))
     if not report.all_pass:
         return report
     return HyperRing(spec, report, tuple(negation), f, g)

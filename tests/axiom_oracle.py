@@ -16,19 +16,20 @@ from hyperideal import fixtures
 MUTATED_FIXTURES = ("paper-example", "z4", "z2-as-33")
 
 
-def single_entry_mutations(spec):
-    """Every spec that differs from ``spec`` in exactly one table entry.
+def single_entry_mutations(spec, tables="fg"):
+    """Every spec that differs from ``spec`` in exactly one entry of one of
+    ``tables``.
 
     f entries come first, then g entries, each in canonical key order; the
     replacement values of one entry ascend (f values by their bitmask).
     """
     order = spec.order
-    for key in combinations_with_replacement(range(order), spec.m):
+    for key in combinations_with_replacement(range(order), spec.m) if "f" in tables else ():
         for bits in range(1, 1 << order):
             value = frozenset(i for i in range(order) if bits >> i & 1)
             if value != spec.f_table[key]:
                 yield replace(spec, f_table={**spec.f_table, key: value})
-    for key in combinations_with_replacement(range(order), spec.n):
+    for key in combinations_with_replacement(range(order), spec.n) if "g" in tables else ():
         for value in range(order):
             if value != spec.g_table[key]:
                 yield replace(spec, g_table={**spec.g_table, key: value})

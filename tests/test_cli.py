@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -265,3 +266,38 @@ def test_verify_warns_only_above_the_limit(tmp_path, capsys):
         assert cli.run(["verify", str(path)]) == 0
         err = capsys.readouterr().err
         assert ("warning: order" in err) is warns
+
+
+def test_verify_timings_add_one_line_per_axiom(paper_path, tmp_path, capsys):
+    from hyperideal import cli
+    from hyperideal.kernel import AXIOM_ORDER
+
+    doc = json.loads(open(paper_path).read())
+    doc["g"]["0,1,1"] = "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for path, code, verdicts in ((paper_path, 0, 1), (str(bad), 2, len(AXIOM_ORDER))):
+        assert cli.run(["verify", path]) == code
+        plain = capsys.readouterr().out.splitlines()
+        assert len(plain) == 1 + verdicts
+        assert not any(line.endswith(" ms") for line in plain)
+        assert cli.run(["verify", path, "--timings"]) == code
+        timed = capsys.readouterr().out.splitlines()
+        assert timed[: len(plain)] == plain
+        assert len(timed) == len(plain) + len(AXIOM_ORDER)
+        for name, line in zip(AXIOM_ORDER, timed[len(plain) :]):
+            assert re.fullmatch(re.escape(name) + r": \d+\.\d{3} ms", line)
+
+
+def test_axiom_timings_stay_out_of_report_equality():
+    from hyperideal import verify_axioms
+    from hyperideal.kernel import AXIOM_ORDER
+
+    spec = fixtures("z6").spec
+    first, second = verify_axioms(spec).axiom_report, verify_axioms(spec).axiom_report
+    second.timings_s[0] += 1.0
+    assert first == second
+    assert first.lines(spec.elements) == second.lines(spec.elements)
+    assert list(first.entries) == list(AXIOM_ORDER)
+    assert len(first.timings_s) == len(AXIOM_ORDER)
+    assert min(first.timings_s) >= 0

@@ -4,15 +4,29 @@ Every single-entry mutation of paper-example, z4 and z2-as-33 (262 specs)
 is verified.  The joined reports are pinned by hash, so a changed witness or
 detail fails here, and each family's verdict is checked against
 ``axiom_oracle.NaiveOracle``.
+
+``verify_axioms`` decides associativity and distributivity by a row check
+and leaves failures, tiny rings and rings whose ids do not fit in a byte to
+the scans.  A wrong row check shows in a report only when it passes a
+failing ring; one that fails a good ring just hands over to the scan.  So
+the tests below move the bounds ``kernel._BYTE_IDS`` and ``kernel._MIN_ROW``
+to send every ring down one path, and ``_both_ways`` runs the scan next to
+every row check and records both verdicts.
 """
 
 import hashlib
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice, product
 
-from axiom_oracle import NaiveOracle, fixture_mutations
+import pytest
+from axiom_oracle import NaiveOracle, fixture_mutations, single_entry_mutations
+from conftest import order3_spec
 
-from hyperideal import AxiomReport, fixtures, verify_axioms
-from hyperideal.kernel import AXIOM_ORDER
+from hyperideal import AxiomReport, fixtures, kernel, product_ring, verify_axioms
+from hyperideal.kernel import AXIOM_ORDER, AxiomStatus, HyperRing
+
+# the bounds that send every ring to one path
+SCAN_ONLY = {"_BYTE_IDS": 0}
+ROWS_WHERE_IDS_FIT = {"_MIN_ROW": 1}
 
 # sha256 of the joined ``AxiomReport.lines`` of all 262 mutations, recorded
 # on the verifier that keyed every lookup by a sorted tuple
@@ -24,15 +38,149 @@ def _report(spec) -> AxiomReport:
     return result if isinstance(result, AxiomReport) else result.axiom_report
 
 
-def test_mutation_reports_are_pinned():
+def _set_bounds(monkeypatch, bounds: dict) -> None:
+    for name, value in bounds.items():
+        monkeypatch.setattr(kernel, name, value)
+
+
+def _both_ways(monkeypatch) -> list:
+    """Make ``verify_axioms`` run the scan next to each row check it makes;
+    returns the list it fills with (row verdict, scan verdict) pairs.  The
+    reports stay those of the row check."""
+    verdicts = []
+    decide = kernel._decide
+
+    def both(rows_fit, rows_hold, scan):
+        status = scan()
+        if not rows_fit:
+            return status
+        by_rows = decide(rows_fit, rows_hold, lambda: AxiomStatus(False))
+        verdicts.append((by_rows.ok, status.ok))
+        return by_rows if by_rows.ok else status
+
+    monkeypatch.setattr(kernel, "_decide", both)
+    return verdicts
+
+
+def _mutation_reports_digest() -> str:
     lines = []
     count = 0
     for spec in fixture_mutations():
         lines.extend(_report(spec).lines(spec.elements))
         count += 1
     assert count == 262
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == MUTATION_REPORTS_SHA256
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_mutation_reports_are_pinned():
+    assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
+
+
+@pytest.mark.parametrize("bounds", [SCAN_ONLY, ROWS_WHERE_IDS_FIT], ids=["scan", "rows"])
+def test_mutation_reports_are_pinned_on_each_path(monkeypatch, bounds):
+    _set_bounds(monkeypatch, bounds)
+    verdicts = _both_ways(monkeypatch)
+    assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
+    assert all(by_rows == by_scan for by_rows, by_scan in verdicts)
+    assert len(verdicts) == (3 * 262 if bounds == ROWS_WHERE_IDS_FIT else 0)
+
+
+def _paper_times_z2_as_33():
+    return product_ring([fixtures("paper-example"), fixtures("z2-as-33")]).spec
+
+
+@pytest.mark.parametrize("make_spec, count", [
+    (lambda: fixtures("z8").spec, 252),
+    (_paper_times_z2_as_33, 280),
+], ids=["z8", "paper-example x z2-as-33"])
+def test_row_check_agrees_with_scan_on_g_mutations(monkeypatch, make_spec, count):
+    base = make_spec()
+    assert kernel._MIN_ROW <= base.order  # so the default path is the row check
+    specs = list(single_entry_mutations(base, tables="g"))
+    assert len(specs) == count
+    by_rows = [_report(spec) for spec in specs]
+    _set_bounds(monkeypatch, SCAN_ONLY)
+    assert [_report(spec) for spec in specs] == by_rows
+    assert {report.all_pass for report in by_rows} == {False}
+
+
+def test_ids_past_a_byte_fall_back_to_the_scan(monkeypatch):
+    """With the byte bound at its 8 distinct f values, the images that
+    distributivity interns on paper-example x z2-as-33 overflow mid-check;
+    the scan then decides, so the ring and every 14th g mutation keep their
+    reports."""
+    base = _paper_times_z2_as_33()
+    specs = [base, *islice(single_entry_mutations(base, tables="g"), 0, None, 14)]
+    expected = [_report(spec) for spec in specs]
+    overflows = []
+
+    def counting_intern(ids, value):
+        try:
+            return real_intern(ids, value)
+        except kernel._IdsOverflow:
+            overflows.append(value)
+            raise
+
+    real_intern = kernel._intern
+    _set_bounds(monkeypatch, {"_BYTE_IDS": 8, "_intern": counting_intern})
+    assert [_report(spec) for spec in specs] == expected
+    assert overflows
+
+
+def test_census_verdicts_match_the_oracle(monkeypatch):
+    """Each of the 1029 order-3 (2,2) candidates of ``order3_spec``, verified
+    by the scans (the default at this order) and by the row check, agrees
+    with the naive oracle family by family, and every witness is a real
+    violation.  The candidates hold 343 hyperadditions, many multi-valued,
+    and some accepted rings distribute only as containment, so the row
+    check is also held to the scan verdict by verdict."""
+    values = [set(c) for k in (1, 2, 3) for c in combinations(range(3), k)]
+    specs = [
+        order3_spec(f11, f12, f22, g22)
+        for f11, f12, f22 in product(values, repeat=3) for g22 in range(3)
+    ]
+    assert len(specs) == 1029
+    assert kernel._MIN_ROW > 3
+    oracles = [NaiveOracle(spec) for spec in specs]
+    families = [oracle.family_holds() for oracle in oracles]
+    disagreements = []
+    accepted = set()
+    verdicts = []
+    for path, bounds in (("scan", {}), ("rows", ROWS_WHERE_IDS_FIT)):
+        _set_bounds(monkeypatch, bounds)
+        if path == "rows":
+            verdicts = _both_ways(monkeypatch)
+        for spec, oracle, holds in zip(specs, oracles, families):
+            report = _report(spec)
+            if report.all_pass:
+                accepted.add((path, spec.name))
+            for family in AXIOM_ORDER:
+                status = report.entries[family]
+                if status.ok != holds[family]:
+                    disagreements.append((path, spec.name, family, status))
+                elif not status.ok and not oracle.witness_violates(family, status.witness):
+                    disagreements.append((path, spec.name, family, "witness is no violation"))
+    assert disagreements == []
+    assert len(accepted) == 20  # the same 10 rings on each path
+    assert len(verdicts) == 3 * 1029
+    assert [pair for pair in verdicts if pair[0] != pair[1]] == []
+    assert (True, True) in verdicts and (False, False) in verdicts
+
+
+def test_row_check_passes_every_ring_that_holds(monkeypatch):
+    """On rings that satisfy every axiom, the row check decides alone: the
+    scan would agree and is never needed."""
+    z2_as_33 = fixtures("z2-as-33")
+    rings = [fixtures(name) for name in ("z6", "z8", "z12", "z2xz3")] + [
+        product_ring([z2_as_33, z2_as_33]),
+        product_ring([fixtures("paper-example"), z2_as_33]),
+        product_ring([fixtures("z4"), fixtures("z2")]),
+    ]
+    verdicts = _both_ways(monkeypatch)
+    for ring in rings:
+        assert ring.order >= kernel._MIN_ROW
+        assert isinstance(verify_axioms(ring.spec), HyperRing)
+    assert verdicts == [(True, True)] * 3 * len(rings)
 
 
 def test_verifier_agrees_with_naive_oracle():
