@@ -98,6 +98,8 @@ def check_homomorphism(
         mapping = tuple(mapping[x] for x in range(source.order))
     if len(mapping) != source.order:
         raise ValueError("mapping must be total on the source")
+    if not all(0 <= y < target.order for y in mapping):
+        raise ValueError("mapping must send every element into the target")
     if mapping[source.one] != target.one:
         return HomViolation("identity", (source.one,), "the identity is not preserved")
     hom = HyperRingHom(source, target, tuple(mapping), len(set(mapping)) == target.order)

@@ -60,19 +60,12 @@ class EmptySubset(HyperIdealError):
     """An operation requires a non-empty subset."""
 
 
-class OrderLimitExceeded(HyperIdealError):
-    def __init__(self, order: int, limit: int):
-        self.order = order
-        self.limit = limit
-        super().__init__(f"ring order {order} exceeds the enumeration limit {limit}")
+class WalkBudgetExceeded(HyperIdealError):
+    """A walk over closed sets or subsets needs more table lookups than its budget."""
 
 
 class TablesTooLarge(HyperIdealError):
     """A spec's dense tables or associativity splits are too large to verify."""
-
-
-class InvalidOrderLimit(HyperIdealError, ValueError):
-    """The order-limit environment variable is not a non-negative integer."""
 
 
 class NotAHyperideal(HyperIdealError):

@@ -9,40 +9,11 @@ not negation closed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .analysis import PASS, Verdict
-from .errors import (
-    EmptySubset,
-    ImproperIdeal,
-    InvalidOrderLimit,
-    NotAHyperideal,
-    OrderLimitExceeded,
-)
+from .errors import EmptySubset, ImproperIdeal, NotAHyperideal
 from .kernel import LENIENT, HyperRing, SubsetMask, check_mode
-
-DEFAULT_ORDER_LIMIT = 16
-ORDER_LIMIT_ENV = "HYPERIDEAL_ORDER_LIMIT"
-
-
-def order_limit() -> int:
-    raw = os.environ.get(ORDER_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ORDER_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise InvalidOrderLimit(f"{ORDER_LIMIT_ENV}={raw!r} must be a non-negative integer")
-    return limit
-
-
-def check_order(ring: HyperRing) -> None:
-    limit = order_limit()
-    if ring.order > limit:
-        raise OrderLimitExceeded(ring.order, limit)
 
 
 @dataclass(frozen=True)
@@ -119,6 +90,7 @@ def generated_hyperideal(ring: HyperRing, seed: SubsetMask, mode: str = LENIENT)
     seed closed under hyperaddition, absorption, and (strict mode) negation.
     """
     check_mode(mode)
+    check_ring(ring, seed)
     if seed.is_empty:
         raise EmptySubset("generating set must be non-empty")
     return SubsetMask(ring, ring.analysis.close(0, seed.bits, mode))
@@ -126,7 +98,6 @@ def generated_hyperideal(ring: HyperRing, seed: SubsetMask, mode: str = LENIENT)
 
 def enumerate_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
     """All hyperideals in ascending mask order, the whole ring included."""
-    check_order(ring)
     return [SubsetMask(ring, bits) for bits in ring.analysis.ideals(check_mode(mode))]
 
 
@@ -141,7 +112,6 @@ def proper_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]
 def classify_ideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> IdealProfile:
     """Full classification of a proper hyperideal; pure and deterministic."""
     check_mode(mode)
-    check_order(ring)
     require_proper_hyperideal(ring, subset, mode)
     bits = subset.bits
     analysis = ring.analysis
@@ -159,7 +129,6 @@ def classify_ideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> 
 
 def prime_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
     check_mode(mode)
-    check_order(ring)
     return [SubsetMask(ring, bits) for bits in ring.analysis.primes(mode)]
 
 
@@ -167,7 +136,6 @@ def radical(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> SubsetM
     """Intersection of all prime hyperideals containing the set; the whole
     ring when no prime contains it."""
     check_mode(mode)
-    check_order(ring)
     require_hyperideal(ring, subset, mode)
     return SubsetMask(ring, ring.analysis.radical(subset.bits, mode))
 
@@ -182,7 +150,6 @@ def radical_power_diagnostic(
     anomaly rather than raising.
     """
     check_mode(mode)
-    check_order(ring)
     require_hyperideal(ring, subset, mode)
     if not 0 <= p < ring.order:
         raise ValueError(f"element index {p} out of range")
@@ -210,7 +177,6 @@ def radical_power_diagnostic(
 def minimal_primes_over(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> list[SubsetMask]:
     """Inclusion-minimal prime hyperideals containing the given hyperideal."""
     check_mode(mode)
-    check_order(ring)
     require_proper_hyperideal(ring, subset, mode)
     return [SubsetMask(ring, q) for q in ring.analysis.minimal_primes_over(subset.bits, mode)]
 
@@ -219,7 +185,6 @@ def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
     """Units, regular elements, the Jacobson-style radical, and the minimal
     primes, each computed by exhaustive scan."""
     check_mode(mode)
-    check_order(ring)
     one_pad = (ring.one,) * (ring.n - 2)
     units = 0
     for p in range(ring.order):

@@ -1,7 +1,6 @@
 """Command-line behaviour: exit codes, determinism, report formats."""
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -11,12 +10,11 @@ import pytest
 from hyperideal import fixtures, serialize_spec
 
 
-def invoke(*argv, env=None):
+def invoke(*argv):
     return subprocess.run(
         [sys.executable, "-m", "hyperideal", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -221,21 +219,43 @@ def test_missing_file_exits_2():
     assert invoke("verify", "/nonexistent/ring.json").returncode == 2
 
 
-def test_classify_and_radical_respect_order_limit(z6_path):
-    env = dict(os.environ, HYPERIDEAL_ORDER_LIMIT="4")
-    for command in ("classify", "radical"):
-        result = invoke(command, z6_path, "--ideal", "0,3", env=env)
-        assert result.returncode == 2
-        assert "exceeds the enumeration limit 4" in result.stderr
+@pytest.fixture(scope="module")
+def cyclic_paths(tmp_path_factory):
+    from hyperideal import cyclic_ring
+
+    root = tmp_path_factory.mktemp("cyclic")
+    paths = {}
+    for k in (48, 64, 128):
+        path = root / f"z{k}.json"
+        path.write_text(serialize_spec(cyclic_ring(k).spec), encoding="utf-8")
+        paths[k] = str(path)
+    return paths
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3"])
-def test_bad_order_limit_exits_2(z6_path, raw):
-    env = dict(os.environ, HYPERIDEAL_ORDER_LIMIT=raw)
-    result = invoke("ideals", z6_path, env=env)
-    assert result.returncode == 2
-    assert "HYPERIDEAL_ORDER_LIMIT" in result.stderr
-    assert "Traceback" not in result.stderr
+def test_walk_budget_refuses_large_walks_not_large_rings(cyclic_paths):
+    # z48 has 91,508 multiplicative sets; z64 and z128 have 7 and 8
+    # hyperideals.  The five runs are independent, so they run side by side.
+    runs = {("theorems", 48): [cyclic_paths[48]]}
+    for k in (64, 128):
+        runs["ideals", k] = [cyclic_paths[k]]
+        runs["classify", k] = [cyclic_paths[k], "--ideal", f"0,{k // 2}"]
+    procs = {
+        key: subprocess.Popen([sys.executable, "-m", "hyperideal", key[0], *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for key, args in runs.items()
+    }
+    results = {key: (*proc.communicate(timeout=120), proc.returncode) for key, proc in procs.items()}
+    _, stderr, code = results["theorems", 48]
+    assert code == 2
+    assert "error: multiplicative-set walk on z48 stopped at " in stderr
+    assert "Traceback" not in stderr
+    for k in (64, 128):
+        stdout, _, code = results["ideals", k]
+        assert code == 0
+        assert len(stdout.splitlines()) == 1 + k.bit_length() + 3
+        stdout, _, code = results["classify", k]
+        assert code == 0
+        assert "prime: no" in stdout
 
 
 def test_null_table_document_exits_2(tmp_path):

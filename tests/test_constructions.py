@@ -168,6 +168,13 @@ def test_non_hom_multiplication_witness(z6):
     assert isinstance(result, HomViolation)
 
 
+@pytest.mark.parametrize("mapping", [(0, 1, 5, 1), (0, 1, -1, 1)])
+def test_mapping_outside_the_target_is_refused(z4, z2, mapping):
+    # unchecked, these raise IndexError and "negative shift count"
+    with pytest.raises(ValueError, match="mapping must send every element into the target"):
+        check_homomorphism(z4, z2, mapping)
+
+
 def test_projection_reverified(z6):
     q = quotient_ring(z6, z6.subset([0, 3]))
     again = check_homomorphism(z6, q.quotient, q.projection.mapping)

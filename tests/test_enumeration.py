@@ -72,7 +72,6 @@ def test_hyperideal_verdicts_match_the_multiset_scan(name):
 
 def test_z32_ideals_are_walked_not_filtered(monkeypatch):
     """2^32 masks could not be filtered in a test; the walk visits 6 ideals."""
-    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", "32")
     ring = cyclic_ring(32)
     divisor_ideals = sorted(
         sum(1 << x for x in range(0, 32, d)) for d in (1, 2, 4, 8, 16, 32)

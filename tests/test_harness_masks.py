@@ -14,6 +14,7 @@ from hyperideal import (
     proper_hyperideals,
     require_ring,
 )
+from hyperideal import analysis
 from hyperideal.analysis import Verdict
 from hyperideal.harness import MAX_COUNTEREXAMPLES
 
@@ -121,6 +122,52 @@ def test_lying_layer_pins_emission_order_and_cap(monkeypatch, ident, liars):
     assert engine.to_dict() == oracle.to_dict()
 
 
+def test_t1_3_naming_walk_stops_at_the_budget(monkeypatch):
+    # the liars give T1.3 more failures than the cap; a lowered budget cuts
+    # the walk over the sets Q that names them
+    ring = require_ring(fixtures("z12").spec)
+    ring.analysis.ms_all, ring.analysis.proper("lenient")  # walk these first
+    for liar in (COLON_COMPLEMENTS, ONE_MISSING_ONLY):
+        liar(monkeypatch, ring)
+    full = check_theorem(ring, "T1.3").to_dict()
+    assert len(full["counterexamples"]) == MAX_COUNTEREXAMPLES
+    assert not full.pop("truncated")
+    monkeypatch.setattr(analysis, "WALK_BUDGET", 40)
+    cut = check_theorem(ring, "T1.3").to_dict()
+    named = cut.pop("counterexamples")
+    assert 0 < len(named) < MAX_COUNTEREXAMPLES
+    assert named == full.pop("counterexamples")[: len(named)]
+    assert cut.pop("truncated")
+    assert cut == full  # counted in closed form, so the counts stay
+    # cut before the first name, the largest Q of a failing residual is named
+    monkeypatch.setattr(analysis, "WALK_BUDGET", 0)
+    cut = check_theorem(ring, "T1.3")
+    assert cut.status == "counterexample" and cut.truncated
+    [cx] = cut.counterexamples
+    p, q = (ring.subset_from_names(cx[k].strip("{}").split(",")) for k in "PQ")
+    assert not p.bits & q.bits
+    assert cx["residual"] == ring.render_bits(ring.analysis.residual(p.bits, q.bits))
+    assert (cx["P"], cx["Q"]) == ("{0}", "{1,2,3,4,5,6,7,8,9,10,11}")
+
+
+def test_t3_compares_the_maximal_set_with_the_tuple_scan(monkeypatch):
+    # with every element taken as compatible, S*(P) is the whole ring, an MS
+    # that every S lies in; only the n-tuple scan tells it from the real one
+    ring = require_ring(fixtures("z12").spec)
+    real = ring.analysis.compatible
+    EVERYTHING_COMPATIBLE(monkeypatch, ring)
+    report = check_theorem(ring, "T3")
+    proper = ring.analysis.proper("lenient")
+    assert report.status == "counterexample"
+    assert report.instances_checked == report.hypothesis_met == len(proper)
+    assert report.counterexamples == tuple(
+        {"P": ring.render_bits(p), "S": ring.render_bits(Z12),
+         "direct": ring.render_bits(real(p, p)),
+         "clause": "maximal set disagrees with the n-tuple scan"}
+        for p in proper
+    )
+
+
 def test_fw_sr_sees_the_sr_only_pairs(census_rings):
     ring = census_rings[SR_RING]
     pairs = [
@@ -152,7 +199,6 @@ def test_fw_sr_catches_sr_only_folded_into_neither(census_rings, monkeypatch):
 @pytest.mark.parametrize("order, instances", [(24, 357_981_811), (32, 38_571_540_425)])
 def test_t1_3_counts_large_carriers_in_closed_form(monkeypatch, order, instances):
     # 2^(order - |P|) - 1 sets Q per admissible pair: counted, not walked
-    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", "32")
     report = check_theorem(cyclic_ring(order), "T1.3")
     assert report.status == "holds"
     assert report.instances_checked == report.hypothesis_met == instances

@@ -291,23 +291,15 @@ def test_prime_is_its_own_minimal_prime(all_fixture_rings):
             assert minimal_primes_over(ring, p) == [p]
 
 
-def test_order_limit_env_override(z6, monkeypatch):
-    from hyperideal.errors import OrderLimitExceeded
+def test_walk_budget_guards_every_subset_walk(monkeypatch):
+    # each entry walks the ideals of a fresh ring, so each meets the budget;
+    # once the walk is done, the memo answers without another walk
+    from hyperideal import analysis, classify_s, cyclic_ring, s_maximal_hyperideals
+    from hyperideal.errors import WalkBudgetExceeded
 
-    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", "4")
-    with pytest.raises(OrderLimitExceeded):
-        enumerate_hyperideals(z6)
-    with pytest.raises(OrderLimitExceeded):
-        special_sets(z6)
-
-
-def test_order_limit_guards_every_subset_walk(z6, monkeypatch):
-    # each entry reaches the 2^order ideal walk, so each must check the limit
-    # on every call, also once the ring's lists are built
-    from hyperideal import classify_s, s_maximal_hyperideals
-    from hyperideal.errors import OrderLimitExceeded
-
-    ideal, s = z6.subset([0, 3]), z6.subset([1])
+    z6 = cyclic_ring(6)
+    # {3} escapes S*({0,3}), so classify_s needs the radical
+    ideal, s = z6.subset([0, 3]), z6.subset([3])
     calls = [
         lambda: classify_ideal(z6, ideal),
         lambda: radical(z6, ideal),
@@ -317,31 +309,11 @@ def test_order_limit_guards_every_subset_walk(z6, monkeypatch):
         lambda: classify_s(z6, ideal, s),
         lambda: s_maximal_hyperideals(z6, s),
     ]
+    monkeypatch.setattr(analysis, "WALK_BUDGET", 0)
     for call in calls:
-        call()
-    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", "4")
-    for call in calls:
-        with pytest.raises(OrderLimitExceeded):
+        with pytest.raises(WalkBudgetExceeded, match="lenient hyperideal walk on z6"):
             call()
-
-
-@pytest.mark.parametrize("raw", ["abc", "-3"])
-def test_bad_order_limit_is_rejected(z6, monkeypatch, raw):
-    from hyperideal.errors import HyperIdealError
-    from hyperideal.ideals import order_limit
-
-    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", raw)
-    with pytest.raises(HyperIdealError, match="HYPERIDEAL_ORDER_LIMIT"):
-        order_limit()
-    with pytest.raises(HyperIdealError, match="HYPERIDEAL_ORDER_LIMIT"):
-        enumerate_hyperideals(z6)
-
-
-def test_zero_order_limit_is_accepted(z6, monkeypatch):
-    from hyperideal.errors import OrderLimitExceeded
-    from hyperideal.ideals import order_limit
-
-    monkeypatch.setenv("HYPERIDEAL_ORDER_LIMIT", "0")
-    assert order_limit() == 0
-    with pytest.raises(OrderLimitExceeded):
-        enumerate_hyperideals(z6)
+    monkeypatch.undo()
+    answers = [call() for call in calls]
+    monkeypatch.setattr(analysis, "WALK_BUDGET", 0)
+    assert [call() for call in calls] == answers

@@ -7,6 +7,8 @@ from hyperideal import (
     classify_s,
     enumerate_hyperideals,
     enumerate_multiplicative_sets,
+    fixtures,
+    generated_hyperideal,
     is_multiplicative_set,
     is_s_hyperideal,
     is_sr_hyperideal,
@@ -345,6 +347,10 @@ FOREIGN_ENTRY_POINTS = {
     "saturation": lambda ring, ideal, ms: saturation(ring, ideal, ms),
     "residual-by": lambda ring, ideal, ms: residual(ring, ideal, ms.subset),
     "s_maximal_hyperideals": lambda ring, ideal, ms: s_maximal_hyperideals(ring, ms),
+    "generated_hyperideal": lambda ring, ideal, ms: generated_hyperideal(ring, ms.subset),
+    # z2xz3's mask with the bits of z6's minimal prime {0,3}
+    "primary_decomposition": lambda ring, ideal, ms: primary_decomposition(
+        ring, ideal, [fixtures("z2xz3").subset_from_bits(ideal.bits)]),
 }
 
 
@@ -360,3 +366,4 @@ def test_same_ring_arguments_still_accepted(foreign, z6):
     ms = multiplicative_set(z6, z6.subset([1, 5]))
     assert classify_s(ring, ideal, ms).verdict is SVerdict.S_HYPERIDEAL
     assert residual(ring, ideal, z6.subset([1])) == ideal
+    assert primary_decomposition(ring, ideal, [ideal]) == [ideal]
