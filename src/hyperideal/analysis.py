@@ -129,7 +129,8 @@ class RingAnalysis:
     so a hit costs one attribute lookup and no wrapper frame.  A class-level
     descriptor of the same name would make CPython skip specialising that
     lookup.  ``quotients`` holds the projections the harness builds, each
-    with its ``image_ms`` table, and ``tprod_product`` its product ring.
+    with its ``image_ms`` table, ``tprod_product`` its product ring, and
+    ``refused`` the message of each refused walk, by kind and budget.
     """
 
     def __init__(self, ring: HyperRing):
@@ -153,6 +154,7 @@ class RingAnalysis:
         self.s_maximal = memo(self._s_maximal)
         self.quotients: dict = {}
         self.tprod_product: HyperRing | None = None
+        self.refused: dict[tuple[str, int], str] = {}
 
     # -- hyperideals ------------------------------------------------------
 
@@ -245,21 +247,27 @@ class RingAnalysis:
         hyperideals of a mode, the whole ring included, or the multiplicative
         sets and the empty set.  Each closed set is reached from the least one
         by adding one element at a time and closing again; the walk does
-        that, keeping the sets it has seen, on one ``LookupBudget``."""
+        that, keeping the sets it has seen, on one ``LookupBudget``.  Under
+        the same budget, a refused walk is refused again without walking."""
+        if (kind, WALK_BUDGET) in self.refused:
+            raise WalkBudgetExceeded(self.refused[kind, WALK_BUDGET])
         ring, close = self.ring, self.close
         family = "multiplicative-set" if kind == MS else f"{kind} hyperideal"
         budget = LookupBudget(f"{family} walk on {ring.name}")
-        bottom = 0 if kind == MS else close(0, 1 << ring.zero, kind, budget)
-        seen = {bottom}
-        stack = [bottom]
-        while stack:
-            current = stack.pop()
-            members = bit_members(current)
-            for x in bit_members(ring.full_bits & ~current):
-                found = close(current, 1 << x, kind, budget, members + [x])
-                if found not in seen:
-                    seen.add(found)
-                    stack.append(found)
+        try:
+            bottom = 0 if kind == MS else close(0, 1 << ring.zero, kind, budget)
+            seen, stack = {bottom}, [bottom]
+            while stack:
+                current = stack.pop()
+                members = bit_members(current)
+                for x in bit_members(ring.full_bits & ~current):
+                    found = close(current, 1 << x, kind, budget, members + [x])
+                    if found not in seen:
+                        seen.add(found)
+                        stack.append(found)
+        except WalkBudgetExceeded as exc:
+            self.refused[kind, WALK_BUDGET] = str(exc)
+            raise
         return tuple(sorted(seen))
 
     # -- the classical classification ---------------------------------------

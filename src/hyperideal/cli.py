@@ -40,9 +40,9 @@ from .multiplicative import (
     saturation,
 )
 
-# Largest order verified without a warning, by max(m, n); both cost about 0.03-0.06 s
+# Largest order verified without a warning, by max(m, n); both cost about 0.06 s
 # of verification on a 2-CPU host.  Higher arities fall back to the smallest limit.
-VERIFY_WARN_LIMITS = {2: 32, 3: 12}
+VERIFY_WARN_LIMITS = {2: 112, 3: 18}
 
 
 class _CliError(Exception):

@@ -28,6 +28,7 @@ from .kernel import (
     SubsetMask,
     bit_members,
     check_mode,
+    check_table_size,
     verify_axioms,
 )
 
@@ -146,7 +147,8 @@ def transport_ideal(hom: HyperRingHom, direction: str, subset: SubsetMask) -> Su
 def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
     """Componentwise product; element names join the factor names with '|'.
 
-    The resulting tables are re-verified as a sanity gate.
+    The resulting tables are re-verified as a sanity gate; a product past the
+    verifier's table limit is refused (``TablesTooLarge``) before any is built.
     """
     if not rings:
         raise ValueError("at least one factor is required")
@@ -157,8 +159,7 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
     total = 1
     for r in rings:
         total *= r.order
-    if total > 1 << 20:
-        raise ValueError("product order is unreasonably large")
+    check_table_size(total, m, n)
     tuples = list(product(*(range(r.order) for r in rings)))
     index_of = {t: i for i, t in enumerate(tuples)}
     names = tuple("|".join(r.elements[x] for r, x in zip(rings, t)) for t in tuples)

@@ -52,7 +52,6 @@ from .kernel import (
 )
 
 MAX_COUNTEREXAMPLES = 10
-AVOIDANCE_CONFIG_CAP = 10**6
 
 
 @dataclass
@@ -191,14 +190,12 @@ def _name_failures(tally: _Tally, failing: list[tuple[object, int]], fail) -> No
 def _check_t1_1(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """S-hyperideals are disjoint from their multiplicative set."""
     a = ring.analysis
-    ms_all, containing = a.ms_all, a.containing
+    ms_all, full = a.ms_all, ring.full_bits
     for p in a.proper(mode):
         tally.instances += len(ms_all)
         hyp = a.admissible(p)
         tally.hypothesis += hyp.bit_count()
-        meets = 0
-        for x in bit_members(p):
-            meets |= containing[x]
+        meets = a.within(full) & ~a.within(full & ~p)  # the S that meet P
         _name_failures(tally, [(p, hyp & meets)], lambda i, p: tally.fail(
             P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
             overlap=ring.render_bits(p & ms_all[i])))
@@ -380,7 +377,7 @@ def _check_t5(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Substitution property, residual fixed points, and saturation fixed
     point are equivalent."""
     a = ring.analysis
-    ms_all, containing = a.ms_all, a.containing
+    ms_all, full = a.ms_all, ring.full_bits
     for p in a.proper(mode):
         tally.instances += len(ms_all)
         tally.hypothesis += len(ms_all)
@@ -392,11 +389,8 @@ def _check_t5(ring: HyperRing, mode: str, tally: _Tally) -> None:
         # every x in P lies in the colon of some t in S
         saturation_fixed = a.within(sum(1 << t for t, c in enumerate(colons) if not c & ~p))
         for x in bit_members(p):
-            meets = 0
-            for t, c in enumerate(colons):
-                if c >> x & 1:
-                    meets |= containing[t]
-            saturation_fixed &= meets
+            holding = sum(1 << t for t, c in enumerate(colons) if c >> x & 1)
+            saturation_fixed &= ~a.within(full & ~holding)  # S meets the t holding x
         failing = (direct ^ residual_fixed) | (direct ^ saturation_fixed)
         _name_failures(tally, [(p, failing)], lambda i, p: tally.fail(
             P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
@@ -598,44 +592,34 @@ def _check_t12(ring: HyperRing, mode: str, tally: _Tally) -> None:
 def _check_tavoid(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Avoidance: a hyperideal covered by n hyperideals, not covered once the
     S-hyperideal slot is removed, with every other slot meeting S, lies in
-    the S-hyperideal slot."""
+    the S-hyperideal slot.  Each (cover, slot) decides every S at once, and
+    charges the walk's ``LookupBudget`` one lookup per pool member."""
     a = ring.analysis
-    pool = a.ideals(mode)
-    ms_one = a.ms_with_one
-    n = ring.n
-    if len(pool) < n:
-        return
-    for combo in combinations(pool, n):
-        union = 0
-        for b in combo:
-            union |= b
-        for t in range(n):
-            pt = combo[t]
-            if pt == ring.full_bits:
-                continue
-            rest = 0
-            for j in range(n):
-                if j != t:
-                    rest |= combo[j]
-            for p in pool:
-                if p & ~union:
+    pool, full, ones = a.ideals(mode), ring.full_bits, a.containing[ring.one]
+    meets = {b: ones & ~a.within(full & ~b) for b in pool}  # the S with 1 that meet b
+    budget = LookupBudget(f"TAVOID walk over the covers on {ring.name}")
+    try:
+        for combo in combinations(pool, ring.n):
+            for t, pt in enumerate(combo):
+                if pt == full:
                     continue
-                if not (p & ~rest):
-                    continue  # covered without the slot: hypothesis fails
-                for s in ms_one:
-                    if tally.instances >= AVOIDANCE_CONFIG_CAP:
-                        tally.truncated = True
-                        return
-                    tally.instances += 1
-                    if any(not (combo[j] & s) for j in range(n) if j != t):
-                        continue
-                    if not a.is_s(pt, s, mode):
-                        continue
-                    tally.hypothesis += 1
+                budget.charge(len(pool))
+                rest, hyp = 0, ones & a.admissible(pt)
+                for b in combo[:t] + combo[t + 1:]:
+                    rest |= b
+                    hyp &= meets[b]
+                # covered by the n slots, but not without slot t
+                covered = [p for p in pool if p & ~rest and not p & ~(rest | pt)]
+                tally.instances += len(covered) * ones.bit_count()
+                tally.hypothesis += len(covered) * hyp.bit_count()
+                for p in covered:
                     if p & ~pt:
-                        tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
-                                   slot=ring.render_bits(pt),
-                                   cover=",".join(ring.render_bits(b) for b in combo))
+                        _name_failures(tally, [(p, hyp)], lambda i, p: tally.fail(
+                            P=ring.render_bits(p), S=ring.render_bits(a.ms_all[i]),
+                            slot=ring.render_bits(pt),
+                            cover=",".join(ring.render_bits(b) for b in combo)))
+    except WalkBudgetExceeded:
+        tally.truncated = True  # the cell counts the covers walked so far
 
 
 def _check_thom_pre(ring: HyperRing, mode: str, tally: _Tally) -> None:

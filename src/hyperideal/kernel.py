@@ -752,6 +752,13 @@ def _decide(rows_fit: bool, rows_hold, scan) -> AxiomStatus:
     return scan()
 
 
+def check_table_size(order: int, m: int, n: int) -> None:
+    """Refuse a ring whose dense tables would pass ``DENSE_TABLE_LIMIT`` entries."""
+    if order ** max(m, n) > DENSE_TABLE_LIMIT:
+        raise TablesTooLarge(f"order {order} with m={m}, n={n} is past the limit of "
+                             f"{DENSE_TABLE_LIMIT} dense table entries")
+
+
 def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     """Check every defining axiom exhaustively.
 
@@ -769,9 +776,7 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     validate_spec(spec)
     order = spec.order
     m, n = spec.m, spec.n
-    if order ** max(m, n) > DENSE_TABLE_LIMIT:
-        raise TablesTooLarge(f"order {order} with m={m}, n={n} is past the limit of "
-                             f"{DENSE_TABLE_LIMIT} dense table entries")
+    check_table_size(order, m, n)
     zero = spec.index(spec.zero)
     one = spec.index(spec.one)
     f, g = _dense_tables(spec)

@@ -1,8 +1,9 @@
 """Loop oracles for the catalog checkers that the harness computes as mask
 algebra over the multiplicative-set index.
 
-Each checker here is the earlier loop body, kept verbatim: it walks every
-(P, S) pair, every (P, S, Q) triple for T1.3 and every tuple per pair for
+Each checker here is the earlier loop body, kept verbatim (TAVOID without
+its former instance cap): it walks every (P, S) pair, every (P, S, Q) triple
+for T1.3, every (cover, slot, P, S) for TAVOID and every tuple per pair for
 FW-SR, and decides each instance with ``is_s``, ``residual``, ``saturation``
 and ``classify_s`` instead of the index.  ``oracle_report`` runs one of them
 through ``check_theorem``, so the tally, status and counterexample cap are
@@ -12,6 +13,8 @@ pair, so keep these to carriers of order 16 or less.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from hyperideal import harness
 from hyperideal.analysis import RingAnalysis, SVerdict
@@ -200,6 +203,40 @@ def _check_tquot(ring, mode, tally) -> None:
                                base=str(lhs), quotient=str(rhs))
 
 
+def _check_tavoid(ring, mode, tally) -> None:
+    a = ring.analysis
+    pool = a.ideals(mode)
+    n = ring.n
+    for combo in combinations(pool, n):
+        union = 0
+        for b in combo:
+            union |= b
+        for t in range(n):
+            pt = combo[t]
+            if pt == ring.full_bits:
+                continue
+            rest = 0
+            for j in range(n):
+                if j != t:
+                    rest |= combo[j]
+            for p in pool:
+                if p & ~union:
+                    continue
+                if not (p & ~rest):
+                    continue  # covered without the slot: hypothesis fails
+                for s in a.ms_with_one:
+                    tally.instances += 1
+                    if any(not (combo[j] & s) for j in range(n) if j != t):
+                        continue
+                    if not a.is_s(pt, s, mode):
+                        continue
+                    tally.hypothesis += 1
+                    if p & ~pt:
+                        tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
+                                   slot=ring.render_bits(pt),
+                                   cover=",".join(ring.render_bits(b) for b in combo))
+
+
 def _check_fw_sr(ring, mode, tally) -> None:
     a = ring.analysis
     for p in a.proper(mode):
@@ -226,6 +263,7 @@ ORACLES = {
     "THOM-PRE": _check_thom_pre,
     "THOM-IMG": _check_thom_img,
     "TQUOT": _check_tquot,
+    "TAVOID": _check_tavoid,
     "FW-SR": _check_fw_sr,
 }
 

@@ -4,6 +4,8 @@ import json
 import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +41,7 @@ def test_verify_paper(paper_path):
 
 
 def test_verify_broken_document(paper_path, tmp_path):
-    doc = json.loads(open(paper_path).read())
+    doc = json.loads(Path(paper_path).read_text(encoding="utf-8"))
     doc["g"]["0,1,1"] = "1"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -258,6 +260,20 @@ def test_walk_budget_refuses_large_walks_not_large_rings(cyclic_paths):
         assert "prime: no" in stdout
 
 
+def test_product_past_the_table_limit_exits_2_before_building(tmp_path, capsys):
+    # z33^4 and z8^4 have 33^8 and 4096^2 dense entries, past the verifier's
+    # limit; the product is refused before its tables are built
+    from hyperideal import cli, cyclic_ring
+
+    for k in (33, 8):
+        path = tmp_path / f"z{k}.json"
+        path.write_text(serialize_spec(cyclic_ring(k).spec), encoding="utf-8")
+        start = time.perf_counter()
+        assert cli.run(["product", *[str(path)] * 4]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "dense table entries" in capsys.readouterr().err
+
+
 def test_null_table_document_exits_2(tmp_path):
     doc = json.loads(serialize_spec(fixtures("z2").spec))
     doc["f"] = None
@@ -280,7 +296,7 @@ def test_non_utf8_document_exits_2(tmp_path):
 def test_verify_warns_only_above_the_limit(tmp_path, capsys):
     from hyperideal import cli, cyclic_ring
 
-    for k, warns in ((32, False), (33, True)):
+    for k, warns in ((112, False), (113, True)):
         path = tmp_path / f"z{k}.json"
         path.write_text(serialize_spec(cyclic_ring(k).spec), encoding="utf-8")
         assert cli.run(["verify", str(path)]) == 0
@@ -292,7 +308,7 @@ def test_verify_timings_add_one_line_per_axiom(paper_path, tmp_path, capsys):
     from hyperideal import cli
     from hyperideal.kernel import AXIOM_ORDER
 
-    doc = json.loads(open(paper_path).read())
+    doc = json.loads(Path(paper_path).read_text(encoding="utf-8"))
     doc["g"]["0,1,1"] = "1"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")

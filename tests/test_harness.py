@@ -86,11 +86,14 @@ def test_tavoid_exercised_on_z6(z6):
 
 
 def test_tavoid_cap_counts_only_checked_instances(z12, monkeypatch):
-    from hyperideal import harness
+    # cut short by the walk budget, TAVOID counts the covers it walked
+    from hyperideal import analysis
 
-    monkeypatch.setattr(harness, "AVOIDANCE_CONFIG_CAP", 50)
+    full = check_theorem(z12, "TAVOID")  # also walks the ideals and MS of z12
+    assert (full.instances_checked, full.truncated) == (2520, False)
+    monkeypatch.setattr(analysis, "WALK_BUDGET", 50)
     report = check_theorem(z12, "TAVOID")
-    assert report.instances_checked == 50
+    assert report.instances_checked == 882
     assert report.truncated
 
 
@@ -136,27 +139,26 @@ TRUNCATION_RINGS = ("paper-example", "z6", "z2xz3", "z6-mod-3", "z12")
 
 
 def test_truncated_suite_aggregates_as_truncated(monkeypatch):
-    from hyperideal import harness
+    from hyperideal import analysis
 
     rings = [fixtures(n) for n in TRUNCATION_RINGS]
-    assert run_suite(rings).aggregate == "pass"
-    monkeypatch.setattr(harness, "AVOIDANCE_CONFIG_CAP", 50)
+    assert run_suite(rings).aggregate == "pass"  # walks the ideals and MS first
+    monkeypatch.setattr(analysis, "WALK_BUDGET", 50)
     result = run_suite(rings)
-    assert ("z12", "TAVOID") in {(ring, r.id) for ring, r in result.entries if r.truncated}
+    assert {(ring, r.id) for ring, r in result.entries if r.truncated} == {("z12", "TAVOID")}
     assert all(r.status != "counterexample" for _, r in result.entries)
     assert result.aggregate == "truncated"
 
 
-def test_truncated_suite_cli_line_and_exit_code(monkeypatch, tmp_path, capsys):
-    from hyperideal import cli, harness
+def test_truncated_suite_cli_line_and_exit_code(monkeypatch, capsys):
+    from hyperideal import analysis, cli
 
-    paths = []
-    for name in TRUNCATION_RINGS:
-        path = tmp_path / f"{name}.json"
-        path.write_text(serialize_spec(fixtures(name).spec), encoding="utf-8")
-        paths.append(str(path))
-    monkeypatch.setattr(harness, "AVOIDANCE_CONFIG_CAP", 50)
-    assert cli.run(["theorems", *paths]) == 0
+    # each argument loads as a fixture ring whose walks are already done
+    rings = {name: fixtures(name) for name in TRUNCATION_RINGS}
+    run_suite(list(rings.values()))
+    monkeypatch.setattr(cli, "_load_ring", rings.__getitem__)
+    monkeypatch.setattr(analysis, "WALK_BUDGET", 50)
+    assert cli.run(["theorems", *rings]) == 0
     assert capsys.readouterr().out.endswith("aggregate: truncated\n")
 
 

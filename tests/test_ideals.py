@@ -317,3 +317,28 @@ def test_walk_budget_guards_every_subset_walk(monkeypatch):
     answers = [call() for call in calls]
     monkeypatch.setattr(analysis, "WALK_BUDGET", 0)
     assert [call() for call in calls] == answers
+
+
+@pytest.mark.parametrize("walk", ["multiplicative-set", "lenient hyperideal"])
+def test_refused_walk_is_refused_again_without_walking(monkeypatch, walk):
+    from hyperideal import analysis, cyclic_ring, enumerate_multiplicative_sets
+    from hyperideal.errors import WalkBudgetExceeded
+
+    z6 = cyclic_ring(6)
+    call = {"multiplicative-set": lambda: enumerate_multiplicative_sets(z6),
+            "lenient hyperideal": lambda: proper_hyperideals(z6)}[walk]
+    monkeypatch.setattr(analysis, "WALK_BUDGET", 20)
+    with pytest.raises(WalkBudgetExceeded, match=f"{walk} walk on z6") as first:
+        call()
+
+    def no_walk(*args):
+        raise AssertionError("walked again")
+
+    with monkeypatch.context() as m:
+        m.setattr(z6.analysis, "close", no_walk)
+        with pytest.raises(WalkBudgetExceeded) as again:
+            call()
+    assert again.value is not first.value
+    assert str(again.value) == str(first.value)
+    monkeypatch.undo()  # under the default budget the walk runs again
+    assert call()
