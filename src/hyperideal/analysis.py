@@ -418,7 +418,7 @@ class RingAnalysis:
             return SVerdict.SR_ONLY
         return SVerdict.NEITHER
 
-    def is_s(self, p_bits: int, s_bits: int, mode: str) -> bool:
+    def is_s(self, p_bits: int, s_bits: int) -> bool:
         return not s_bits & ~self.compatible(p_bits, p_bits)
 
     def scan_s(self, p_bits: int, s_bits: int) -> Iterator[SWitness]:
@@ -432,7 +432,7 @@ class RingAnalysis:
 
     def _s_family(self, s_bits: int, mode: str) -> tuple[int, ...]:
         """Proper hyperideals satisfying the substitution property for S."""
-        return tuple(b for b in self.proper(mode) if self.is_s(b, s_bits, mode))
+        return tuple(b for b in self.proper(mode) if self.is_s(b, s_bits))
 
     def _s_maximal(self, s_bits: int, mode: str) -> tuple[int, ...]:
         return extremal(self.s_family(s_bits, mode), maximal=True)

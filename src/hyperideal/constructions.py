@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
+from .analysis import Verdict
 from .errors import (
     ArityMismatch,
     CosetsNotPartition,
@@ -41,9 +42,6 @@ class HyperRingHom:
     target: HyperRing
     mapping: tuple[int, ...]
     surjective: bool
-
-    def apply(self, x: int) -> int:
-        return self.mapping[x]
 
     def image_bits(self, bits: int) -> int:
         out = 0
@@ -79,37 +77,28 @@ class QuotientRing:
     projection: HyperRingHom
 
 
-@dataclass(frozen=True)
-class HomViolation:
-    """Homomorphism violation: failing clause plus witness tuple."""
-
-    clause: str
-    witness: tuple[int, ...]
-    detail: str = ""
-
-
 def check_homomorphism(
     source: HyperRing, target: HyperRing, mapping: dict[int, int] | tuple[int, ...]
-) -> HyperRingHom | HomViolation:
-    """Exhaustively verify the three homomorphism clauses; violations are
-    returned as a value, never raised."""
+) -> HyperRingHom | Verdict:
+    """Exhaustively verify the three homomorphism clauses; a violation is
+    returned as a failing Verdict naming the clause and witness, never raised."""
     if source.m != target.m or source.n != target.n:
         raise ArityMismatch(source.m, target.m)
-    if isinstance(mapping, dict):
-        mapping = tuple(mapping[x] for x in range(source.order))
+    if isinstance(mapping, dict):  # a missing element shortens the tuple
+        mapping = tuple(mapping[x] for x in range(source.order) if x in mapping)
     if len(mapping) != source.order:
         raise ValueError("mapping must be total on the source")
-    if not all(0 <= y < target.order for y in mapping):
+    if not all(isinstance(y, int) and 0 <= y < target.order for y in mapping):
         raise ValueError("mapping must send every element into the target")
     if mapping[source.one] != target.one:
-        return HomViolation("identity", (source.one,), "the identity is not preserved")
+        return Verdict(False, "identity", (source.one,), "the identity is not preserved")
     hom = HyperRingHom(source, target, tuple(mapping), len(set(mapping)) == target.order)
     for key in combinations_with_replacement(range(source.order), source.m):
         if hom.image_bits(source.f_bits(key)) != target.f_bits([mapping[x] for x in key]):
-            return HomViolation("hyperaddition", key, "images of the sum differ")
+            return Verdict(False, "hyperaddition", key, "images of the sum differ")
     for key in combinations_with_replacement(range(source.order), source.n):
         if mapping[source.g_at(key)] != target.g_at(tuple(mapping[x] for x in key)):
-            return HomViolation("multiplication", key, "images of the product differ")
+            return Verdict(False, "multiplication", key, "images of the product differ")
     return hom
 
 
@@ -223,35 +212,26 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
     order = len(distinct)
     names = tuple("+".join(ring.elements[x] for x in mem) for mem in members)
 
-    f_table: dict[tuple[int, ...], frozenset[int]] = {}
-    for key in combinations_with_replacement(range(order), ring.m):
-        value: frozenset[int] | None = None
-        for reps in product(*(members[c] for c in key)):
-            bits = ring.f_bits(reps)
-            cosets = frozenset(coset_index[z] for z in bit_members(bits))
-            if value is None:
-                value = cosets
-            elif value != cosets:
+    def induced(arity: int, of_reps, operation: str) -> dict:
+        """The table of cosets keyed like ``arity``-ary entries, each value
+        ``of_reps`` of the representatives, which must not depend on them."""
+        table = {}
+        for key in combinations_with_replacement(range(order), arity):
+            values = {of_reps(reps) for reps in product(*(members[c] for c in key))}
+            if len(values) > 1:
                 raise InducedOpIllDefined(
-                    f"hyperaddition of cosets {tuple(names[c] for c in key)} "
+                    f"{operation} of cosets {tuple(names[c] for c in key)} "
                     "depends on the representatives"
                 )
-        assert value is not None
-        f_table[key] = value
-    g_table: dict[tuple[int, ...], int] = {}
-    for key in combinations_with_replacement(range(order), ring.n):
-        value_g: int | None = None
-        for reps in product(*(members[c] for c in key)):
-            c = coset_index[ring.g_at(reps)]
-            if value_g is None:
-                value_g = c
-            elif value_g != c:
-                raise InducedOpIllDefined(
-                    f"multiplication of cosets {tuple(names[c] for c in key)} "
-                    "depends on the representatives"
-                )
-        assert value_g is not None
-        g_table[key] = value_g
+            (table[key],) = values
+        return table
+
+    f_table = induced(
+        ring.m,
+        lambda reps: frozenset(coset_index[z] for z in bit_members(ring.f_bits(reps))),
+        "hyperaddition",
+    )
+    g_table = induced(ring.n, lambda reps: coset_index[ring.g_at(reps)], "multiplication")
 
     spec = HyperRingSpec(
         name=f"{ring.name}/{ring.render_bits(modulus.bits)}",
@@ -304,8 +284,15 @@ def _ring_from_tables(
     name: str, element_names: tuple[str, ...] | None,
 ) -> HyperRing:
     order = len(add_table)
+    if any(len(table) != order or any(len(row) != order for row in table)
+           for table in (add_table, mul_table)):
+        raise NotARing(f"tables must both be square of order {order}")
+    if not (0 <= zero < order and 0 <= one < order):
+        raise NotARing(f"zero {zero} and one {one} must index elements 0..{order - 1}")
     if element_names is None:
         element_names = tuple(str(i) for i in range(order))
+    elif len(element_names) != order:
+        raise NotARing(f"{len(element_names)} element names given for {order} elements")
     f_table: dict[tuple[int, ...], frozenset[int]] = {}
     g_table: dict[tuple[int, ...], int] = {}
     for key in combinations_with_replacement(range(order), 2):

@@ -30,10 +30,10 @@ class EmptyHyperValue(SpecFormatError):
 
 
 class ArityOutOfRange(SpecFormatError):
-    def __init__(self, which: str, value: int):
+    def __init__(self, which: str, value: object):
         self.which = which
         self.value = value
-        super().__init__(f"arity {which}={value} is out of range (must be >= 2)")
+        super().__init__(f"arity {which}={value!r} is out of range (must be >= 2)")
 
 
 class ArityMismatch(HyperIdealError):

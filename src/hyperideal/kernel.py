@@ -23,9 +23,8 @@ group must give the same row, and the two sides of distributivity must give
 equal rows or, where they differ, rows whose ids pass the containment test.  Only when a row
 check fails does the multiset scan run, to name the lexicographically first
 witness, so reports do not depend on which check decided.  Rings whose ids
-do not fit in a byte (``_BYTE_IDS``) and rings of fewer than ``_MIN_ROW``
-elements, where a row costs more than the scan it replaces, are scanned
-straight away.
+do not fit in a byte (``_BYTE_IDS``) are scanned straight away, which costs
+far more: on a 2-CPU host z256 verifies in about 0.6 s, z257 in about 25 s.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from operator import itemgetter, mul, sub
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .analysis import RingAnalysis, bit_members
+from .analysis import PASS, RingAnalysis, Verdict, bit_members
 from .errors import (
     ArityMismatch,
     ArityOutOfRange,
@@ -82,18 +81,11 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True)
-class AxiomStatus:
-    ok: bool
-    witness: tuple[int, ...] | None = None
-    detail: str = ""
-
-
 @dataclass
 class AxiomReport:
     """Per-axiom pass/fail record; failures carry a concrete witness tuple."""
 
-    entries: dict[str, AxiomStatus] = field(default_factory=dict)
+    entries: dict[str, Verdict] = field(default_factory=dict)
     # wall-clock seconds per axiom in AXIOM_ORDER, packed because every ring
     # keeps its report; not part of equality or of lines()
     timings_s: array = field(default_factory=lambda: array("d"), compare=False, repr=False)
@@ -216,9 +208,9 @@ def parse_spec(document: str) -> HyperRingSpec:
             raise SpecFormatError(f"missing top-level field {key!r}")
     m, n = data["m"], data["n"]
     if not isinstance(m, int) or m < 2:
-        raise ArityOutOfRange("m", m if isinstance(m, int) else -1)
+        raise ArityOutOfRange("m", m)
     if not isinstance(n, int) or n < 2:
-        raise ArityOutOfRange("n", n if isinstance(n, int) else -1)
+        raise ArityOutOfRange("n", n)
     elements = data["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SpecFormatError("elements must be an array of names")
@@ -406,12 +398,16 @@ class HyperRing:
     def element_index(self, name: str) -> int:
         return self.spec.index(name)
 
+    def _element(self, i: int) -> int:
+        """``i``, refused unless it indexes an element of this ring."""
+        if i < 0 or i >= self.order:
+            raise ValueError(f"element index {i} out of range")
+        return i
+
     def subset(self, indices: Iterable[int]) -> SubsetMask:
         bits = 0
         for i in indices:
-            if i < 0 or i >= self.order:
-                raise ValueError(f"element index {i} out of range")
-            bits |= 1 << i
+            bits |= 1 << self._element(i)
         return SubsetMask(self, bits)
 
     def subset_from_bits(self, bits: int) -> SubsetMask:
@@ -442,7 +438,7 @@ class HyperRing:
         lead = self.order ** (self.n - 1)
         return self.g_dense[x * lead : (x + 1) * lead]
 
-    # -- operations -----------------------------------------------------
+    # -- operations (arguments are checked against the carrier) ----------
 
     def hyperadd(self, *args: ElementsOrSubsets) -> SubsetMask:
         """m-ary hyperaddition, extended to subsets by union over choices."""
@@ -455,7 +451,7 @@ class HyperRing:
         order = self.order
         indices = [0]
         for arg in args:
-            members = (arg,) if isinstance(arg, int) else tuple(arg)
+            members = [self._element(x) for x in ((arg,) if isinstance(arg, int) else arg)]
             indices = [i * order + x for i in indices for x in members]
         return indices
 
@@ -472,7 +468,7 @@ class HyperRing:
             raise ArityMismatch(self.n, len(args))
         g = self.g_dense
         if all(isinstance(a, int) for a in args):
-            return g[_index(args, self.order)]  # type: ignore[arg-type]
+            return g[_index(map(self._element, args), self.order)]  # type: ignore[arg-type]
         bits = 0
         for i in self._choice_indices(args):
             bits |= 1 << g[i]
@@ -480,7 +476,7 @@ class HyperRing:
 
     def scalar_multiply(self, a: int, b: int) -> int:
         """The induced binary product g(a, b, 1^(n-2))."""
-        return self._bp[a][b]
+        return self._bp[self._element(a)][self._element(b)]
 
     def power(self, p: int, w: int) -> int:
         """w-fold product of p, padding with the scalar identity.
@@ -491,6 +487,7 @@ class HyperRing:
         """
         if w < 1:
             raise ValueError("power exponent must be >= 1")
+        self._element(p)
         n, one, order, g = self.n, self.one, self.order, self.g_dense
         if w <= n:
             return g[_index((p,) * w + (one,) * (n - w), order)]
@@ -505,7 +502,7 @@ class HyperRing:
         return acc
 
     def negate(self, x: int) -> int:
-        return self.negation[x]
+        return self.negation[self._element(x)]
 
     # -- precomputed views ------------------------------------------------
 
@@ -559,13 +556,13 @@ def _dense_tables(spec: HyperRingSpec) -> tuple[list[int], list[int]]:
     return f, g
 
 
-def _first_failure(failures: Iterable[tuple[tuple[int, ...], str]]) -> AxiomStatus:
+def _first_failure(failures: Iterable[tuple[tuple[int, ...], str]]) -> Verdict:
     for witness, detail in failures:
-        return AxiomStatus(False, witness, detail)
-    return AxiomStatus(True)
+        return Verdict(False, witness=witness, detail=detail)
+    return PASS
 
 
-def _associativity(order: int, arity: int, regroup, show) -> AxiomStatus:
+def _associativity(order: int, arity: int, regroup, show) -> Verdict:
     """The first sorted (2*arity-1)-multiset with two distinct splits whose
     ``regroup(inner index, rest index)`` values differ.  Split positions are
     worked out once; a split repeating an earlier inner group is skipped."""
@@ -591,22 +588,18 @@ def _associativity(order: int, arity: int, regroup, show) -> AxiomStatus:
             if first is None:
                 first, first_split = value, inner
             elif value != first:
-                return AxiomStatus(
+                return Verdict(
                     False,
-                    ms,
-                    f"grouping {first_split} gives {show(first)} "
+                    witness=ms,
+                    detail=f"grouping {first_split} gives {show(first)} "
                     f"but grouping {inner} gives {show(value)}",
                 )
-    return AxiomStatus(True)
+    return PASS
 
 
 # The row checks name values by byte ids; a ring with more elements, f
 # values or lifted values than this goes straight to the scans.
 _BYTE_IDS = 256
-# A row shorter than this costs more to build and compare than the scan it
-# replaces (z2, z3 and z2-as-33 verify faster by scan), so smaller rings are
-# scanned too.
-_MIN_ROW = 4
 
 
 class _IdsOverflow(Exception):
@@ -739,14 +732,14 @@ def _contained_by_rows(
     return True
 
 
-def _decide(rows_fit: bool, rows_hold, scan) -> AxiomStatus:
+def _decide(rows_fit: bool, rows_hold, scan) -> Verdict:
     """Pass when the row check ``rows_hold()`` does.  When it fails, runs out
     of byte ids midway, or does not apply (``rows_fit`` false), ``scan()``
     decides and names the witness."""
     if rows_fit:
         try:
             if rows_hold():
-                return AxiomStatus(True)
+                return PASS
         except _IdsOverflow:
             pass
     return scan()
@@ -792,7 +785,7 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
 
     # Byte ids for the row checks: an element names itself, and an f value
     # is named by its place among f's distinct masks.
-    rows_fit = _MIN_ROW <= order <= _BYTE_IDS
+    rows_fit = order <= _BYTE_IDS
     if rows_fit:
         f_values = list(dict.fromkeys(f))
         rows_fit = len(f_values) <= _BYTE_IDS
@@ -845,13 +838,13 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
 
     # unique inverses: exactly one y with 0 in f(x, y, 0^(m-2)).
     negation = [0] * order
-    status = AxiomStatus(True)
+    status = PASS
     pad = (zero,) * (m - 2)
     for x in range(order):
         ys = [y for y in range(order) if f_of((x, y, *pad)) >> zero & 1]
         if len(ys) != 1:
             kind = "no inverse" if not ys else f"multiple inverses {ys}"
-            status = AxiomStatus(False, (x,), kind)
+            status = Verdict(False, witness=(x,), detail=kind)
             break
         negation[x] = ys[0]
     entries["unique-inverses"] = status
@@ -865,11 +858,11 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
         for i in range(m)
         if (i == 0 or ms[i] != ms[i - 1])
         and not f[x * f_lead + _index((negation[ms[j]] for j in range(m) if j != i), order)] >> ms[i] & 1
-    ) if status.ok else AxiomStatus(False, (0,), "not checkable: inverses are not unique")
+    ) if status.ok else Verdict(False, witness=(0,), detail="not checkable: inverses are not unique")
     tick(perf_counter())
 
     # commutativity of g holds by multiset keying.
-    entries["g-commutativity"] = AxiomStatus(True, None, "by table construction")
+    entries["g-commutativity"] = Verdict(True, detail="by table construction")
     tick(perf_counter())
 
     # g-associativity: lifting v with rest is g(v, rest), a column of g.
@@ -888,7 +881,7 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     ps = list(combinations_with_replacement(range(order), n - 1))
     columns = [g[_index(p, order) :: g_lead] for p in ps]
 
-    def distributivity() -> AxiomStatus:
+    def distributivity() -> Verdict:
         for q in combinations_with_replacement(range(order), m):
             members = bit_members(f_of(q))
             for p, column in zip(ps, columns):
@@ -899,13 +892,13 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
                 for qi in q:
                     summed = summed * order + column[qi]
                 if f[summed] & ~image:
-                    return AxiomStatus(
+                    return Verdict(
                         False,
-                        q + p,
-                        "hyperaddition of slotted products is not contained in the "
+                        witness=q + p,
+                        detail="hyperaddition of slotted products is not contained in the "
                         "image of the hyperaddition value",
                     )
-        return AxiomStatus(True)
+        return PASS
 
     entries["distributivity"] = _decide(
         rows_fit,

@@ -215,7 +215,7 @@ def primary_decomposition(
     analysis = ring.analysis
     if not analysis.ms(s_bits):
         raise HypothesisViolation("the complement of the union is not multiplicatively closed")
-    if not analysis.is_s(ideal.bits, s_bits, mode):
+    if not analysis.is_s(ideal.bits, s_bits):
         raise HypothesisViolation("the ideal is not an S-hyperideal for the complement")
     return [
         SubsetMask(ring, analysis.saturation(ideal.bits, ring.full_bits & ~q.bits))

@@ -30,7 +30,7 @@ def _proper_s_ideal(a: RingAnalysis, bits: int, s_bits: int, mode: str) -> bool:
     return (
         bits != a.ring.full_bits
         and a.hyperideal(bits, mode).ok
-        and a.is_s(bits, s_bits, mode)
+        and a.is_s(bits, s_bits)
     )
 
 
@@ -50,7 +50,7 @@ def _check_t1_1(ring, mode, tally) -> None:
     for p in a.proper(mode):
         for s in a.ms_all:
             tally.instances += 1
-            if not a.is_s(p, s, mode):
+            if not a.is_s(p, s):
                 continue
             tally.hypothesis += 1
             if p & s:
@@ -63,7 +63,7 @@ def _check_t1_2(ring, mode, tally) -> None:
     for p in a.proper(mode):
         for s in a.ms_all:
             tally.instances += 1
-            if not a.is_s(p, s, mode):
+            if not a.is_s(p, s):
                 continue
             rad = a.radical(p, mode)
             if rad == ring.full_bits:
@@ -81,7 +81,7 @@ def _check_t1_3(ring, mode, tally) -> None:
         comp_members = [q for q in range(ring.order) if comp >> q & 1]
         singles = {q: a.residual(p, 1 << q) for q in comp_members}
         for s in a.ms_all:
-            if not a.is_s(p, s, mode):
+            if not a.is_s(p, s):
                 continue
             verdicts: dict[int, bool] = {}
             inter: dict[int, int] = {0: ring.full_bits}
@@ -112,7 +112,7 @@ def _check_t5(ring, mode, tally) -> None:
         for s in a.ms_all:
             tally.instances += 1
             tally.hypothesis += 1
-            direct = a.is_s(p, s, mode)
+            direct = a.is_s(p, s)
             residual_fixed = all(
                 a.residual(p, 1 << t) == p
                 for t in range(ring.order)
@@ -139,7 +139,7 @@ def _check_thom_pre(ring, mode, tally) -> None:
                 continue
             for q in ta.proper(mode):
                 tally.instances += 1
-                if not ta.is_s(q, img_s, mode):
+                if not ta.is_s(q, img_s):
                     continue
                 tally.hypothesis += 1
                 pre = hom.preimage_bits(q)
@@ -165,7 +165,7 @@ def _check_thom_img(ring, mode, tally) -> None:
                 tally.instances += 1
                 if ker & ~p:
                     continue
-                if not a.is_s(p, s, mode):
+                if not a.is_s(p, s):
                     continue
                 tally.hypothesis += 1
                 img = hom.image_bits(p)
@@ -193,7 +193,7 @@ def _check_tquot(ring, mode, tally) -> None:
                     continue
                 tally.instances += 1
                 tally.hypothesis += 1
-                lhs = a.is_s(upper, s, mode)
+                lhs = a.is_s(upper, s)
                 img = proj.image_bits(upper)
                 rhs = _proper_s_ideal(ta, img, img_s, mode)
                 if lhs != rhs:
@@ -228,7 +228,7 @@ def _check_tavoid(ring, mode, tally) -> None:
                     tally.instances += 1
                     if any(not (combo[j] & s) for j in range(n) if j != t):
                         continue
-                    if not a.is_s(pt, s, mode):
+                    if not a.is_s(pt, s):
                         continue
                     tally.hypothesis += 1
                     if p & ~pt:

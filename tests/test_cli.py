@@ -284,6 +284,20 @@ def test_null_table_document_exits_2(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("field, value, shown", [
+    ("n", 2.0, "n=2.0"), ("m", "2", "m='2'"), ("n", None, "n=None"), ("m", 1, "m=1"),
+])
+def test_arity_message_shows_the_value_given(tmp_path, capsys, field, value, shown):
+    from hyperideal import cli
+
+    doc = json.loads(serialize_spec(fixtures("z2").spec))
+    doc[field] = value
+    path = tmp_path / "arity.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: arity {shown} is out of range (must be >= 2)\n"
+
+
 def test_non_utf8_document_exits_2(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(serialize_spec(fixtures("z2").spec).encode("utf-8") + b"\xff")

@@ -3,7 +3,6 @@
 import pytest
 
 from hyperideal import (
-    HomViolation,
     HyperRingHom,
     check_homomorphism,
     classify_s,
@@ -19,6 +18,7 @@ from hyperideal import (
     ring_from_ring_table,
     transport_ideal,
     SVerdict,
+    Verdict,
 )
 from hyperideal.errors import (
     ArityMismatch,
@@ -71,6 +71,25 @@ def test_ring_from_tables_rejects_bad_multiplication():
     mul[3] = list(mul[3])
     with pytest.raises(NotARing):
         ring_from_ring_table(add, mul, 0, 1)
+
+
+_Z3_ADD = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+_Z3_MUL = [[(a * b) % 3 for b in range(3)] for a in range(3)]
+
+
+@pytest.mark.parametrize("add, mul, zero, one, names, message", [
+    (_Z3_ADD, [[0, 0, 0], [0, 1, 2], [0, 2]], 0, 1, None, "square of order 3"),
+    (_Z3_ADD, _Z3_MUL[:2], 0, 1, None, "square of order 3"),
+    ([[0, 1], [1, 2, 0], [2, 0, 1]], _Z3_MUL, 0, 1, None, "square of order 3"),
+    (_Z3_ADD, _Z3_MUL, 3, 1, None, "zero 3 and one 1 must index elements 0..2"),
+    (_Z3_ADD, _Z3_MUL, 0, -1, None, "zero 0 and one -1 must index elements 0..2"),
+    (_Z3_ADD, _Z3_MUL, 0, 1, ("a", "b"), "2 element names given for 3 elements"),
+], ids=["ragged-mul-row", "short-mul", "ragged-add-row", "zero-outside", "one-negative",
+        "few-names"])
+def test_ring_from_tables_rejects_malformed_tables(add, mul, zero, one, names, message):
+    # unchecked, these raise IndexError, or (one=-1) silently take the last element
+    with pytest.raises(NotARing, match=message):
+        ring_from_ring_table(add, mul, zero, one, element_names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +176,7 @@ def test_identity_hom_valid(z6):
 
 def test_swap_map_violates_identity_clause(z2):
     result = check_homomorphism(z2, z2, (1, 0))
-    assert isinstance(result, HomViolation)
+    assert isinstance(result, Verdict) and not result.ok
     assert result.clause == "identity"
 
 
@@ -165,13 +184,25 @@ def test_non_hom_multiplication_witness(z6):
     # x -> 0 except 1 -> 1: preserves neither sums nor products
     mapping = tuple(1 if x == 1 else 0 for x in range(6))
     result = check_homomorphism(z6, z6, mapping)
-    assert isinstance(result, HomViolation)
+    assert isinstance(result, Verdict) and not result.ok
 
 
 @pytest.mark.parametrize("mapping", [(0, 1, 5, 1), (0, 1, -1, 1)])
 def test_mapping_outside_the_target_is_refused(z4, z2, mapping):
     # unchecked, these raise IndexError and "negative shift count"
     with pytest.raises(ValueError, match="mapping must send every element into the target"):
+        check_homomorphism(z4, z2, mapping)
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ({0: 0, 1: 1}, "mapping must be total on the source"),
+    ((0, 1.0, 0, 1), "mapping must send every element into the target"),
+    ("0101", "mapping must send every element into the target"),
+    ({0: 0, 1: "1", 2: 0, 3: 1}, "mapping must send every element into the target"),
+], ids=["dict-missing-elements", "float-image", "string", "dict-string-image"])
+def test_malformed_mapping_is_refused(z4, z2, mapping, message):
+    # unchecked, these raise KeyError and TypeError
+    with pytest.raises(ValueError, match=message):
         check_homomorphism(z4, z2, mapping)
 
 

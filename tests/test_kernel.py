@@ -172,6 +172,27 @@ def test_negate_paper(paper):
     assert paper.negate(0) == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda r: r.multiply(1, 4),
+    lambda r: r.multiply(-1, 1),
+    lambda r: r.multiply([1, 4], 1),
+    lambda r: r.hyperadd(-1, 0),
+    lambda r: r.hyperadd(0, [2, 4]),
+    lambda r: r.negate(-1),
+    lambda r: r.negate(4),
+    lambda r: r.power(7, 2),
+    lambda r: r.power(-1, 5),
+    lambda r: r.scalar_multiply(4, 1),
+    lambda r: r.scalar_multiply(1, -1),
+], ids=["multiply-4", "multiply-neg", "multiply-subset", "hyperadd-neg", "hyperadd-subset",
+        "negate-neg", "negate-4", "power-7", "power-neg", "scalar-4", "scalar-neg"])
+def test_operations_refuse_elements_outside_the_carrier(z4, call):
+    # unchecked, z4 answers multiply(1, 4) with 0, multiply(-1, 1) with 3,
+    # hyperadd(-1, 0) with {3} and negate(-1) with 1
+    with pytest.raises(ValueError, match="element index -?[0-9]+ out of range"):
+        call(z4)
+
+
 def test_negate_z6(z6):
     assert z6.negate(2) == 4
     for x in range(6):

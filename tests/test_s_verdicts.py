@@ -117,7 +117,7 @@ def test_mask_verdicts_residual_and_saturation_match_the_per_pair_formulas(name)
                 verdict, witness, found = old_scan(ring, p, s.subset, mode)
                 s_bits = s.subset.bits
                 assert a.classify_s(p.bits, s_bits, mode) is verdict
-                assert a.is_s(p.bits, s_bits, mode) is (verdict is SVerdict.S_HYPERIDEAL)
+                assert a.is_s(p.bits, s_bits) is (verdict is SVerdict.S_HYPERIDEAL)
                 full = classify_s(ring, p, s, mode, all_witnesses=True)
                 assert full.verdict is verdict and as_tuple(full.witness) == witness
                 assert [as_tuple(w) for w in full.witnesses] == found

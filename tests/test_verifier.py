@@ -6,12 +6,12 @@ detail fails here, and each family's verdict is checked against
 ``axiom_oracle.NaiveOracle``.
 
 ``verify_axioms`` decides associativity and distributivity by a row check
-and leaves failures, tiny rings and rings whose ids do not fit in a byte to
-the scans.  A wrong row check shows in a report only when it passes a
-failing ring; one that fails a good ring just hands over to the scan.  So
-the tests below move the bounds ``kernel._BYTE_IDS`` and ``kernel._MIN_ROW``
-to send every ring down one path, and ``_both_ways`` runs the scan next to
-every row check and records both verdicts.
+and leaves failures and rings whose ids do not fit in a byte to the scans.
+A wrong row check shows in a report only when it passes a failing ring; one
+that fails a good ring just hands over to the scan.  So the tests below
+lower the bound ``kernel._BYTE_IDS`` to send every ring to the scans, and
+``_both_ways`` runs the scan next to every row check and records both
+verdicts.
 """
 
 import hashlib
@@ -21,12 +21,11 @@ import pytest
 from axiom_oracle import NaiveOracle, fixture_mutations, single_entry_mutations
 from conftest import order3_spec
 
-from hyperideal import AxiomReport, fixtures, kernel, product_ring, verify_axioms
-from hyperideal.kernel import AXIOM_ORDER, AxiomStatus, HyperRing
+from hyperideal import AxiomReport, Verdict, fixtures, kernel, product_ring, verify_axioms
+from hyperideal.kernel import AXIOM_ORDER, HyperRing
 
-# the bounds that send every ring to one path
+# the bound that sends every ring to the scans
 SCAN_ONLY = {"_BYTE_IDS": 0}
-ROWS_WHERE_IDS_FIT = {"_MIN_ROW": 1}
 
 # sha256 of the joined ``AxiomReport.lines`` of all 262 mutations, recorded
 # on the verifier that keyed every lookup by a sorted tuple
@@ -54,7 +53,7 @@ def _both_ways(monkeypatch) -> list:
         status = scan()
         if not rows_fit:
             return status
-        by_rows = decide(rows_fit, rows_hold, lambda: AxiomStatus(False))
+        by_rows = decide(rows_fit, rows_hold, lambda: Verdict(False))
         verdicts.append((by_rows.ok, status.ok))
         return by_rows if by_rows.ok else status
 
@@ -76,13 +75,13 @@ def test_mutation_reports_are_pinned():
     assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
 
 
-@pytest.mark.parametrize("bounds", [SCAN_ONLY, ROWS_WHERE_IDS_FIT], ids=["scan", "rows"])
+@pytest.mark.parametrize("bounds", [SCAN_ONLY, {}], ids=["scan", "rows"])
 def test_mutation_reports_are_pinned_on_each_path(monkeypatch, bounds):
     _set_bounds(monkeypatch, bounds)
     verdicts = _both_ways(monkeypatch)
     assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
     assert all(by_rows == by_scan for by_rows, by_scan in verdicts)
-    assert len(verdicts) == (3 * 262 if bounds == ROWS_WHERE_IDS_FIT else 0)
+    assert len(verdicts) == (0 if bounds == SCAN_ONLY else 3 * 262)
 
 
 def _paper_times_z2_as_33():
@@ -95,7 +94,7 @@ def _paper_times_z2_as_33():
 ], ids=["z8", "paper-example x z2-as-33"])
 def test_row_check_agrees_with_scan_on_g_mutations(monkeypatch, make_spec, count):
     base = make_spec()
-    assert kernel._MIN_ROW <= base.order  # so the default path is the row check
+    assert base.order <= kernel._BYTE_IDS  # so the default path is the row check
     specs = list(single_entry_mutations(base, tables="g"))
     assert len(specs) == count
     by_rows = [_report(spec) for spec in specs]
@@ -129,7 +128,7 @@ def test_ids_past_a_byte_fall_back_to_the_scan(monkeypatch):
 
 def test_census_verdicts_match_the_oracle(monkeypatch):
     """Each of the 1029 order-3 (2,2) candidates of ``order3_spec``, verified
-    by the scans (the default at this order) and by the row check, agrees
+    by the row check (the default) and by the scans, agrees
     with the naive oracle family by family, and every witness is a real
     violation.  The candidates hold 343 hyperadditions, many multi-valued,
     and some accepted rings distribute only as containment, so the row
@@ -140,13 +139,14 @@ def test_census_verdicts_match_the_oracle(monkeypatch):
         for f11, f12, f22 in product(values, repeat=3) for g22 in range(3)
     ]
     assert len(specs) == 1029
-    assert kernel._MIN_ROW > 3
     oracles = [NaiveOracle(spec) for spec in specs]
     families = [oracle.family_holds() for oracle in oracles]
     disagreements = []
     accepted = set()
     verdicts = []
-    for path, bounds in (("scan", {}), ("rows", ROWS_WHERE_IDS_FIT)):
+    # the scans run second: ``_both_ways`` stays in place and, with no ring
+    # fitting the byte bound, hands every check to the scan
+    for path, bounds in (("rows", {}), ("scan", SCAN_ONLY)):
         _set_bounds(monkeypatch, bounds)
         if path == "rows":
             verdicts = _both_ways(monkeypatch)
@@ -171,14 +171,13 @@ def test_row_check_passes_every_ring_that_holds(monkeypatch):
     """On rings that satisfy every axiom, the row check decides alone: the
     scan would agree and is never needed."""
     z2_as_33 = fixtures("z2-as-33")
-    rings = [fixtures(name) for name in ("z6", "z8", "z12", "z2xz3")] + [
+    rings = [fixtures(name) for name in ("z2", "z2-as-33", "z6", "z8", "z12", "z2xz3")] + [
         product_ring([z2_as_33, z2_as_33]),
         product_ring([fixtures("paper-example"), z2_as_33]),
         product_ring([fixtures("z4"), fixtures("z2")]),
     ]
     verdicts = _both_ways(monkeypatch)
     for ring in rings:
-        assert ring.order >= kernel._MIN_ROW
         assert isinstance(verify_axioms(ring.spec), HyperRing)
     assert verdicts == [(True, True)] * 3 * len(rings)
 
