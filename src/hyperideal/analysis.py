@@ -20,10 +20,14 @@ these masks instead of a loop over (ideal, MS) pairs.
 
 Hyperideals of either mode and multiplicative sets are each closed under
 intersection, so each family is the set of closed sets of a closure operator.
-``closed_sets`` walks them from the least one, re-closing with the
-semi-naive ``close``; its cost follows the number of closed sets, not the
-2^order subsets, and it is refused once its table lookups pass
-``WALK_BUDGET``.  ``generated_hyperideal`` is ``close`` from the empty set.
+``closed_sets`` walks them from the least one by Close-by-One: in a fixed
+element order (by the size of x·R, units first in Z_k), each closed set is
+extended only by elements after the one last added, and the semi-naive
+``close`` gives up as soon as it adds an earlier element, so each set is
+closed once, from its canonical parent.  Its cost follows the number of
+closed sets, not the 2^order subsets, and it is refused once its table
+lookups pass ``WALK_BUDGET``.  ``generated_hyperideal`` is ``close`` from
+the empty set.
 """
 
 from __future__ import annotations
@@ -100,9 +104,9 @@ def extremal(family: Sequence[int], maximal: bool = False) -> tuple[int, ...]:
 
 MS = "ms"  # the closure kind of multiplicative sets, beside the two modes
 
-# Table lookups one walk may make: 2^23 admits the hyperideals of z128 (7.0M
-# lookups, 0.5 s on a 2-CPU host) and the multiplicative sets of z32 (5.0M),
-# and refuses those of z48 after about 1.2 s.
+# Table lookups one walk may make: 2^23 admits the multiplicative sets of
+# z48 (3.7M lookups, 0.7 s on a 2-CPU host) and refuses those of z64 after
+# about 2.3 s.
 WALK_BUDGET = 1 << 23
 
 
@@ -196,7 +200,7 @@ class RingAnalysis:
         return [sum(1 << p for p in set(self.ring.g_row(x))) for x in range(self.ring.order)]
 
     def close(self, bits: int, new: int, kind: str, budget: LookupBudget | None = None,
-              members: list[int] | None = None) -> int:
+              members: list[int] | None = None, stop: int = 0) -> int | None:
         """The least closed set of the kind containing the closed mask ``bits``
         and the mask ``new``.  The kinds are the hyperideal modes (closure
         under hyperaddition and absorption, and under negation when strict)
@@ -205,6 +209,8 @@ class RingAnalysis:
         as first argument; those of old members alone already lie in ``bits``.
         A walk charges its ``budget`` one lookup per such rest, and may pass
         the ``members`` of ``bits | new`` as a list for the call to extend.
+        When the closure adds an element of ``stop``, the call gives up: it
+        charges the lookups made so far and returns None.
         """
         ring = self.ring
         order = ring.order
@@ -235,6 +241,9 @@ class RingAnalysis:
                 for r in rests:
                     add |= table[base + r]
             add &= ~bits
+            if add & stop:
+                bits = None
+                break
             bits |= add
             pending |= add
             members += bit_members(add)
@@ -245,30 +254,47 @@ class RingAnalysis:
     def closed_sets(self, kind: str) -> tuple[int, ...]:
         """Every closed set of the kind (see ``close``), ascending: the
         hyperideals of a mode, the whole ring included, or the multiplicative
-        sets and the empty set.  Each closed set is reached from the least one
-        by adding one element at a time and closing again; the walk does
-        that, keeping the sets it has seen, on one ``LookupBudget``.  Under
-        the same budget, a refused walk is refused again without walking."""
+        sets and the empty set.
+
+        Close-by-One (Kuznetsov, 1993) reaches each closed set once, from
+        its canonical parent.  The walk fixes an element order: descending
+        ``absorb[x].bit_count()``, ties by index, which in Z_k puts the units
+        first and 0 last (the multiplicative sets of z48 take 3.7M lookups
+        in this order, 9.5M by ascending index).  A set is extended only by
+        the missing elements after the one last added; the extension by y is
+        kept when its closure adds no element before y, which ``close``
+        tests with ``stop`` while it closes.  So no set is visited twice and
+        none needs remembering.  The walk charges one ``LookupBudget``;
+        under the same budget, a refused walk is refused again without
+        walking."""
         if (kind, WALK_BUDGET) in self.refused:
             raise WalkBudgetExceeded(self.refused[kind, WALK_BUDGET])
-        ring, close = self.ring, self.close
+        ring, close, absorb = self.ring, self.close, self.absorb
+        walk = sorted(range(ring.order), key=lambda x: (-absorb[x].bit_count(), x))
         family = "multiplicative-set" if kind == MS else f"{kind} hyperideal"
         budget = LookupBudget(f"{family} walk on {ring.name}")
+        earlier = [0]  # earlier[i]: the elements before walk[i]
+        for y in walk:
+            earlier.append(earlier[-1] | 1 << y)
         try:
             bottom = 0 if kind == MS else close(0, 1 << ring.zero, kind, budget)
-            seen, stack = {bottom}, [bottom]
+            # each set waits with its members: the list close extended
+            found, stack = [bottom], [(bottom, 0, bit_members(bottom))]
             while stack:
-                current = stack.pop()
-                members = bit_members(current)
-                for x in bit_members(ring.full_bits & ~current):
-                    found = close(current, 1 << x, kind, budget, members + [x])
-                    if found not in seen:
-                        seen.add(found)
-                        stack.append(found)
+                current, start, members = stack.pop()
+                for i in range(start, ring.order):
+                    y = walk[i]
+                    if current >> y & 1:
+                        continue
+                    extended = members + [y]
+                    child = close(current, 1 << y, kind, budget, extended, earlier[i] & ~current)
+                    if child is not None:
+                        found.append(child)
+                        stack.append((child, i + 1, extended))
         except WalkBudgetExceeded as exc:
             self.refused[kind, WALK_BUDGET] = str(exc)
             raise
-        return tuple(sorted(seen))
+        return tuple(sorted(found))
 
     # -- the classical classification ---------------------------------------
 

@@ -24,6 +24,7 @@ from .ideals import (
 from .kernel import (
     AXIOM_ORDER,
     LENIENT,
+    _BYTE_IDS,
     AxiomReport,
     HyperRing,
     HyperRingSpec,
@@ -42,6 +43,8 @@ from .multiplicative import (
 
 # Largest order verified without a warning, by max(m, n); both cost about 0.06 s
 # of verification on a 2-CPU host.  Higher arities fall back to the smallest limit.
+# Past _BYTE_IDS elements the warning also names the cliff: on that host z256
+# verifies in 0.4-0.7 s and z257 in 25-27 s.
 VERIFY_WARN_LIMITS = {2: 112, 3: 18}
 
 
@@ -54,9 +57,13 @@ class _CliError(Exception):
 def _warn_if_large(spec) -> None:
     arity = max(spec.m, spec.n)
     if spec.order > VERIFY_WARN_LIMITS.get(arity, min(VERIFY_WARN_LIMITS.values())):
+        cliff = ""
+        if spec.order > _BYTE_IDS:
+            cliff = (f"; past {_BYTE_IDS} elements the row checks give way to the multiset "
+                     "scans, about 40 times slower")
         print(
             f"warning: order {spec.order} with m={spec.m}, n={spec.n} makes exhaustive "
-            "verification expensive",
+            f"verification expensive{cliff}",
             file=sys.stderr,
         )
 

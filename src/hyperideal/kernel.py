@@ -447,10 +447,13 @@ class HyperRing:
         return SubsetMask(self, self._hyperadd_bits(*args))
 
     def _choice_indices(self, args: Sequence[ElementsOrSubsets]) -> list[int]:
-        """Dense indices of every tuple that picks one member per argument."""
+        """Dense indices of every tuple that picks one member per argument;
+        a mask of another ring raises RingMismatch."""
         order = self.order
         indices = [0]
         for arg in args:
+            if isinstance(arg, SubsetMask) and arg.ring is not self:
+                raise RingMismatch("mask belongs to a different ring")
             members = [self._element(x) for x in ((arg,) if isinstance(arg, int) else arg)]
             indices = [i * order + x for i in indices for x in members]
         return indices

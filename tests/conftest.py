@@ -78,3 +78,24 @@ def census_rings():
             if isinstance(ring, HyperRing):
                 rings[ring.name] = ring
     return rings
+
+
+def relabel(ring, perm):
+    """The ring with element i moved to index ``perm[i]``, 0 and 1 included.
+    Names move with the elements, so the zero and the one keep their names."""
+    from hyperideal import HyperRingSpec, require_ring
+
+    spec = ring.spec
+    elements = [None] * ring.order
+    for i, name in enumerate(spec.elements):
+        elements[perm[i]] = name
+
+    def key(k):
+        return tuple(sorted(perm[x] for x in k))
+
+    return require_ring(HyperRingSpec(
+        name=f"{spec.name}-relabelled", m=spec.m, n=spec.n, elements=tuple(elements),
+        zero=spec.zero, one=spec.one,
+        f_table={key(k): frozenset(perm[v] for v in vals) for k, vals in spec.f_table.items()},
+        g_table={key(k): perm[v] for k, v in spec.g_table.items()},
+    ))

@@ -227,7 +227,7 @@ def cyclic_paths(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("cyclic")
     paths = {}
-    for k in (48, 64, 128):
+    for k in (64, 128):
         path = root / f"z{k}.json"
         path.write_text(serialize_spec(cyclic_ring(k).spec), encoding="utf-8")
         paths[k] = str(path)
@@ -235,9 +235,10 @@ def cyclic_paths(tmp_path_factory):
 
 
 def test_walk_budget_refuses_large_walks_not_large_rings(cyclic_paths):
-    # z48 has 91,508 multiplicative sets; z64 and z128 have 7 and 8
-    # hyperideals.  The five runs are independent, so they run side by side.
-    runs = {("theorems", 48): [cyclic_paths[48]]}
+    # z64 has 389,930 multiplicative sets, a walk past the budget; z64 and
+    # z128 have 7 and 8 hyperideals.  The five runs are independent, so they
+    # run side by side.
+    runs = {("theorems", 64): [cyclic_paths[64]]}
     for k in (64, 128):
         runs["ideals", k] = [cyclic_paths[k]]
         runs["classify", k] = [cyclic_paths[k], "--ideal", f"0,{k // 2}"]
@@ -247,9 +248,9 @@ def test_walk_budget_refuses_large_walks_not_large_rings(cyclic_paths):
         for key, args in runs.items()
     }
     results = {key: (*proc.communicate(timeout=120), proc.returncode) for key, proc in procs.items()}
-    _, stderr, code = results["theorems", 48]
+    _, stderr, code = results["theorems", 64]
     assert code == 2
-    assert "error: multiplicative-set walk on z48 stopped at " in stderr
+    assert "error: multiplicative-set walk on z64 stopped at " in stderr
     assert "Traceback" not in stderr
     for k in (64, 128):
         stdout, _, code = results["ideals", k]
@@ -316,6 +317,19 @@ def test_verify_warns_only_above_the_limit(tmp_path, capsys):
         assert cli.run(["verify", str(path)]) == 0
         err = capsys.readouterr().err
         assert ("warning: order" in err) is warns
+
+
+def test_warning_names_the_cliff_past_a_byte(capsys):
+    # a spec-like stand-in: z257 itself takes about 25 s to verify
+    from types import SimpleNamespace
+
+    from hyperideal import cli
+
+    for order, cliff in ((256, False), (257, True)):
+        cli._warn_if_large(SimpleNamespace(order=order, m=2, n=2))
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: order {order} with m=2, n=2 ")
+        assert ("past 256 elements" in err) is cliff
 
 
 def test_verify_timings_add_one_line_per_axiom(paper_path, tmp_path, capsys):

@@ -282,5 +282,15 @@ def test_mask_ring_mismatch_rejected(paper, z6):
         paper.subset([0]) | z6.subset([0])
 
 
+def test_operations_refuse_a_mask_of_another_ring(z2, z4):
+    # bit 1 of z2's mask would read as z4's element 1
+    foreign = z2.subset([1])
+    with pytest.raises(RingMismatch):
+        z4.multiply(foreign, 1)
+    with pytest.raises(RingMismatch):
+        z4.hyperadd(1, foreign)
+    assert z4.multiply(z4.subset([1]), 1) == z4.subset([1])
+
+
 def test_require_ring_returns_ring(paper):
     assert require_ring(paper.spec).order == 3
