@@ -14,9 +14,10 @@ only to name witnesses.
 The multiplicative-set index names a family of MS by one int, bit i for
 ``ms_all[i]``: ``containing[x]`` holds the MS with x, ``within(T)`` those
 inside the element mask T, and ``admissible(P) = within(compatible(P, P))``
-those for which P is an S-hyperideal.  ``image_ms(hom)`` marks the MS whose
-image along a homomorphism is an MS.  The harness checks the catalog with
-these masks instead of a loop over (ideal, MS) pairs.
+those for which P is an S-hyperideal.  The harness checks the catalog with
+these masks instead of a loop over (ideal, MS) pairs.  A homomorphism h keeps
+products, h(g(x_1, ..., x_n)) = g(h(x_1), ..., h(x_n)), so the image of every
+MS is an MS of the target: the transfer checkers read the whole family.
 
 Hyperideals of either mode and multiplicative sets are each closed under
 intersection, so each family is the set of closed sets of a closure operator.
@@ -41,7 +42,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from .errors import WalkBudgetExceeded
 
 if TYPE_CHECKING:
-    from .constructions import HyperRingHom
     from .kernel import HyperRing
 
 
@@ -132,8 +132,8 @@ class RingAnalysis:
     Each memo is a per-instance ``lru_cache`` held in an instance attribute,
     so a hit costs one attribute lookup and no wrapper frame.  A class-level
     descriptor of the same name would make CPython skip specialising that
-    lookup.  ``quotients`` holds the projections the harness builds, each
-    with its ``image_ms`` table, ``tprod_product`` its product ring, and
+    lookup.  ``quotients`` holds the projections the harness builds (None
+    for an ill-defined quotient), ``tprod_product`` its product ring, and
     ``refused`` the message of each refused walk, by kind and budget.
     """
 
@@ -399,27 +399,6 @@ class RingAnalysis:
     def admissible(self, p_bits: int) -> int:
         """The MS S for which P has the substitution property: S within S*(P)."""
         return self.within(self.compatible(p_bits, p_bits))
-
-    def image_ms(self, hom: HyperRingHom) -> int:
-        """The MS whose image along ``hom`` is an MS of its target.  Images
-        come from a byte-chunk lookup of the mapping, and the target's memo
-        tests each distinct image once."""
-        chunks = []
-        mapping = hom.mapping
-        for lo in range(0, len(mapping), 8):
-            table = [0]
-            for y in mapping[lo : lo + 8]:
-                table += [v | 1 << y for v in table]
-            chunks.append(table)
-        ms = hom.target.analysis.ms
-        out = 0
-        for i, s in enumerate(self.ms_all):
-            image = 0
-            for k, table in enumerate(chunks):
-                image |= table[s >> 8 * k & 255]
-            if ms(image).ok:
-                out |= 1 << i
-        return out
 
     # -- S-classification, residuals and saturation -------------------------
 

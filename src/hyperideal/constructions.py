@@ -19,6 +19,7 @@ from .errors import (
     InducedOpIllDefined,
     InternalContradiction,
     NotARing,
+    RingMismatch,
 )
 from .ideals import require_proper_hyperideal
 from .kernel import (
@@ -116,11 +117,11 @@ def transport_ideal(hom: HyperRingHom, direction: str, subset: SubsetMask) -> Su
     """
     if direction == "preimage":
         if subset.ring is not hom.target:
-            raise ValueError("preimage expects a subset of the target")
+            raise RingMismatch("preimage expects a subset of the target")
         return hom.preimage_of(subset)
     if direction == "image":
         if subset.ring is not hom.source:
-            raise ValueError("image expects a subset of the source")
+            raise RingMismatch("image expects a subset of the source")
         if not hom.surjective:
             raise HypothesisViolation("image transport requires a surjective homomorphism")
         if not hom.kernel.issubset(subset):

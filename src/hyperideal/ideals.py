@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import PASS, Verdict
-from .errors import EmptySubset, ImproperIdeal, NotAHyperideal
+from .errors import EmptySubset, ImproperIdeal, NotAHyperideal, RingMismatch
 from .kernel import LENIENT, HyperRing, SubsetMask, check_mode
 
 
@@ -55,7 +55,7 @@ class PowerDiagnostic:
 def check_ring(ring: HyperRing, subset: SubsetMask) -> None:
     """Refuse a mask built on another ring: its bits index other elements."""
     if subset.ring is not ring:
-        raise ValueError("subset belongs to a different ring")
+        raise RingMismatch("subset belongs to a different ring")
 
 
 def is_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> Verdict:

@@ -21,10 +21,6 @@ from hyperideal.analysis import RingAnalysis, SVerdict
 from hyperideal.kernel import HyperRing
 
 
-def _homs(ring: HyperRing, mode: str):
-    return [hom for hom, _ in harness._transfers(ring, mode)]
-
-
 def _proper_s_ideal(a: RingAnalysis, bits: int, s_bits: int, mode: str) -> bool:
     """Full conclusion check: proper hyperideal plus substitution property."""
     return (
@@ -127,7 +123,7 @@ def _check_t5(ring, mode, tally) -> None:
 
 def _check_thom_pre(ring, mode, tally) -> None:
     a = ring.analysis
-    for hom in _homs(ring, mode):
+    for hom in harness._transfers(ring, mode):
         target = hom.target
         ta = target.analysis
         for s in a.ms_all:
@@ -151,7 +147,7 @@ def _check_thom_pre(ring, mode, tally) -> None:
 
 def _check_thom_img(ring, mode, tally) -> None:
     a = ring.analysis
-    for hom in _homs(ring, mode):
+    for hom in harness._transfers(ring, mode):
         if not hom.surjective:
             continue
         target = hom.target
@@ -178,10 +174,9 @@ def _check_thom_img(ring, mode, tally) -> None:
 def _check_tquot(ring, mode, tally) -> None:
     a = ring.analysis
     for modulus in a.proper(mode):
-        transfer = harness._transfer(ring, modulus, mode)
-        if transfer is None:
+        proj = harness._transfer(ring, modulus, mode)
+        if proj is None:
             continue
-        proj = transfer[0]
         target = proj.target
         ta = target.analysis
         for s in a.ms_all:

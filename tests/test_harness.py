@@ -1,18 +1,22 @@
 """Theorem catalog, suite aggregation, fixtures."""
 
 import gc
+import random
 import sys
 import weakref
 
 import pytest
 
+from conftest import relabel
 from hyperideal import (
     CATALOG,
     DEFAULT_SUITE_FIXTURES,
     FIXTURE_NAMES,
     check_theorem,
+    cyclic_ring,
     fixtures,
     parse_spec,
+    product_ring,
     require_ring,
     run_suite,
     serialize_spec,
@@ -266,3 +270,34 @@ def test_repeated_parse_and_suite_retains_nothing():
     gc.collect()
     # a retained ring with its lists and memos is ~40k blocks
     assert sys.getallocatedblocks() - before < 1000
+
+
+# ---------------------------------------------------------------------------
+# isomorphic rings have the same catalog
+
+
+def _cells(ring, mode):
+    """What an isomorphism keeps of each cell: everything but the names."""
+    return [(r.id, r.status, r.instances_checked, r.hypothesis_met, r.truncated,
+             len(r.counterexamples)) for _, r in run_suite([ring], mode).entries]
+
+
+@pytest.mark.parametrize("mode", ("lenient", "strict"))
+@pytest.mark.parametrize("name", ("paper-example", "z12", "z8", "z6-mod-3"))
+def test_catalog_does_not_depend_on_labels(name, mode):
+    # every element may move, 0 and 1 included
+    ring = fixtures(name)
+    expected = _cells(ring, mode)
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(ring.order))
+        rng.shuffle(perm)
+        assert _cells(relabel(ring, perm), mode) == expected, perm
+
+
+@pytest.mark.parametrize("mode", ("lenient", "strict"))
+@pytest.mark.parametrize("k, factors", [(6, (2, 3)), (12, (4, 3))])
+def test_chinese_remainder_pairs_have_the_same_catalog(k, factors, mode):
+    name = "x".join(f"z{f}" for f in factors)
+    product = product_ring([cyclic_ring(f) for f in factors], name=name)
+    assert _cells(product, mode) == _cells(cyclic_ring(k), mode)

@@ -9,6 +9,8 @@ from hyperideal import (
     enumerate_multiplicative_sets,
     fixtures,
     generated_hyperideal,
+    identity_hom,
+    is_hyperideal,
     is_multiplicative_set,
     is_s_hyperideal,
     is_sr_hyperideal,
@@ -20,12 +22,14 @@ from hyperideal import (
     residual,
     s_maximal_hyperideals,
     saturation,
+    transport_ideal,
 )
 from hyperideal.errors import (
     EmptySubset,
     HypothesisViolation,
     NotAHyperideal,
     NotMultiplicative,
+    RingMismatch,
 )
 
 
@@ -348,6 +352,11 @@ FOREIGN_ENTRY_POINTS = {
     "residual-by": lambda ring, ideal, ms: residual(ring, ideal, ms.subset),
     "s_maximal_hyperideals": lambda ring, ideal, ms: s_maximal_hyperideals(ring, ms),
     "generated_hyperideal": lambda ring, ideal, ms: generated_hyperideal(ring, ms.subset),
+    "is_hyperideal": lambda ring, ideal, ms: is_hyperideal(ring, ms.subset),
+    "transport_ideal-image": lambda ring, ideal, ms: transport_ideal(
+        identity_hom(ring), "image", ms.subset),
+    "transport_ideal-preimage": lambda ring, ideal, ms: transport_ideal(
+        identity_hom(ring), "preimage", ms.subset),
     # z2xz3's mask with the bits of z6's minimal prime {0,3}
     "primary_decomposition": lambda ring, ideal, ms: primary_decomposition(
         ring, ideal, [fixtures("z2xz3").subset_from_bits(ideal.bits)]),
@@ -356,8 +365,9 @@ FOREIGN_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(FOREIGN_ENTRY_POINTS))
 def test_foreign_ring_argument_is_refused(foreign, entry):
-    # unchecked, the z4 bits name unrelated z6 elements and give an answer
-    with pytest.raises(ValueError, match="subset belongs to a different ring"):
+    # unchecked, the z4 bits name unrelated z6 elements and give an answer;
+    # checked, every entry point refuses them as the kernel's operations do
+    with pytest.raises(RingMismatch, match="different ring|expects a subset of the"):
         FOREIGN_ENTRY_POINTS[entry](*foreign)
 
 
