@@ -7,12 +7,13 @@ satisfies the claim's hypotheses.  A claim whose hypotheses match nothing on
 a fixture reports ``hypothesis-never-met`` rather than a vacuous pass, so a
 suite can demand coverage from its fixture set.
 
-The checkers over (ideal, MS) pairs decide every MS at once, as masks of the
-multiplicative-set index on ``RingAnalysis`` (bit i for ``ms_all[i]``):
+The checkers over (ideal, MS) pairs (T1.1, T1.2, T1.3, T6, T4, T5, TAVOID,
+THOM-PRE, THOM-IMG, TQUOT and FW-SR) decide every MS at once, as masks of
+the multiplicative-set index on ``RingAnalysis`` (bit i for ``ms_all[i]``):
 instance and hypothesis counts are bit counts, and failures are named by
 walking the failure masks lowest bit first, in the order of the loops they
 replace, so reports are unchanged.  Each keeps two independently computed
-sides: ``compatible`` against the colon ideals (T1.3, T5), the base ring
+sides: ``compatible`` against the colon ideals (T1.3, T4, T5), the base ring
 against the target ring (THOM-PRE, THOM-IMG, TQUOT), and the ``g_row`` masks
 against one n-tuple scan per ideal (T3, FW-SR).  A target-side verdict is pulled
 back along the map: img(S) lies in C exactly when S lies in the preimage of C.
@@ -152,6 +153,17 @@ def _image_s_sets(a: RingAnalysis, hom: HyperRingHom, image: int, mode: str) -> 
     return a.within(hom.preimage_bits(ta.compatible(image, image)))
 
 
+def _saturation_fixed(a: RingAnalysis, p_bits: int) -> int:
+    """The MS S with saturation(P, S) = P: no (P : t) with t in S leaves P,
+    and every x in P lies in (P : t) for some t in S.  (P : 1) = P is not
+    assumed."""
+    colons = a.colons(p_bits)
+    out = a.within(sum(1 << t for t, c in enumerate(colons) if not c & ~p_bits))
+    for x in bit_members(p_bits):
+        out &= a.meeting(sum(1 << t for t, c in enumerate(colons) if c >> x & 1))
+    return out
+
+
 def _sr_elements(ring: HyperRing, p_bits: int, rad: int) -> int:
     """D(P): the elements x such that every product in P with x in some slot
     stays in ``rad`` once that slot becomes the identity.  One scan of the
@@ -190,13 +202,12 @@ def _name_failures(tally: _Tally, failing: list[tuple[object, int]], fail) -> No
 def _check_t1_1(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """S-hyperideals are disjoint from their multiplicative set."""
     a = ring.analysis
-    ms_all, full = a.ms_all, ring.full_bits
+    ms_all = a.ms_all
     for p in a.proper(mode):
         tally.instances += len(ms_all)
         hyp = a.admissible(p)
         tally.hypothesis += hyp.bit_count()
-        meets = a.within(full) & ~a.within(full & ~p)  # the S that meet P
-        _name_failures(tally, [(p, hyp & meets)], lambda i, p: tally.fail(
+        _name_failures(tally, [(p, hyp & a.meeting(p))], lambda i, p: tally.fail(
             P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
             overlap=ring.render_bits(p & ms_all[i])))
 
@@ -310,18 +321,19 @@ def _check_t7(ring: HyperRing, mode: str, tally: _Tally) -> None:
 
 
 def _check_t6(ring: HyperRing, mode: str, tally: _Tally) -> None:
-    """Minimal primes over an S-hyperideal are S-hyperideals."""
+    """Minimal primes over an S-hyperideal are S-hyperideals: per P, the MS
+    with 1 for which P is an S-hyperideal, against each minimal prime over P."""
     a = ring.analysis
-    for s in a.ms_with_one:
-        for p in a.proper(mode):
-            if not a.is_s(p, s):
-                continue
-            for q in a.minimal_primes_over(p, mode):
-                tally.instances += 1
-                tally.hypothesis += 1
-                if not a.is_s(q, s):
-                    tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
-                               Q=ring.render_bits(q))
+    ms_all, ones = a.ms_all, a.containing[ring.one]
+    failing: list[tuple[object, int]] = []
+    for p in a.proper(mode):
+        fam = ones & a.admissible(p)
+        for q in a.minimal_primes_over(p, mode):
+            tally.instances += fam.bit_count()
+            tally.hypothesis += fam.bit_count()
+            failing.append(((p, q), fam & ~a.admissible(q)))
+    _name_failures(tally, failing, lambda i, pq: tally.fail(
+        P=ring.render_bits(pq[0]), S=ring.render_bits(ms_all[i]), Q=ring.render_bits(pq[1])))
 
 
 def _check_t3(ring: HyperRing, mode: str, tally: _Tally) -> None:
@@ -344,40 +356,58 @@ def _check_t3(ring: HyperRing, mode: str, tally: _Tally) -> None:
 
 
 def _check_t4(ring: HyperRing, mode: str, tally: _Tally) -> None:
-    """Saturation is the least S-hyperideal containing a hyperideal."""
+    """Saturation is the least S-hyperideal containing a hyperideal.
+
+    saturation(Q, S) is the union of the colon classes of ``colons(Q)`` that
+    S meets, so per Q the MS with 1 split into groups of equal saturation,
+    once per class.  Each (Q, saturation) group is decided with masks, and
+    its failures are named in clause order, Q outer and S ascending."""
     a = ring.analysis
+    ms_all, full, ones = a.ms_all, ring.full_bits, a.containing[ring.one]
     for q in a.ideals(mode):
-        for s in a.ms_with_one:
-            tally.instances += 1
-            sat = a.saturation(q, s)
+        tally.instances += ones.bit_count()
+        classes: dict[int, int] = {}  # each distinct colon, with the t giving it
+        for t, c in enumerate(a.colons(q)):
+            classes[c] = classes.get(c, 0) | 1 << t
+        groups = {0: ones}  # by saturation, the S giving it
+        for c, t_bits in classes.items():
+            meets = a.meeting(t_bits)
+            split: dict[int, int] = {}
+            for sat, fam in groups.items():
+                for key, part in ((sat | c, fam & meets), (sat, fam & ~meets)):
+                    if part:
+                        split[key] = split.get(key, 0) | part
+            groups = split
+        failing: list[tuple[object, int]] = []
+        for sat, fam in groups.items():
             if q & ~sat:
-                tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
-                           clause="saturation does not contain the ideal")
+                failing.append((("saturation does not contain the ideal", None, sat), fam))
                 continue
-            if sat == ring.full_bits:
+            if sat == full:
                 continue  # vacuous: no proper saturation to be least
-            tally.hypothesis += 1
-            if not _proper_s_ideal(a, sat, s, mode):
-                tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
-                           saturation=ring.render_bits(sat),
-                           clause="saturation is not an S-hyperideal")
-                continue
-            if a.saturation(sat, s) != sat:
-                tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
-                           clause="saturation is not idempotent")
-            for r in a.proper(mode):
-                if not (q & ~r) and a.is_s(r, s) and sat & ~r:
-                    tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
-                               smaller=ring.render_bits(r),
-                               clause="a smaller S-hyperideal contains the ideal")
-                    break
+            tally.hypothesis += fam.bit_count()
+            rest = fam & _s_sets(a, sat, mode)
+            failing.append((("saturation is not an S-hyperideal", "saturation", sat), fam & ~rest))
+            failing.append((("saturation is not idempotent", None, sat), rest & ~_saturation_fixed(a, sat)))
+            for r in a.proper(mode):  # the first smaller S-hyperideal over Q
+                if rest and not q & ~r and sat & ~r:
+                    smaller = rest & a.admissible(r)
+                    rest &= ~smaller
+                    failing.append((("a smaller S-hyperideal contains the ideal", "smaller", r), smaller))
+
+        def fail(i: int, item: tuple[str, str | None, int]) -> None:
+            clause, key, bits = item
+            extra = {key: ring.render_bits(bits)} if key else {}
+            tally.fail(Q=ring.render_bits(q), S=ring.render_bits(ms_all[i]), **extra, clause=clause)
+
+        _name_failures(tally, failing, fail)
 
 
 def _check_t5(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Substitution property, residual fixed points, and saturation fixed
     point are equivalent."""
     a = ring.analysis
-    ms_all, full = a.ms_all, ring.full_bits
+    ms_all = a.ms_all
     for p in a.proper(mode):
         tally.instances += len(ms_all)
         tally.hypothesis += len(ms_all)
@@ -385,12 +415,7 @@ def _check_t5(ring: HyperRing, mode: str, tally: _Tally) -> None:
         direct = a.admissible(p)
         # (P : t) = P for every t in S
         residual_fixed = a.within(sum(1 << t for t, c in enumerate(colons) if c == p))
-        # the union of (P : t) over t in S is P: no colon leaves P, and
-        # every x in P lies in the colon of some t in S
-        saturation_fixed = a.within(sum(1 << t for t, c in enumerate(colons) if not c & ~p))
-        for x in bit_members(p):
-            holding = sum(1 << t for t, c in enumerate(colons) if c >> x & 1)
-            saturation_fixed &= ~a.within(full & ~holding)  # S meets the t holding x
+        saturation_fixed = _saturation_fixed(a, p)
         failing = (direct ^ residual_fixed) | (direct ^ saturation_fixed)
         _name_failures(tally, [(p, failing)], lambda i, p: tally.fail(
             P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
@@ -596,7 +621,7 @@ def _check_tavoid(ring: HyperRing, mode: str, tally: _Tally) -> None:
     charges the walk's ``LookupBudget`` one lookup per pool member."""
     a = ring.analysis
     pool, full, ones = a.ideals(mode), ring.full_bits, a.containing[ring.one]
-    meets = {b: ones & ~a.within(full & ~b) for b in pool}  # the S with 1 that meet b
+    meets = {b: ones & a.meeting(b) for b in pool}  # the S with 1 that meet b
     budget = LookupBudget(f"TAVOID walk over the covers on {ring.name}")
     try:
         for combo in combinations(pool, ring.n):

@@ -1,6 +1,8 @@
 """By hand: the theorem-suite reports of rings with 10^4-10^5 multiplicative
 sets against hashes pinned before the transfer checkers (THOM-PRE, THOM-IMG,
-TQUOT) stopped testing the image of every MS for closure.
+TQUOT) stopped testing the image of every MS for closure.  The same hashes
+guard T4 and T6, which decide every MS at once, and the transposed build of
+the MS index ``containing``: their loop oracles run only up to order 16.
 
     PYTHONPATH=src python tests/compare_reports.py [k ...]   # default: 36 40 48
 
@@ -8,7 +10,7 @@ For each cyclic ring Z_k and each mode the script prints the sha256 of
 ``run_suite([cyclic_ring(k)], mode).to_json()``, its time, and whether it
 equals the pinned hash.  It exits 1 on any difference or on a k with no pin.
 Z_36, Z_40 and Z_48 have 12,412, 19,549 and 91,508 MS; the six reports take
-about 20 s on a 2-CPU host, most of it Z_48.
+about 7 s on a 2-CPU host, most of it Z_48.
 """
 
 from __future__ import annotations

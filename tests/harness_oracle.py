@@ -3,9 +3,10 @@ algebra over the multiplicative-set index.
 
 Each checker here is the earlier loop body, kept verbatim (TAVOID without
 its former instance cap): it walks every (P, S) pair, every (P, S, Q) triple
-for T1.3, every (cover, slot, P, S) for TAVOID and every tuple per pair for
-FW-SR, and decides each instance with ``is_s``, ``residual``, ``saturation``
-and ``classify_s`` instead of the index.  ``oracle_report`` runs one of them
+for T1.3, every (S, P, Q) for T6, every (Q, S, R) for T4, every (cover,
+slot, P, S) for TAVOID and every tuple per pair for FW-SR, and decides each
+instance with ``is_s``, ``residual``, ``saturation`` and ``classify_s``
+instead of the index.  ``oracle_report`` runs one of them
 through ``check_theorem``, so the tally, status and counterexample cap are
 the engine's own.  The homomorphisms are the harness's, so both sides see
 the same quotient rings.  T1.3 walks 2^(order-|P|) subsets per admissible
@@ -100,6 +101,49 @@ def _check_t1_3(ring, mode, tally) -> None:
                     tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
                                Q=ring.render_bits(q_bits),
                                residual=ring.render_bits(pq))
+
+
+def _check_t6(ring, mode, tally) -> None:
+    a = ring.analysis
+    for s in a.ms_with_one:
+        for p in a.proper(mode):
+            if not a.is_s(p, s):
+                continue
+            for q in a.minimal_primes_over(p, mode):
+                tally.instances += 1
+                tally.hypothesis += 1
+                if not a.is_s(q, s):
+                    tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
+                               Q=ring.render_bits(q))
+
+
+def _check_t4(ring, mode, tally) -> None:
+    a = ring.analysis
+    for q in a.ideals(mode):
+        for s in a.ms_with_one:
+            tally.instances += 1
+            sat = a.saturation(q, s)
+            if q & ~sat:
+                tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
+                           clause="saturation does not contain the ideal")
+                continue
+            if sat == ring.full_bits:
+                continue  # vacuous: no proper saturation to be least
+            tally.hypothesis += 1
+            if not _proper_s_ideal(a, sat, s, mode):
+                tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
+                           saturation=ring.render_bits(sat),
+                           clause="saturation is not an S-hyperideal")
+                continue
+            if a.saturation(sat, s) != sat:
+                tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
+                           clause="saturation is not idempotent")
+            for r in a.proper(mode):
+                if not (q & ~r) and a.is_s(r, s) and sat & ~r:
+                    tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
+                               smaller=ring.render_bits(r),
+                               clause="a smaller S-hyperideal contains the ideal")
+                    break
 
 
 def _check_t5(ring, mode, tally) -> None:
@@ -254,6 +298,8 @@ ORACLES = {
     "T1.1": _check_t1_1,
     "T1.2": _check_t1_2,
     "T1.3": _check_t1_3,
+    "T6": _check_t6,
+    "T4": _check_t4,
     "T5": _check_t5,
     "THOM-PRE": _check_thom_pre,
     "THOM-IMG": _check_thom_img,
@@ -264,18 +310,21 @@ ORACLES = {
 
 
 class CountingTally(harness._Tally):
-    """A tally that also counts the failures past the counterexample cap."""
+    """A tally that also lists the clause of every failure (None for a
+    payload without one), past the counterexample cap too."""
 
-    failures = 0
+    def __init__(self) -> None:
+        super().__init__()
+        self.failures: list[str | None] = []
 
     def fail(self, **payload: str) -> None:
-        self.failures += 1
+        self.failures.append(payload.get("clause"))
         super().fail(**payload)
 
 
 def oracle_report(monkeypatch, ring, ident: str, mode: str):
     """``check_theorem`` with the loop oracle in place of the engine's
-    checker; returns the report and the number of failures seen."""
+    checker; returns the report and the clauses of the failures seen."""
     tallies = []
 
     def make_tally():

@@ -1,6 +1,9 @@
 """The mask-algebra checkers against the loop oracles in harness_oracle."""
 
+import random
+
 import pytest
+from conftest import relabel
 from harness_oracle import ORACLES, oracle_report
 
 from hyperideal import (
@@ -47,6 +50,22 @@ def test_engine_matches_oracle(mask_rings, monkeypatch, key, mode):
             engine = check_theorem(ring, ident, mode).to_dict()
             oracle, _ = oracle_report(monkeypatch, ring, ident, mode)
             assert engine == oracle.to_dict(), (ring.name, ident)
+
+
+@pytest.mark.parametrize("key", (*RING_KEYS, "z24-relabelled"))
+def test_ms_index_is_its_definition(mask_rings, key):
+    # bit i of containing[x] is set exactly when x lies in ms_all[i]
+    if key == "z24-relabelled":
+        perm = list(range(24))
+        random.Random(key).shuffle(perm)
+        rings = [relabel(cyclic_ring(24), perm)]
+    else:
+        rings = mask_rings[key]
+    for ring in rings:
+        a = ring.analysis
+        assert a.containing == [
+            sum(1 << i for i, s in enumerate(a.ms_all) if s >> x & 1) for x in range(ring.order)
+        ], ring.name
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -108,6 +127,11 @@ ONE_MISSING_ONLY = _liar(
     lambda a, real, bits, mode: Verdict((Z12 & ~bits).bit_count() == 1, "lie"),
 )
 
+# the colons of {0} are true and every other (x : t) with t != 1 is the
+# whole ring, so a proper saturation of {0} is not its own saturation
+FULL_COLONS_ABOVE_ZERO = _liar("colons", lambda a, real, q: real(q) if q == 1 else tuple(
+    c if t == 1 else Z12 for t, c in enumerate(real(q))))
+
 # two non-ideals taken for hyperideals: (2) lies in (3) and {0,2,4,8,10}
 # together but in neither alone, and the S inside S*((3)) = R \ (3) that
 # contain 1 and meet the other slot do not keep it inside (3)
@@ -126,6 +150,11 @@ LIARS = [
     ("TQUOT", (EVERYTHING_COMPATIBLE,)),
     ("FW-SR", (EVERYTHING_COMPATIBLE,)),
     ("TAVOID", (EXTRA_COVERS,)),
+    ("T6", (COMPATIBLE_BELOW_RADICALS,)),
+    ("T4", (EMPTY_COLONS,)),
+    ("T4", (NO_HYPERIDEALS,)),
+    ("T4", (FULL_COLONS_ABOVE_ZERO,)),
+    ("T4", (EVERYTHING_COMPATIBLE,)),
 ]
 
 
@@ -137,10 +166,28 @@ def test_lying_layer_pins_emission_order_and_cap(monkeypatch, ident, liars):
         liar(monkeypatch, ring)
     engine = check_theorem(ring, ident)
     oracle, failures = oracle_report(monkeypatch, ring, ident, "lenient")
-    assert failures > MAX_COUNTEREXAMPLES
+    assert len(failures) > MAX_COUNTEREXAMPLES
     assert engine.status == "counterexample"
     assert len(engine.counterexamples) == MAX_COUNTEREXAMPLES
     assert engine.to_dict() == oracle.to_dict()
+
+
+def test_t4_liars_fire_every_clause(monkeypatch):
+    # together the T4 liars make the loop fail at each of its four clauses
+    fired = set()
+    for ident, liars in LIARS:
+        if ident == "T4":
+            ring = require_ring(fixtures("z12").spec)
+            with monkeypatch.context() as m:
+                for liar in liars:
+                    liar(m, ring)
+                fired |= set(oracle_report(m, ring, ident, "lenient")[1])
+    assert fired == {
+        "saturation does not contain the ideal",
+        "saturation is not an S-hyperideal",
+        "saturation is not idempotent",
+        "a smaller S-hyperideal contains the ideal",
+    }
 
 
 def test_t1_3_naming_walk_stops_at_the_budget(monkeypatch):
