@@ -3,8 +3,8 @@ set lists and the verdict memos, keyed by element bitmasks and freed with the
 ring (``ring.analysis``).  The public functions in ``ideals`` and
 ``multiplicative`` add argument checks on top.
 
-No memo is keyed by an (ideal, set) pair.  The S-condition is checked one
-element of S at a time, so it is fixed by one set per ideal:
+No memo is keyed by an MS or by an (ideal, set) pair.  The S-condition is
+checked one element of S at a time, so it is fixed by one set per ideal:
 ``compatible(P, P)`` is the largest compatible MS S*(P), and P is an
 S-hyperideal exactly when S lies in it (an S_r-hyperideal when S lies in
 ``compatible(P, radical(P))``).  Residuals and saturations are intersections
@@ -15,8 +15,8 @@ The multiplicative-set index names a family of MS by one int, bit i for
 ``ms_all[i]``: ``containing[x]`` holds the MS with x, ``within(T)`` those
 inside the element mask T, ``meeting(T)`` those that meet it, and
 ``admissible(P) = within(compatible(P, P))`` those for which P is an
-S-hyperideal.  The harness checks the catalog with
-these masks instead of a loop over (ideal, MS) pairs.  A homomorphism h keeps
+S-hyperideal.  The harness checks the catalog with these masks instead of a
+loop over the MS, so nothing is memoised per MS.  A homomorphism h keeps
 products, h(g(x_1, ..., x_n)) = g(h(x_1), ..., h(x_n)), so the image of every
 MS is an MS of the target: the transfer checkers read the whole family.
 
@@ -155,8 +155,6 @@ class RingAnalysis:
         self.proper = memo(self._proper)
         self.primes = memo(self._primes)
         self.min_primes = memo(self._min_primes)
-        self.s_family = memo(self._s_family)
-        self.s_maximal = memo(self._s_maximal)
         self.quotients: dict = {}
         self.tprod_product: HyperRing | None = None
         self.refused: dict[tuple[str, int], str] = {}
@@ -371,11 +369,6 @@ class RingAnalysis:
         """All non-empty multiplicatively closed masks, ascending."""
         return self.closed_sets(MS)[1:]
 
-    @cached_property
-    def ms_with_one(self) -> tuple[int, ...]:
-        one_bit = 1 << self.ring.one
-        return tuple(b for b in self.ms_all if b & one_bit)
-
     # -- the multiplicative-set index ---------------------------------------
     # A family of MS is one int: bit i stands for ms_all[i].
 
@@ -451,12 +444,9 @@ class RingAnalysis:
                     if s_bits >> x & 1 and not p_bits >> sub & 1:
                         yield SWitness(tuple_=tup, position=i + 1, product=prod, substituted=sub)
 
-    def _s_family(self, s_bits: int, mode: str) -> tuple[int, ...]:
-        """Proper hyperideals satisfying the substitution property for S."""
-        return tuple(b for b in self.proper(mode) if self.is_s(b, s_bits))
-
-    def _s_maximal(self, s_bits: int, mode: str) -> tuple[int, ...]:
-        return extremal(self.s_family(s_bits, mode), maximal=True)
+    def s_maximal(self, s_bits: int, mode: str) -> tuple[int, ...]:
+        """The inclusion-maximal proper S-hyperideals."""
+        return extremal([b for b in self.proper(mode) if self.is_s(b, s_bits)], maximal=True)
 
     def _colons(self, q_bits: int) -> tuple[int, ...]:
         """The colon ideals (q : t) = {x : g(t, x, 1^(n-2)) in q}, by t."""

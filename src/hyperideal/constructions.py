@@ -84,7 +84,7 @@ def check_homomorphism(
     """Exhaustively verify the three homomorphism clauses; a violation is
     returned as a failing Verdict naming the clause and witness, never raised."""
     if source.m != target.m or source.n != target.n:
-        raise ArityMismatch(source.m, target.m)
+        raise ArityMismatch((source.m, source.n), (target.m, target.n))
     if isinstance(mapping, dict):  # a missing element shortens the tuple
         mapping = tuple(mapping[x] for x in range(source.order) if x in mapping)
     if len(mapping) != source.order:
@@ -145,7 +145,7 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
     m, n = rings[0].m, rings[0].n
     for r in rings[1:]:
         if r.m != m or r.n != n:
-            raise ArityMismatch(m, r.m)
+            raise ArityMismatch((m, n), (r.m, r.n))
     total = 1
     for r in rings:
         total *= r.order

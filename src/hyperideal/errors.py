@@ -37,10 +37,15 @@ class ArityOutOfRange(SpecFormatError):
 
 
 class ArityMismatch(HyperIdealError):
-    def __init__(self, expected: int, got: int):
+    """A wrong number of arguments, or two rings whose (m, n) pairs differ."""
+
+    def __init__(self, expected: int | tuple[int, int], got: int | tuple[int, int]):
         self.expected = expected
         self.got = got
-        super().__init__(f"expected {expected} arguments, got {got}")
+        if isinstance(expected, tuple):
+            super().__init__(f"rings of arities (m, n) = {expected} and {got} do not match")
+        else:
+            super().__init__(f"expected {expected} arguments, got {got}")
 
 
 class AxiomsFailed(HyperIdealError):

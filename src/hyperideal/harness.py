@@ -7,16 +7,18 @@ satisfies the claim's hypotheses.  A claim whose hypotheses match nothing on
 a fixture reports ``hypothesis-never-met`` rather than a vacuous pass, so a
 suite can demand coverage from its fixture set.
 
-The checkers over (ideal, MS) pairs (T1.1, T1.2, T1.3, T6, T4, T5, TAVOID,
-THOM-PRE, THOM-IMG, TQUOT and FW-SR) decide every MS at once, as masks of
-the multiplicative-set index on ``RingAnalysis`` (bit i for ``ms_all[i]``):
-instance and hypothesis counts are bit counts, and failures are named by
-walking the failure masks lowest bit first, in the order of the loops they
-replace, so reports are unchanged.  Each keeps two independently computed
-sides: ``compatible`` against the colon ideals (T1.3, T4, T5), the base ring
-against the target ring (THOM-PRE, THOM-IMG, TQUOT), and the ``g_row`` masks
-against one n-tuple scan per ideal (T3, FW-SR).  A target-side verdict is pulled
-back along the map: img(S) lies in C exactly when S lies in the preimage of C.
+The checkers over (ideal, MS) pairs (T1.1, T1.2, T1.3, P2, T7, T6, T4, T5,
+PINT, P8, TAVOID, THOM-PRE, THOM-IMG, TQUOT and FW-SR) decide every MS at
+once, as masks of the multiplicative-set index on ``RingAnalysis`` (bit i for
+``ms_all[i]``): instance and hypothesis counts are bit counts, and failures
+are named by walking the failure masks lowest bit first, in the order of the
+loops they replace, so reports are unchanged.  Only TPROD, whose S are pairs
+of MS from two rings, loops over them.  Several keep two independently
+computed sides: ``compatible`` against the colon ideals (T1.3, T4, T5), the
+base ring against the target ring (THOM-PRE, THOM-IMG, TQUOT), and the
+``g_row`` masks against one n-tuple scan per ideal (T3, FW-SR).  A
+target-side verdict is pulled back along the map: img(S) lies in C exactly
+when S lies in the preimage of C.
 """
 
 from __future__ import annotations
@@ -125,18 +127,8 @@ def _transfers(ring: HyperRing, mode: str) -> list[HyperRingHom]:
     return [hom for hom in (_transfer(ring, bits, mode) for bits in moduli) if hom is not None]
 
 
-def _proper_s_ideal(a: RingAnalysis, bits: int, s_bits: int, mode: str) -> bool:
-    """Full conclusion check: proper hyperideal plus substitution property."""
-    return (
-        bits != a.ring.full_bits
-        and a.hyperideal(bits, mode).ok
-        and a.is_s(bits, s_bits)
-    )
-
-
 def _s_sets(a: RingAnalysis, bits: int, mode: str) -> int:
-    """The MS for which the mask is a proper S-hyperideal (``_proper_s_ideal``
-    for every S at once)."""
+    """The MS for which the mask is a proper S-hyperideal."""
     if bits == a.ring.full_bits or not a.hyperideal(bits, mode).ok:
         return 0
     return a.admissible(bits)
@@ -282,42 +274,44 @@ def _check_t1_3(ring: HyperRing, mode: str, tally: _Tally) -> None:
 
 def _check_p2(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Primes disjoint from S are S-hyperideals, and every ideal disjoint
-    from S sits inside a prime S-hyperideal."""
+    from S sits inside a prime S-hyperideal: per prime P and per proper Q,
+    the S disjoint from it against those that P, or a prime over Q, admits."""
     a = ring.analysis
-    primes = a.primes(mode)
-    for s in a.ms_all:
-        for p in primes:
-            if p & s:
-                continue
-            tally.instances += 1
-            tally.hypothesis += 1
-            if not a.is_s(p, s):
-                tally.fail(clause="prime-disjoint", P=ring.render_bits(p),
-                           S=ring.render_bits(s))
-        for q in a.proper(mode):
-            if q & s:
-                continue
-            tally.instances += 1
-            tally.hypothesis += 1
-            cover = next(
-                (p for p in primes
-                 if not (q & ~p) and not (p & s) and a.is_s(p, s)),
-                None,
-            )
-            if cover is None:
-                tally.fail(clause="prime-extension", Q=ring.render_bits(q),
-                           S=ring.render_bits(s))
+    ms_all, full = a.ms_all, ring.full_bits
+    disjoint = {q: a.within(full & ~q) for q in a.proper(mode)}  # primes are proper
+    covers = {p: disjoint[p] & a.admissible(p) for p in a.primes(mode)}
+    failing: list[tuple[object, int]] = [
+        ({"clause": "prime-disjoint", "P": ring.render_bits(p)}, disjoint[p] & ~cover)
+        for p, cover in covers.items()
+    ]
+    for q, fam in disjoint.items():
+        for p, cover in covers.items():
+            if not q & ~p:
+                fam &= ~cover
+        failing.append(({"clause": "prime-extension", "Q": ring.render_bits(q)}, fam))
+    for bits in [*covers, *disjoint]:  # each prime, then each proper Q
+        tally.instances += disjoint[bits].bit_count()
+        tally.hypothesis += disjoint[bits].bit_count()
+    _name_failures(tally, failing, lambda i, head: tally.fail(**head, S=ring.render_bits(ms_all[i])))
 
 
 def _check_t7(ring: HyperRing, mode: str, tally: _Tally) -> None:
-    """Maximal S-hyperideals are prime (for S containing the identity)."""
+    """Maximal S-hyperideals are prime (for S containing the identity): per
+    proper P, the S with 1 that P admits and no proper hyperideal above it."""
     a = ring.analysis
-    for s in a.ms_with_one:
-        for p in a.s_maximal(s, mode):
-            tally.instances += 1
-            tally.hypothesis += 1
-            if not a.prime(p).ok:
-                tally.fail(P=ring.render_bits(p), S=ring.render_bits(s))
+    ms_all, proper, ones = a.ms_all, a.proper(mode), a.containing[ring.one]
+    failing: list[tuple[object, int]] = []
+    for p in proper:
+        maximal = ones & a.admissible(p)
+        for r in proper:
+            if r != p and not p & ~r:
+                maximal &= ~a.admissible(r)
+        tally.instances += maximal.bit_count()
+        tally.hypothesis += maximal.bit_count()
+        if not a.prime(p).ok:
+            failing.append((p, maximal))
+    _name_failures(tally, failing, lambda i, p: tally.fail(
+        P=ring.render_bits(p), S=ring.render_bits(ms_all[i])))
 
 
 def _check_t6(ring: HyperRing, mode: str, tally: _Tally) -> None:
@@ -489,36 +483,45 @@ def _check_tdecomp(ring: HyperRing, mode: str, tally: _Tally) -> None:
 
 
 def _check_pint(ring: HyperRing, mode: str, tally: _Tally) -> None:
-    """Intersections of S-hyperideals are S-hyperideals (pairs and triples)."""
+    """Intersections of S-hyperideals are S-hyperideals (pairs and triples):
+    per pair, then per triple, the S that every member admits against those
+    the intersection admits.  A pair that no S admits is not extended."""
     a = ring.analysis
-    for s in a.ms_all:
-        family = a.s_family(s, mode)
-        for size in (2, 3):
-            for combo in combinations(family, size):
-                tally.instances += 1
-                tally.hypothesis += 1
-                inter = ring.full_bits
-                for p in combo:
-                    inter &= p
-                if not _proper_s_ideal(a, inter, s, mode):
-                    tally.fail(S=ring.render_bits(s),
-                               members=",".join(ring.render_bits(p) for p in combo),
-                               intersection=ring.render_bits(inter))
+    ms_all, proper = a.ms_all, a.proper(mode)
+    pairs: list[tuple[tuple[int, ...], int]] = []
+    triples: list[tuple[tuple[int, ...], int]] = []
+    for j, k in combinations(range(len(proper)), 2):
+        family = a.admissible(proper[j]) & a.admissible(proper[k])
+        if family:
+            pairs.append(((proper[j], proper[k]), family))
+            triples += [((proper[j], proper[k], r), family & a.admissible(r)) for r in proper[k + 1:]]
+    failing: list[tuple[object, int]] = []
+    for combo, family in pairs + triples:
+        tally.instances += family.bit_count()
+        tally.hypothesis += family.bit_count()
+        inter = ring.full_bits
+        for p in combo:
+            inter &= p
+        failing.append(((combo, inter), family & ~_s_sets(a, inter, mode)))
+    _name_failures(tally, failing, lambda i, item: tally.fail(
+        S=ring.render_bits(ms_all[i]), members=",".join(ring.render_bits(p) for p in item[0]),
+        intersection=ring.render_bits(item[1])))
 
 
 def _check_p8(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """All proper hyperideals are S-hyperideals exactly when S sits inside
-    the units."""
+    the units: the S with 1 that every proper P admits, against those inside."""
     a = ring.analysis
-    units = special_sets(ring, mode).units.bits
-    for s in a.ms_with_one:
-        tally.instances += 1
-        tally.hypothesis += 1
-        lhs = all(a.is_s(p, s) for p in a.proper(mode))
-        rhs = not (s & ~units)
-        if lhs != rhs:
-            tally.fail(S=ring.render_bits(s), all_ideals=str(lhs),
-                       inside_units=str(rhs))
+    ms_all, ones = a.ms_all, a.containing[ring.one]
+    every = ones
+    for p in a.proper(mode):
+        every &= a.admissible(p)
+    units = ones & a.within(special_sets(ring, mode).units.bits)
+    tally.instances += ones.bit_count()
+    tally.hypothesis += ones.bit_count()
+    _name_failures(tally, [(None, every ^ units)], lambda i, _: tally.fail(
+        S=ring.render_bits(ms_all[i]), all_ideals=str(bool(every >> i & 1)),
+        inside_units=str(bool(units >> i & 1))))
 
 
 def _check_t9_fwd(ring: HyperRing, mode: str, tally: _Tally) -> None:
@@ -748,7 +751,7 @@ def _check_tprod(ring: HyperRing, mode: str, tally: _Tally) -> None:
             for s1, s2, sb in sets:
                 tally.instances += 1
                 tally.hypothesis += 1
-                lhs = _proper_s_ideal(pa, pb, sb, mode)
+                lhs = pa.hyperideal(pb, mode).ok and pa.is_s(pb, sb)  # pb is proper
                 rhs = a.is_s(p1, s1) and ca.is_s(p2, s2)
                 if lhs != rhs:
                     tally.fail(P1=ring.render_bits(p1), P2=companion.render_bits(p2),

@@ -22,7 +22,6 @@ from .ideals import (
     check_ring,
     require_hyperideal,
     require_proper_hyperideal,
-    special_sets,
 )
 from .kernel import LENIENT, HyperRing, SubsetMask, check_mode
 
@@ -202,7 +201,7 @@ def primary_decomposition(
     require_proper_hyperideal(ring, ideal, mode)
     if not min_primes:
         raise HypothesisViolation("at least one minimal prime is required")
-    actual = {q.bits for q in special_sets(ring, mode).min_primes}
+    actual = ring.analysis.min_primes(mode)
     union = 0
     for q in min_primes:
         check_ring(ring, q)

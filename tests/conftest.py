@@ -62,6 +62,18 @@ def order3_spec(f11, f12, f22, g22):
     )
 
 
+def z2_ternary_spec():
+    """Z_2 with the product g(a, b, c) = abc: a 2-element (2,3) ring."""
+    from hyperideal import HyperRingSpec
+
+    pairs, triples = [(0, 0), (0, 1), (1, 1)], [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    return HyperRingSpec(
+        name="z2-23", m=2, n=3, elements=("0", "1"), zero="0", one="1",
+        f_table={k: frozenset({sum(k) % 2}) for k in pairs},
+        g_table={k: k[0] * k[1] * k[2] for k in triples},
+    )
+
+
 @pytest.fixture(scope="session")
 def census_rings():
     """Every order-3 (2,2) table of ``order3_spec`` that ``verify_axioms``

@@ -2,8 +2,10 @@
 algebra over the multiplicative-set index.
 
 Each checker here is the earlier loop body, kept verbatim (TAVOID without
-its former instance cap): it walks every (P, S) pair, every (P, S, Q) triple
-for T1.3, every (S, P, Q) for T6, every (Q, S, R) for T4, every (cover,
+its former instance cap, and the S-family and its maximal members computed
+inline): it walks every (P, S) pair, every (P, S, Q) triple for T1.3, every
+(S, P, Q) for T6, every (Q, S, R) for T4, every S with its S-hyperideals,
+their maximal members (T7) and their pairs and triples (PINT), every (cover,
 slot, P, S) for TAVOID and every tuple per pair for FW-SR, and decides each
 instance with ``is_s``, ``residual``, ``saturation`` and ``classify_s``
 instead of the index.  ``oracle_report`` runs one of them
@@ -18,7 +20,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from hyperideal import harness
-from hyperideal.analysis import RingAnalysis, SVerdict
+from hyperideal.analysis import RingAnalysis, SVerdict, extremal
+from hyperideal.ideals import special_sets
 from hyperideal.kernel import HyperRing
 
 
@@ -29,6 +32,15 @@ def _proper_s_ideal(a: RingAnalysis, bits: int, s_bits: int, mode: str) -> bool:
         and a.hyperideal(bits, mode).ok
         and a.is_s(bits, s_bits)
     )
+
+
+def _ms_with_one(a: RingAnalysis) -> list[int]:
+    return [s for s in a.ms_all if s >> a.ring.one & 1]
+
+
+def _s_family(a: RingAnalysis, s_bits: int, mode: str) -> list[int]:
+    """Proper hyperideals satisfying the substitution property for S."""
+    return [b for b in a.proper(mode) if a.is_s(b, s_bits)]
 
 
 def _direct_sr_scan(ring: HyperRing, p_bits: int, s_bits: int, mode: str) -> bool:
@@ -103,9 +115,46 @@ def _check_t1_3(ring, mode, tally) -> None:
                                residual=ring.render_bits(pq))
 
 
+def _check_p2(ring, mode, tally) -> None:
+    a = ring.analysis
+    primes = a.primes(mode)
+    for s in a.ms_all:
+        for p in primes:
+            if p & s:
+                continue
+            tally.instances += 1
+            tally.hypothesis += 1
+            if not a.is_s(p, s):
+                tally.fail(clause="prime-disjoint", P=ring.render_bits(p),
+                           S=ring.render_bits(s))
+        for q in a.proper(mode):
+            if q & s:
+                continue
+            tally.instances += 1
+            tally.hypothesis += 1
+            cover = next(
+                (p for p in primes
+                 if not (q & ~p) and not (p & s) and a.is_s(p, s)),
+                None,
+            )
+            if cover is None:
+                tally.fail(clause="prime-extension", Q=ring.render_bits(q),
+                           S=ring.render_bits(s))
+
+
+def _check_t7(ring, mode, tally) -> None:
+    a = ring.analysis
+    for s in _ms_with_one(a):
+        for p in extremal(_s_family(a, s, mode), maximal=True):
+            tally.instances += 1
+            tally.hypothesis += 1
+            if not a.prime(p).ok:
+                tally.fail(P=ring.render_bits(p), S=ring.render_bits(s))
+
+
 def _check_t6(ring, mode, tally) -> None:
     a = ring.analysis
-    for s in a.ms_with_one:
+    for s in _ms_with_one(a):
         for p in a.proper(mode):
             if not a.is_s(p, s):
                 continue
@@ -120,7 +169,7 @@ def _check_t6(ring, mode, tally) -> None:
 def _check_t4(ring, mode, tally) -> None:
     a = ring.analysis
     for q in a.ideals(mode):
-        for s in a.ms_with_one:
+        for s in _ms_with_one(a):
             tally.instances += 1
             sat = a.saturation(q, s)
             if q & ~sat:
@@ -163,6 +212,36 @@ def _check_t5(ring, mode, tally) -> None:
                 tally.fail(P=ring.render_bits(p), S=ring.render_bits(s),
                            direct=str(direct), residual=str(residual_fixed),
                            saturation=str(saturation_fixed))
+
+
+def _check_pint(ring, mode, tally) -> None:
+    a = ring.analysis
+    for s in a.ms_all:
+        family = _s_family(a, s, mode)
+        for size in (2, 3):
+            for combo in combinations(family, size):
+                tally.instances += 1
+                tally.hypothesis += 1
+                inter = ring.full_bits
+                for p in combo:
+                    inter &= p
+                if not _proper_s_ideal(a, inter, s, mode):
+                    tally.fail(S=ring.render_bits(s),
+                               members=",".join(ring.render_bits(p) for p in combo),
+                               intersection=ring.render_bits(inter))
+
+
+def _check_p8(ring, mode, tally) -> None:
+    a = ring.analysis
+    units = special_sets(ring, mode).units.bits
+    for s in _ms_with_one(a):
+        tally.instances += 1
+        tally.hypothesis += 1
+        lhs = all(a.is_s(p, s) for p in a.proper(mode))
+        rhs = not (s & ~units)
+        if lhs != rhs:
+            tally.fail(S=ring.render_bits(s), all_ideals=str(lhs),
+                       inside_units=str(rhs))
 
 
 def _check_thom_pre(ring, mode, tally) -> None:
@@ -263,7 +342,7 @@ def _check_tavoid(ring, mode, tally) -> None:
                     continue
                 if not (p & ~rest):
                     continue  # covered without the slot: hypothesis fails
-                for s in a.ms_with_one:
+                for s in _ms_with_one(a):
                     tally.instances += 1
                     if any(not (combo[j] & s) for j in range(n) if j != t):
                         continue
@@ -298,9 +377,13 @@ ORACLES = {
     "T1.1": _check_t1_1,
     "T1.2": _check_t1_2,
     "T1.3": _check_t1_3,
+    "P2": _check_p2,
+    "T7": _check_t7,
     "T6": _check_t6,
     "T4": _check_t4,
     "T5": _check_t5,
+    "PINT": _check_pint,
+    "P8": _check_p8,
     "THOM-PRE": _check_thom_pre,
     "THOM-IMG": _check_thom_img,
     "TQUOT": _check_tquot,

@@ -275,6 +275,18 @@ def test_product_past_the_table_limit_exits_2_before_building(tmp_path, capsys):
         assert "dense table entries" in capsys.readouterr().err
 
 
+def test_product_of_mismatched_arities_names_both(tmp_path, capsys):
+    from conftest import z2_ternary_spec
+    from hyperideal import cli
+
+    paths = [tmp_path / "z2.json", tmp_path / "z2-23.json"]
+    for path, spec in zip(paths, (fixtures("z2").spec, z2_ternary_spec())):
+        path.write_text(serialize_spec(spec), encoding="utf-8")
+    assert cli.run(["product", *map(str, paths)]) == 2
+    assert capsys.readouterr().err == (
+        "error: rings of arities (m, n) = (2, 2) and (2, 3) do not match\n")
+
+
 def test_null_table_document_exits_2(tmp_path):
     doc = json.loads(serialize_spec(fixtures("z2").spec))
     doc["f"] = None

@@ -1,7 +1,10 @@
 """Products, quotients, homomorphisms, ideal transport."""
 
+import re
+
 import pytest
 
+from conftest import z2_ternary_spec
 from hyperideal import (
     HyperRingHom,
     check_homomorphism,
@@ -113,6 +116,14 @@ def test_product_ideal_lattice_multiplies():
 def test_product_arity_mismatch():
     with pytest.raises(ArityMismatch):
         product_ring([cyclic_ring(2), fixtures("paper-example")])
+
+
+def test_arity_mismatch_names_both_pairs():
+    # only n differs, so naming m alone would read "expected 2, got 2"
+    z2, z2_23 = cyclic_ring(2), require_ring(z2_ternary_spec())
+    for call in (lambda: product_ring([z2, z2_23]), lambda: check_homomorphism(z2, z2_23, (0, 1))):
+        with pytest.raises(ArityMismatch, match=re.escape("(m, n) = (2, 2) and (2, 3) do not match")):
+            call()
 
 
 def test_singleton_product_is_identical(z6):

@@ -2,8 +2,10 @@
 
 import gc
 import random
+import re
 import sys
 import weakref
+from itertools import permutations
 
 import pytest
 
@@ -22,6 +24,7 @@ from hyperideal import (
     serialize_spec,
 )
 from hyperideal.errors import UnknownFixture, UnknownTheorem
+from hyperideal.harness import MAX_COUNTEREXAMPLES
 
 
 def test_catalog_has_22_entries():
@@ -282,21 +285,54 @@ def _cells(ring, mode):
              len(r.counterexamples)) for _, r in run_suite([ring], mode).entries]
 
 
+RENDERED_SET = re.compile(r"\{([^{}]*)\}")
+
+
+def _named(ring, mode, name):
+    """The counterexamples of each cell that names fewer than the cap, up to
+    the order of the list and of the names inside each rendered set; the
+    ring's own name is read as ``name``."""
+    def unordered(value):
+        value = value.replace(ring.name, name)
+        sets = sorted(tuple(sorted(names.split(","))) for names in RENDERED_SET.findall(value))
+        return RENDERED_SET.sub("{}", value), sets
+
+    return [
+        sorted(sorted((key, unordered(value)) for key, value in cx.items()) for cx in r.counterexamples)
+        for _, r in run_suite([ring], mode).entries
+        if len(r.counterexamples) < MAX_COUNTEREXAMPLES
+    ]
+
+
+def _same_catalog_under(ring, perm, mode):
+    relabelled = relabel(ring, perm)
+    assert _cells(relabelled, mode) == _cells(ring, mode), perm
+    assert _named(relabelled, mode, ring.name) == _named(ring, mode, ring.name), perm
+
+
 @pytest.mark.parametrize("mode", ("lenient", "strict"))
 @pytest.mark.parametrize("name", ("paper-example", "z12", "z8", "z6-mod-3"))
 def test_catalog_does_not_depend_on_labels(name, mode):
     # every element may move, 0 and 1 included
     ring = fixtures(name)
-    expected = _cells(ring, mode)
     rng = random.Random(name)
     for _ in range(3):
         perm = list(range(ring.order))
         rng.shuffle(perm)
-        assert _cells(relabel(ring, perm), mode) == expected, perm
+        _same_catalog_under(ring, perm, mode)
 
 
 @pytest.mark.parametrize("mode", ("lenient", "strict"))
-@pytest.mark.parametrize("k, factors", [(6, (2, 3)), (12, (4, 3))])
+def test_census_catalog_does_not_depend_on_labels(census_rings, mode):
+    # every relabelling of the order-3 census; in strict mode two of its
+    # rings name T1.3, P2, T7 and P8 failures
+    for ring in census_rings.values():
+        for perm in permutations(range(3)):
+            _same_catalog_under(ring, list(perm), mode)
+
+
+@pytest.mark.parametrize("mode", ("lenient", "strict"))
+@pytest.mark.parametrize("k, factors", [(6, (2, 3)), (12, (4, 3)), (24, (8, 3))])
 def test_chinese_remainder_pairs_have_the_same_catalog(k, factors, mode):
     name = "x".join(f"z{f}" for f in factors)
     product = product_ring([cyclic_ring(f) for f in factors], name=name)

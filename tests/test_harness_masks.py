@@ -93,7 +93,9 @@ def test_census_counterexample_cells_are_compared(census_rings):
         for ident in ORACLES
         if check_theorem(ring, ident, mode).status == "counterexample"
     }
-    assert failing == {(SR_RING, "T1.3")}
+    assert failing == {
+        (SR_RING, "T1.3"), (SR_RING, "P2"), (SR_RING, "T7"), ("o3-1-012-2-2", "P8"),
+    }
 
 
 def _liar(name, lie):
@@ -138,6 +140,13 @@ FULL_COLONS_ABOVE_ZERO = _liar("colons", lambda a, real, q: real(q) if q == 1 el
 EXTRA_COVERS = _liar("ideals", lambda a, real, mode: tuple(sorted(
     {*real(mode), sum(1 << x for x in (0, 3, 9)), sum(1 << x for x in (0, 2, 4, 8, 10))})))
 
+# (2) admits no S, so an ideal under (2) alone, as (4) is, has no prime
+# S-hyperideal over it for the S that (3) admits
+EVENS_ADMIT_NOTHING = _liar(
+    "compatible",
+    lambda a, real, p, target: 0 if p == sum(1 << x for x in range(0, 12, 2)) else real(p, target),
+)
+
 # per checker, faults on z12 that make it fail more than the cap
 LIARS = [
     ("T1.1", (EVERYTHING_COMPATIBLE,)),
@@ -155,6 +164,11 @@ LIARS = [
     ("T4", (NO_HYPERIDEALS,)),
     ("T4", (FULL_COLONS_ABOVE_ZERO,)),
     ("T4", (EVERYTHING_COMPATIBLE,)),
+    ("P2", (COMPATIBLE_WITHOUT_7,)),
+    ("T7", (COMPATIBLE_BELOW_RADICALS,)),
+    ("PINT", (NO_HYPERIDEALS,)),
+    ("P8", (EVERYTHING_COMPATIBLE,)),
+    ("P2", (EVENS_ADMIT_NOTHING,)),
 ]
 
 
@@ -188,6 +202,26 @@ def test_t4_liars_fire_every_clause(monkeypatch):
         "saturation is not idempotent",
         "a smaller S-hyperideal contains the ideal",
     }
+
+
+@pytest.mark.parametrize("liar", (COMPATIBLE_WITHOUT_7, EVENS_ADMIT_NOTHING))
+def test_p2_liars_fire_both_clauses(monkeypatch, liar):
+    ring = require_ring(fixtures("z12").spec)
+    liar(monkeypatch, ring)
+    _, failures = oracle_report(monkeypatch, ring, "P2", "lenient")
+    assert set(failures) == {"prime-disjoint", "prime-extension"}
+
+
+def test_p8_fails_on_the_other_side_too(monkeypatch):
+    # without 7 in any S*(P), some S inside the units fail "every proper
+    # hyperideal is an S-hyperideal"
+    ring = require_ring(fixtures("z12").spec)
+    COMPATIBLE_WITHOUT_7(monkeypatch, ring)
+    engine = check_theorem(ring, "P8")
+    oracle, failures = oracle_report(monkeypatch, ring, "P8", "lenient")
+    assert len(failures) == 2
+    assert {cx["all_ideals"] for cx in engine.counterexamples} == {"False"}
+    assert engine.to_dict() == oracle.to_dict()
 
 
 def test_t1_3_naming_walk_stops_at_the_budget(monkeypatch):
