@@ -389,16 +389,11 @@ class RingAnalysis:
         return [int(rows[order - 1 - x::order], 2) for x in range(order)]
 
     def _within(self, t_bits: int) -> int:
-        """The MS contained in the element mask: those that contain no
-        element outside it."""
-        out = (1 << len(self.ms_all)) - 1
-        containing = self.containing
-        for x in bit_members(self.ring.full_bits & ~t_bits):
-            out &= ~containing[x]
-        return out
+        """The MS inside the element mask: all but those meeting the rest."""
+        return ((1 << len(self.ms_all)) - 1) & ~self.meeting(self.ring.full_bits & ~t_bits)
 
     def meeting(self, t_bits: int) -> int:
-        """The MS that meet the element mask: all but ``within(R \\ T)``."""
+        """The MS that meet the element mask."""
         out = 0
         containing = self.containing
         for x in bit_members(t_bits):
@@ -451,8 +446,8 @@ class RingAnalysis:
     def _colons(self, q_bits: int) -> tuple[int, ...]:
         """The colon ideals (q : t) = {x : g(t, x, 1^(n-2)) in q}, by t."""
         return tuple(
-            sum(1 << x for x, prod in enumerate(row) if q_bits >> prod & 1)
-            for row in self.ring._bp
+            sum(1 << x for x, prod in enumerate(self.ring.scalar_row(t)) if q_bits >> prod & 1)
+            for t in range(self.ring.order)
         )
 
     def residual(self, p_bits: int, x_bits: int) -> int:

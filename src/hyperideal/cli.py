@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import harness
+from . import fixture_rings, harness
 from .constructions import product_ring, quotient_ring
 from .errors import HyperIdealError
 from .ideals import (
@@ -267,9 +267,9 @@ def _cmd_theorems(args) -> int:
 
 def _cmd_fixtures(args) -> int:
     if args.name is None:
-        _emit("\n".join(harness.FIXTURE_NAMES) + "\n", args.out)
+        _emit("\n".join(fixture_rings.FIXTURE_NAMES) + "\n", args.out)
         return 0
-    ring = harness.fixtures(args.name)
+    ring = fixture_rings.fixtures(args.name)
     _emit(serialize_spec(ring.spec), args.out)
     return 0
 

@@ -1,5 +1,5 @@
 """Theorem catalog: one exhaustive checker per claim, with counterexample
-reporting and hypothesis bookkeeping.
+reporting and hypothesis bookkeeping (the fixture rings are in ``fixture_rings``).
 
 Each checker quantifies over every enumerable instance on a fixture ring
 (ideal/MS pairs, minimal-prime selections, homomorphisms, products) that
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .analysis import LookupBudget, RingAnalysis, SVerdict, bit_members
 from .constructions import (
     HyperRingHom,
-    cyclic_ring,
     identity_hom,
     product_ring,
     quotient_ring,
@@ -40,18 +38,16 @@ from .constructions import (
 from .errors import (
     CosetsNotPartition,
     InducedOpIllDefined,
-    UnknownFixture,
     UnknownTheorem,
     WalkBudgetExceeded,
 )
+from .fixture_rings import fixtures
 from .ideals import special_sets
 from .kernel import (
     LENIENT,
     HyperRing,
-    HyperRingSpec,
     SubsetMask,
     check_mode,
-    require_ring,
 )
 
 MAX_COUNTEREXAMPLES = 10
@@ -233,8 +229,6 @@ def _check_t1_3(ring: HyperRing, mode: str, tally: _Tally) -> None:
     budget = LookupBudget(f"T1.3 walk over the sets Q on {ring.name}")
     for p in a.proper(mode):
         hyp = a.admissible(p)
-        if not hyp:
-            continue
         comp = ring.full_bits & ~p
         singles = {q: a.residual(p, 1 << q) for q in bit_members(comp)}
         count = hyp.bit_count() * ((1 << len(singles)) - 1)
@@ -597,20 +591,16 @@ def _check_t12(ring: HyperRing, mode: str, tally: _Tally) -> None:
         tally.fail(anomaly="complement of the minimal primes is not an MS",
                    S=ring.render_bits(s))
         return
+    hull = []  # hull[x]: the intersection of the minimal primes containing x
+    for x in range(ring.order):
+        inter = ring.full_bits  # empty family: whole-ring convention
+        for q in minp:
+            if q >> x & 1:
+                inter &= q
+        hull.append(inter)
     for p in a.proper(mode):
         tally.instances += 1
-        hyp_ok = True
-        for x in range(ring.order):
-            if not (p >> x & 1):
-                continue
-            inter = ring.full_bits  # empty family: whole-ring convention
-            for q in minp:
-                if q >> x & 1:
-                    inter &= q
-            if inter & ~p:
-                hyp_ok = False
-                break
-        if not hyp_ok:
+        if any(hull[x] & ~p for x in bit_members(p)):
             continue
         tally.hypothesis += 1
         if not a.is_s(p, s):
@@ -882,74 +872,3 @@ def run_suite(
         else:
             aggregate = "truncated" if any(r.truncated for _, r in entries) else "pass"
     return SuiteResult(entries=entries, aggregate=aggregate)
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-
-
-def _paper_example_spec() -> HyperRingSpec:
-    f = {
-        (0, 0, 0): frozenset({0}),
-        (0, 0, 1): frozenset({1}),
-        (0, 0, 2): frozenset({2}),
-        (0, 1, 1): frozenset({1}),
-        (0, 1, 2): frozenset({0, 1, 2}),
-        (0, 2, 2): frozenset({2}),
-        (1, 1, 1): frozenset({1}),
-        (1, 1, 2): frozenset({0, 1, 2}),
-        (1, 2, 2): frozenset({0, 1, 2}),
-        (2, 2, 2): frozenset({2}),
-    }
-    g = {
-        (0, 0, 0): 0, (0, 0, 1): 0, (0, 0, 2): 0,
-        (0, 1, 1): 0, (0, 1, 2): 0, (0, 2, 2): 0,
-        (1, 1, 1): 1, (1, 1, 2): 2, (1, 2, 2): 2, (2, 2, 2): 2,
-    }
-    return HyperRingSpec(
-        name="paper-example", m=3, n=3, elements=("0", "1", "2"),
-        zero="0", one="1", f_table=f, g_table=g,
-    )
-
-
-def _z2_as_33_spec() -> HyperRingSpec:
-    f = {
-        key: frozenset({sum(key) % 2})
-        for key in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
-    }
-    g = {key: (key[0] * key[1] * key[2]) % 2
-         for key in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]}
-    return HyperRingSpec(
-        name="z2-as-33", m=3, n=3, elements=("0", "1"),
-        zero="0", one="1", f_table=f, g_table=g,
-    )
-
-
-FIXTURE_NAMES = (
-    "paper-example", "z2", "z4", "z6", "z8", "z12",
-    "z2xz3", "z6-mod-3", "z2-as-33",
-)
-
-DEFAULT_SUITE_FIXTURES = (
-    "paper-example", "z2", "z4", "z6", "z8", "z12", "z2xz3", "z6-mod-3",
-)
-
-
-@lru_cache(maxsize=None)
-def fixtures(name: str) -> HyperRing:
-    """Deterministic, axiom-verified reference rings."""
-    if name == "paper-example":
-        return require_ring(_paper_example_spec())
-    if name in ("z2", "z4", "z6", "z8", "z12"):
-        return cyclic_ring(int(name[1:]))
-    if name == "z2xz3":
-        return product_ring([cyclic_ring(2), cyclic_ring(3)], name="z2xz3")
-    if name == "z6-mod-3":
-        z6 = fixtures("z6")
-        q = quotient_ring(z6, z6.subset([0, 3]), LENIENT).quotient
-        # quotient_ring verified these tables; a new name changes no axiom
-        return HyperRing(replace(q.spec, name="z6-mod-3"), q.axiom_report, q.negation,
-                         q.f_dense, q.g_dense)
-    if name == "z2-as-33":
-        return require_ring(_z2_as_33_spec())
-    raise UnknownFixture(name)

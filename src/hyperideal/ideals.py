@@ -185,10 +185,9 @@ def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
     """Units, regular elements, the Jacobson-style radical, and the minimal
     primes, each computed by exhaustive scan."""
     check_mode(mode)
-    one_pad = (ring.one,) * (ring.n - 2)
     units = 0
     for p in range(ring.order):
-        if any(ring.g_at((p, q, *one_pad)) == ring.one for q in range(ring.order)):
+        if ring.one in ring.scalar_row(p):
             units |= 1 << p
     regulars = 0
     for p in range(ring.order):

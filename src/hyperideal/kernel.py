@@ -13,6 +13,8 @@ every ordered tuple, indexed in mixed radix: ``(x_1, ..., x_k)`` sits at
 ``f_dense[a*order + b]`` when m=2.  ``f_dense`` holds bitmasks of element
 indices and ``g_dense`` element indices.  The verifier builds these lists,
 checks the axioms on them and hands the same lists to the ``HyperRing``.
+The ring's views of g (``g_row``, ``scalar_row``) read ``g_dense`` in
+place; only ``g_tuples`` is built as a second structure.
 
 Associativity and distributivity, the costly axioms, are decided a whole
 row of the last argument c at a time.  Values get byte ids (an element is
@@ -395,9 +397,6 @@ class HyperRing:
     def name(self) -> str:
         return self.spec.name
 
-    def element_index(self, name: str) -> int:
-        return self.spec.index(name)
-
     def _element(self, i: int) -> int:
         """``i``, refused unless it indexes an element of this ring."""
         if i < 0 or i >= self.order:
@@ -414,7 +413,7 @@ class HyperRing:
         return SubsetMask(self, bits)
 
     def subset_from_names(self, names: Iterable[str]) -> SubsetMask:
-        return self.subset(self.element_index(name) for name in names)
+        return self.subset(self.spec.index(name) for name in names)
 
     def full_subset(self) -> SubsetMask:
         return SubsetMask(self, self.full_bits)
@@ -437,6 +436,11 @@ class HyperRing:
         """g(x, r) for every ordered (n-1)-tuple r, in dense order."""
         lead = self.order ** (self.n - 1)
         return self.g_dense[x * lead : (x + 1) * lead]
+
+    def scalar_row(self, a: int) -> list[int]:
+        """g(a, b, 1^(n-2)) for every b: every order**(n-2)-th of ``g_row(a)``."""
+        pad = _index((self.one,) * (self.n - 2), self.order)
+        return self.g_row(a)[pad :: self.order ** (self.n - 2)]
 
     # -- operations (arguments are checked against the carrier) ----------
 
@@ -479,7 +483,7 @@ class HyperRing:
 
     def scalar_multiply(self, a: int, b: int) -> int:
         """The induced binary product g(a, b, 1^(n-2))."""
-        return self._bp[self._element(a)][self._element(b)]
+        return self.g_at((self._element(a), self._element(b), *(self.one,) * (self.n - 2)))
 
     def power(self, p: int, w: int) -> int:
         """w-fold product of p, padding with the scalar identity.
@@ -514,17 +518,6 @@ class HyperRing:
         """Derived lists and verdict memos, built on first use and freed with
         the ring."""
         return RingAnalysis(self)
-
-    @cached_property
-    def _bp(self) -> tuple[tuple[int, ...], ...]:
-        order, g = self.order, self.g_dense
-        # g(a, b, 1^(n-2)) sits at (a*order + b) * order**(n-2) + pad
-        lead = order ** (self.n - 2)
-        pad = _index((self.one,) * (self.n - 2), order)
-        return tuple(
-            tuple(g[(a * order + b) * lead + pad] for b in range(order))
-            for a in range(order)
-        )
 
     @cached_property
     def g_tuples(self) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:

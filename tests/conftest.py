@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from hyperideal import fixtures
@@ -92,22 +95,49 @@ def census_rings():
     return rings
 
 
-def relabel(ring, perm):
-    """The ring with element i moved to index ``perm[i]``, 0 and 1 included.
+def relabel_spec(spec, perm):
+    """The spec with element i moved to index ``perm[i]``, 0 and 1 included.
     Names move with the elements, so the zero and the one keep their names."""
-    from hyperideal import HyperRingSpec, require_ring
+    from hyperideal import HyperRingSpec
 
-    spec = ring.spec
-    elements = [None] * ring.order
+    elements = [None] * spec.order
     for i, name in enumerate(spec.elements):
         elements[perm[i]] = name
 
     def key(k):
         return tuple(sorted(perm[x] for x in k))
 
-    return require_ring(HyperRingSpec(
+    return HyperRingSpec(
         name=f"{spec.name}-relabelled", m=spec.m, n=spec.n, elements=tuple(elements),
         zero=spec.zero, one=spec.one,
         f_table={key(k): frozenset(perm[v] for v in vals) for k, vals in spec.f_table.items()},
         g_table={key(k): perm[v] for k, v in spec.g_table.items()},
-    ))
+    )
+
+
+def relabel(ring, perm):
+    """The ring of ``relabel_spec``."""
+    from hyperideal import require_ring
+
+    return require_ring(relabel_spec(ring.spec, perm))
+
+
+def seeded_perms(ring, count=3):
+    """``count`` permutations of the ring's elements, seeded by its name."""
+    rng = random.Random(ring.name)
+    perms = []
+    for _ in range(count):
+        perm = list(range(ring.order))
+        rng.shuffle(perm)
+        perms.append(perm)
+    return perms
+
+
+RENDERED_SET = re.compile(r"\{([^{}]*)\}")
+
+
+def unordered_sets(text):
+    """``text`` with each rendered set emptied, and the sets' names as sorted
+    tuples in sorted order: equal for reports equal up to element order."""
+    sets = sorted(tuple(sorted(names.split(","))) for names in RENDERED_SET.findall(text))
+    return RENDERED_SET.sub("{}", text), sets

@@ -5,11 +5,14 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import pytest
+from conftest import relabel_spec, seeded_perms, unordered_sets
 
-from hyperideal import fixtures, serialize_spec
+from hyperideal import cli, fixtures, serialize_spec
 
 
 def invoke(*argv):
@@ -377,3 +380,40 @@ def test_axiom_timings_stay_out_of_report_equality():
     assert list(first.entries) == list(AXIOM_ORDER)
     assert len(first.timings_s) == len(AXIOM_ORDER)
     assert min(first.timings_s) >= 0
+
+
+def _report_under_labels(spec, perm, tmp_path, *argv):
+    """The exit code and the report of a CLI command on the relabelled spec,
+    as a sorted list of lines, each with its rendered sets sorted by name and
+    taken out in sorted order, and with witnesses, which name the
+    lexicographically first tuple, cut off."""
+    spec = relabel_spec(spec, perm)
+    path, out = tmp_path / "ring.json", tmp_path / "report.txt"
+    path.write_text(serialize_spec(spec), encoding="utf-8")
+    code = cli.run([argv[0], str(path), *argv[1:], "--out", str(out)])
+    text = out.read_text(encoding="utf-8").replace(spec.name, "RING")
+    return code, sorted(unordered_sets(line.split(" witness ")[0]) for line in text.splitlines())
+
+
+@pytest.mark.parametrize("name", ("paper-example", "z12", "z8", "z6-mod-3"))
+def test_ideals_and_verify_do_not_depend_on_labels(tmp_path, name):
+    # the relabellings of the catalog test, every element moved, 0 and 1 too
+    ring = fixtures(name)
+    identity = list(range(ring.order))
+    for argv in (["ideals", "--mode", "lenient"], ["ideals", "--mode", "strict"], ["verify"]):
+        expected = _report_under_labels(ring.spec, identity, tmp_path, *argv)
+        for perm in seeded_perms(ring):
+            assert _report_under_labels(ring.spec, perm, tmp_path, *argv) == expected, (argv, perm)
+
+
+def test_failed_verify_verdict_does_not_depend_on_labels(tmp_path):
+    # zero times 1 times 1 becomes 1: four axioms fail, whatever the labels
+    paper = fixtures("paper-example")
+    broken = replace(paper.spec, g_table={**paper.spec.g_table, (0, 1, 1): 1})
+    code, lines = _report_under_labels(broken, [0, 1, 2], tmp_path, "verify")
+    assert code == 2
+    assert [line for line, _ in lines if "FAIL" in line] == [
+        "distributivity: FAIL", "g-associativity: FAIL", "scalar-identity: FAIL", "zero-absorption: FAIL",
+    ]
+    for perm in permutations(range(3)):
+        assert _report_under_labels(broken, list(perm), tmp_path, "verify") == (code, lines), perm

@@ -1,15 +1,13 @@
 """Theorem catalog, suite aggregation, fixtures."""
 
 import gc
-import random
-import re
 import sys
 import weakref
 from itertools import permutations
 
 import pytest
 
-from conftest import relabel
+from conftest import relabel, seeded_perms, unordered_sets
 from hyperideal import (
     CATALOG,
     DEFAULT_SUITE_FIXTURES,
@@ -285,20 +283,13 @@ def _cells(ring, mode):
              len(r.counterexamples)) for _, r in run_suite([ring], mode).entries]
 
 
-RENDERED_SET = re.compile(r"\{([^{}]*)\}")
-
-
 def _named(ring, mode, name):
     """The counterexamples of each cell that names fewer than the cap, up to
     the order of the list and of the names inside each rendered set; the
     ring's own name is read as ``name``."""
-    def unordered(value):
-        value = value.replace(ring.name, name)
-        sets = sorted(tuple(sorted(names.split(","))) for names in RENDERED_SET.findall(value))
-        return RENDERED_SET.sub("{}", value), sets
-
     return [
-        sorted(sorted((key, unordered(value)) for key, value in cx.items()) for cx in r.counterexamples)
+        sorted(sorted((key, unordered_sets(value.replace(ring.name, name))) for key, value in cx.items())
+               for cx in r.counterexamples)
         for _, r in run_suite([ring], mode).entries
         if len(r.counterexamples) < MAX_COUNTEREXAMPLES
     ]
@@ -315,10 +306,7 @@ def _same_catalog_under(ring, perm, mode):
 def test_catalog_does_not_depend_on_labels(name, mode):
     # every element may move, 0 and 1 included
     ring = fixtures(name)
-    rng = random.Random(name)
-    for _ in range(3):
-        perm = list(range(ring.order))
-        rng.shuffle(perm)
+    for perm in seeded_perms(ring):
         _same_catalog_under(ring, perm, mode)
 
 

@@ -1,4 +1,5 @@
-"""The mask-algebra checkers against the loop oracles in harness_oracle."""
+"""The mask-algebra checkers against the loop oracles in harness_oracle, and
+the failure branches of the loop checkers under the same lying layers."""
 
 import random
 
@@ -313,3 +314,47 @@ def test_t1_3_counts_large_carriers_in_closed_form(monkeypatch, order, instances
     report = check_theorem(cyclic_ring(order), "T1.3")
     assert report.status == "holds"
     assert report.instances_checked == report.hypothesis_met == instances
+
+
+NOT_MS = _liar("ms", lambda a, real, bits: Verdict(False, "lie"))
+NOT_PRIMARY = _liar("primary", lambda a, real, bits, mode: Verdict(False, "lie"))
+ALL_COMPATIBLE = _liar("compatible", lambda a, real, p, target: a.ring.full_bits)
+NONE_COMPATIBLE = _liar("compatible", lambda a, real, p, target: 0)
+# only {0} has the substitution property, so it is the one maximal S-hyperideal
+ZERO_ONLY_COMPATIBLE = _liar(
+    "compatible",
+    lambda a, real, p, target: a.ring.full_bits if p == 1 << a.ring.zero else 0,
+)
+
+# per loop checker: a ring on which it holds, a liar, and the payload keys
+# (in order) with the clause or anomaly of every counterexample it then names
+LOOP_FAILURES = [
+    ("T3", "z12", NOT_MS, {(("anomaly", "P", "S"), "candidate set is not multiplicatively closed")}),
+    ("TPRIMARY-EQ", "z12", NOT_MS, {(("anomaly", "Q"), "complement of a minimal prime is not an MS")}),
+    ("TPRIMARY-EQ", "z12", NOT_PRIMARY, {(("P", "Q", "S", "s_hyperideal", "q_primary"), None)}),
+    ("TDECOMP", "z12", NOT_MS, {(("anomaly", "primes"), "complement of the union is not an MS")}),
+    ("TDECOMP", "z12", ALL_COMPATIBLE, {(("P", "S", "intersection", "components"), None)}),
+    ("TDECOMP", "z12", NOT_PRIMARY,
+     {(("P", "Q", "component", "clause"), "component is not primary for its prime")}),
+    ("T9-FWD", "paper-example", NOT_MS, {(("anomaly", "S"), "nonzero elements of a domain fail closure")}),
+    ("T9-FWD", "paper-example", NONE_COMPATIBLE, {(("P", "S", "clause"), "zero ideal is not an S-hyperideal")}),
+    ("T9-FWD", "paper-example", ALL_COMPATIBLE, {(("P", "S", "clause"), "a second S-hyperideal exists")}),
+    ("T10", "z4", NOT_MS, {(("Q", "S", "clause"), "shifted image is not multiplicatively closed")}),
+    ("T10", "z8", ZERO_ONLY_COMPATIBLE, {
+        (("Q", "S", "P", "clause"), "ideal containing Q is not an S-hyperideal"),
+        (("Q", "S", "P", "clause"), "maximal S-hyperideal misses Q"),
+    }),
+    ("T12", "z12", NOT_MS, {(("anomaly", "S"), "complement of the minimal primes is not an MS")}),
+    ("T12", "z12", NONE_COMPATIBLE, {(("P", "S"), None)}),
+    ("TPROD", "z4", ALL_COMPATIBLE, {(("P1", "P2", "S1", "S2", "product", "componentwise"), None)}),
+]
+
+
+@pytest.mark.parametrize("ident, name, liar, shapes", LOOP_FAILURES)
+def test_loop_checkers_name_their_failures(monkeypatch, ident, name, liar, shapes):
+    assert check_theorem(fixtures(name), ident).status == "holds"
+    ring = require_ring(fixtures(name).spec)  # fresh identity, cold caches
+    liar(monkeypatch, ring)
+    report = check_theorem(ring, ident)
+    assert report.status == "counterexample"
+    assert {(tuple(cx), cx.get("clause", cx.get("anomaly"))) for cx in report.counterexamples} == shapes

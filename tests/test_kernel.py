@@ -1,6 +1,7 @@
 """Kernel: parsing, serialization, operations, and axiom verification."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,10 +17,12 @@ from hyperideal import (
 from hyperideal.errors import (
     ArityMismatch,
     ArityOutOfRange,
+    AxiomsFailed,
     EmptyHyperValue,
     MissingEntry,
     RingMismatch,
     SpecFormatError,
+    TablesTooLarge,
     UnknownElement,
 )
 
@@ -84,6 +87,47 @@ def test_zero_equal_one_rejected():
     doc["one"] = "0"
     with pytest.raises(SpecFormatError):
         parse_spec(json.dumps(doc))
+
+
+Z2_F = {(0, 0): frozenset({0}), (0, 1): frozenset({1}), (1, 1): frozenset({0})}
+Z2_G = {(0, 0): 0, (0, 1): 0, (1, 1): 1}
+
+
+# a spec built in code reaches verify_axioms without parse_spec, so
+# validate_spec is its only guard; each edit of z2's spec breaks one rule
+@pytest.mark.parametrize("edit, error, match", [
+    ({"m": 1}, ArityOutOfRange, "m=1"),
+    ({"n": 0}, ArityOutOfRange, "n=0"),
+    ({"n": 11}, TablesTooLarge, "arity limit"),
+    ({"elements": ()}, SpecFormatError, "no elements"),
+    ({"elements": ("0", "0")}, SpecFormatError, "not distinct"),
+    ({"elements": ("0", "1,2"), "one": "1,2"}, SpecFormatError, "'1,2' is not allowed"),
+    ({"elements": ("0", ""), "one": ""}, SpecFormatError, "'' is not allowed"),
+    ({"zero": "2"}, UnknownElement, "'2' in zero"),
+    ({"one": "2"}, UnknownElement, "'2' in one"),
+    ({"zero": "1"}, SpecFormatError, "must be distinct"),
+    ({"f_table": {k: v for k, v in Z2_F.items() if k != (0, 1)}}, MissingEntry, "'f'.* 0,1"),
+    ({"f_table": {**Z2_F, (1, 1): frozenset()}}, EmptyHyperValue, "1,1 is empty"),
+    ({"f_table": {**Z2_F, (1, 1): frozenset({2})}}, SpecFormatError, r"f value out of range at \(1, 1\)"),
+    ({"f_table": {**Z2_F, (1, 0): frozenset({1})}}, SpecFormatError, "f table has surplus keys"),
+    ({"g_table": {k: v for k, v in Z2_G.items() if k != (1, 1)}}, MissingEntry, "'g'.* 1,1"),
+    ({"g_table": {**Z2_G, (1, 1): -1}}, SpecFormatError, r"g value out of range at \(1, 1\)"),
+    ({"g_table": {**Z2_G, (0, 1): 2}}, SpecFormatError, r"g value out of range at \(0, 1\)"),
+    ({"g_table": {**Z2_G, (1, 0): 0}}, SpecFormatError, "g table has surplus keys"),
+])
+def test_specs_built_in_code_are_validated(z2, edit, error, match):
+    assert z2.spec.f_table == Z2_F and z2.spec.g_table == Z2_G
+    with pytest.raises(error, match=match):
+        verify_axioms(replace(z2.spec, **edit))
+
+
+def test_require_ring_raises_axioms_failed(z2):
+    # 1 * 1 = 0 breaks the scalar identity
+    spec = replace(z2.spec, g_table={**Z2_G, (1, 1): 0})
+    with pytest.raises(AxiomsFailed, match="scalar-identity") as info:
+        require_ring(spec)
+    assert isinstance(info.value.report, AxiomReport)
+    assert "scalar-identity" in info.value.report.failures()
 
 
 def test_unordered_keys_are_canonicalised():
@@ -165,6 +209,7 @@ def test_scalar_multiply_is_identity_padded_product(paper, z6):
         for a in range(ring.order):
             for b in range(ring.order):
                 assert ring.scalar_multiply(a, b) == ring.multiply(a, b, *pad)
+            assert ring.scalar_row(a) == [ring.multiply(a, b, *pad) for b in range(ring.order)]
 
 
 def test_negate_paper(paper):

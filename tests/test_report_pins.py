@@ -1,13 +1,16 @@
 """Report bytes pinned by hash, in both modes: the theorem suite on the 8
 default fixtures, the ``ideals`` report on all 9, and the theorem suite on
 each of the larger rings z16, z2^4 and paper-example², whose many quotients
-reach the transfer checkers (THOM-PRE, THOM-IMG, TQUOT).
+reach the transfer checkers (THOM-PRE, THOM-IMG, TQUOT).  The ``fixtures``
+command's output, which has no mode, is pinned too.
 
 The fixture hashes were recorded on the engine that still refused rings
 above order 16 before any walk, so moving the size guard into the walks is
 shown to change no report these inputs give.  The larger rings' hashes were
 recorded on the engine that still tested the image of every MS for
 closure, so relying on the lemma instead is shown to change none either.
+The ``fixtures`` hashes were recorded while the registry still lived in the
+harness module, so moving it is shown to change no document.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import hashlib
 import pytest
 
 from hyperideal import cli, fixtures, run_suite, serialize_spec
-from hyperideal.harness import DEFAULT_SUITE_FIXTURES, FIXTURE_NAMES
+from hyperideal.fixture_rings import DEFAULT_SUITE_FIXTURES, FIXTURE_NAMES
 
 MODES = ("lenient", "strict")
 
@@ -28,6 +31,21 @@ SUITE_SHA256 = {
 IDEALS_SHA256 = {
     "lenient": "c33f7a5649652daee0a94368455cda900dc0bee927b2447226c407907940a81a",
     "strict": "e6f09351f84eefed21785c2e502388c549015a5991c775aba1bfae5352198e1e",
+}
+
+# sha256 of the ``fixtures`` command's output: the name list (""), then the
+# document of each fixture
+FIXTURES_SHA256 = {
+    "": "3217b97136fb14274ed1e4bad89a18790ad13505d8c1401d542ac30119e01393",
+    "paper-example": "2545b58437a89da9a6d5f7af242221e635a6a67c56b0b6e24369ab620a40ccc1",
+    "z2": "405ee244baed6c2e4da61985fc63918da426f6ab574cc8f050c848a85f2c5583",
+    "z4": "d5066ea6a179924821993747e1f75e513f8376283965809defae0b4839b0b5b9",
+    "z6": "75f8e655508064aec109d8ca8cccec9a4614edcef6a11f413ca589560765c91d",
+    "z8": "fe3d8b17e7da8b860bcfed1bffb753ee426409e264c38577fa18ee4724b976ae",
+    "z12": "670f67cf08d9cf29267bc239c6288e066424f4ea716503a1374ad8204dd82573",
+    "z2xz3": "df02924be0dc7fe396b2728304d9770f95fb693255139d468bd05bd5864610c5",
+    "z6-mod-3": "05efb211cf74ee29e1b472c8e86ac8ac2cc382e2cd0605e753ce9c599281fe86",
+    "z2-as-33": "d044932cf95bb3c892ac8042656930180248de4ec9151cf1f6ea64d17b090bb9",
 }
 
 # sha256 of ``run_suite([ring], mode).to_json()`` on each ring of ``large_rings``
@@ -76,3 +94,11 @@ def test_ideals_reports_are_pinned(fixture_paths, tmp_path, mode):
 def test_large_ring_suite_reports_are_pinned(large_rings, name, mode):
     report = run_suite([large_rings[name]], mode).to_json()
     assert _sha256(report) == LARGE_SUITE_SHA256[name, mode]
+
+
+@pytest.mark.parametrize("name", FIXTURES_SHA256)
+def test_fixture_documents_are_pinned(tmp_path, name):
+    assert set(FIXTURES_SHA256) == {"", *FIXTURE_NAMES}
+    out = tmp_path / "out.txt"
+    assert cli.run(["fixtures", *([name] if name else []), "--out", str(out)]) == 0
+    assert _sha256(out.read_text(encoding="utf-8")) == FIXTURES_SHA256[name]
