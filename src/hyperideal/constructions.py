@@ -4,12 +4,19 @@ Quotient construction never assumes well-definedness: cosets must partition
 the carrier and both induced operations must be independent of the chosen
 representatives, otherwise construction fails loudly.  Lenient-mode
 hyperideals can and do break these conditions.
+
+Homomorphism clauses and the independence of representatives are decided a
+whole row of the last argument at a time (``_rows_commute``), as the
+verifier decides associativity.  A pass is final; when a row differs, the
+key-by-key scan runs and names the first failing key, so every verdict and
+error message is the same whichever check decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from typing import Sequence
 
 from .analysis import Verdict
 from .errors import (
@@ -28,6 +35,8 @@ from .kernel import (
     HyperRing,
     HyperRingSpec,
     SubsetMask,
+    _index,
+    _Memo,
     bit_members,
     check_mode,
     check_table_size,
@@ -89,11 +98,19 @@ def check_homomorphism(
         mapping = tuple(mapping[x] for x in range(source.order) if x in mapping)
     if len(mapping) != source.order:
         raise ValueError("mapping must be total on the source")
-    if not all(isinstance(y, int) and 0 <= y < target.order for y in mapping):
+    # exact ints: a bool would pass as the element 0 or 1
+    if not all(type(y) is int and 0 <= y < target.order for y in mapping):
         raise ValueError("mapping must send every element into the target")
     if mapping[source.one] != target.one:
         return Verdict(False, "identity", (source.one,), "the identity is not preserved")
     hom = HyperRingHom(source, target, tuple(mapping), len(set(mapping)) == target.order)
+    mapping = hom.mapping
+    sums = list(map(_Memo(hom.image_bits).__getitem__, source.f_dense))
+    products = list(map(mapping.__getitem__, source.g_dense))
+    if (_rows_commute(source.m, sums, mapping, target.f_dense, target.order)
+            and _rows_commute(source.n, products, mapping, target.g_dense, target.order)):
+        return hom
+    # a row differs: the scans name the clause and its first failing key
     for key in combinations_with_replacement(range(source.order), source.m):
         if hom.image_bits(source.f_bits(key)) != target.f_bits([mapping[x] for x in key]):
             return Verdict(False, "hyperaddition", key, "images of the sum differ")
@@ -101,6 +118,23 @@ def check_homomorphism(
         if mapping[source.g_at(key)] != target.g_at(tuple(mapping[x] for x in key)):
             return Verdict(False, "multiplication", key, "images of the product differ")
     return hom
+
+
+def _rows_commute(
+    arity: int, values: list, h: Sequence[int], target: list, target_order: int,
+) -> bool:
+    """Whether ``values`` at every ordered arity-tuple t over ``range(len(h))``
+    equals ``target`` at h(t).  Both lists are dense (see ``kernel``) and
+    symmetric in their arguments, so for each sorted (arity-1)-prefix p the
+    row ``values(p, .)`` is compared with the row of h(p) in ``target``, read
+    at h(c) for every c."""
+    order = len(h)
+    for p in combinations_with_replacement(range(order), arity - 1):
+        start = _index(p, order) * order
+        at = _index(map(h.__getitem__, p), target_order) * target_order
+        if values[start : start + order] != list(map(target[at : at + target_order].__getitem__, h)):
+            return False
+    return True
 
 
 def identity_hom(ring: HyperRing) -> HyperRingHom:
@@ -208,31 +242,11 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
     if covered != ring.full_bits:
         raise CosetsNotPartition(ring.names_of_bits(covered), ())
 
-    coset_index = [distinct.index(coset_bits[x]) for x in range(ring.order)]
-    members = [[x for x in range(ring.order) if b >> x & 1] for b in distinct]
-    order = len(distinct)
+    position = {b: i for i, b in enumerate(distinct)}
+    coset_index = [position[b] for b in coset_bits]
+    members = [bit_members(b) for b in distinct]
     names = tuple("+".join(ring.elements[x] for x in mem) for mem in members)
-
-    def induced(arity: int, of_reps, operation: str) -> dict:
-        """The table of cosets keyed like ``arity``-ary entries, each value
-        ``of_reps`` of the representatives, which must not depend on them."""
-        table = {}
-        for key in combinations_with_replacement(range(order), arity):
-            values = {of_reps(reps) for reps in product(*(members[c] for c in key))}
-            if len(values) > 1:
-                raise InducedOpIllDefined(
-                    f"{operation} of cosets {tuple(names[c] for c in key)} "
-                    "depends on the representatives"
-                )
-            (table[key],) = values
-        return table
-
-    f_table = induced(
-        ring.m,
-        lambda reps: frozenset(coset_index[z] for z in bit_members(ring.f_bits(reps))),
-        "hyperaddition",
-    )
-    g_table = induced(ring.n, lambda reps: coset_index[ring.g_at(reps)], "multiplication")
+    f_table, g_table = _induced_tables(ring, coset_index, members, names)
 
     spec = HyperRingSpec(
         name=f"{ring.name}/{ring.render_bits(modulus.bits)}",
@@ -261,6 +275,58 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
         quotient=quotient,
         projection=hom,
     )
+
+
+def _induced_tables(
+    ring: HyperRing, coset_index: list[int], members: list[list[int]], names: tuple[str, ...],
+) -> tuple[dict, dict]:
+    """The hyperaddition and multiplication induced on the classes
+    ``members`` (a partition of the carrier, each class ascending;
+    ``coset_index`` names the class of each element), keyed like spec
+    tables.  Each operation is lifted to classes over the whole dense table;
+    when every entry equals the entry at the least members of its arguments'
+    classes, the table is read there, and otherwise ``_induced`` raises."""
+    order = ring.order
+    reps = [members[c][0] for c in coset_index]
+
+    def induced(arity: int, lifted: list, of_reps, operation: str) -> dict:
+        if not _rows_commute(arity, lifted, reps, lifted, order):
+            return _induced(members, names, arity, of_reps, operation)
+        return {
+            key: lifted[_index((members[c][0] for c in key), order)]
+            for key in combinations_with_replacement(range(len(members)), arity)
+        }
+
+    classes = _Memo(lambda bits: frozenset(coset_index[z] for z in bit_members(bits)))
+    f_table = induced(
+        ring.m,
+        list(map(classes.__getitem__, ring.f_dense)),
+        lambda reps: classes[ring.f_bits(reps)],
+        "hyperaddition",
+    )
+    g_table = induced(
+        ring.n,
+        list(map(coset_index.__getitem__, ring.g_dense)),
+        lambda reps: coset_index[ring.g_at(reps)],
+        "multiplication",
+    )
+    return f_table, g_table
+
+
+def _induced(members: list[list[int]], names: tuple[str, ...], arity: int, of_reps,
+             operation: str) -> dict:
+    """The table of classes keyed like ``arity``-ary entries, each value
+    ``of_reps`` of the representatives, which must not depend on them."""
+    table = {}
+    for key in combinations_with_replacement(range(len(members)), arity):
+        values = {of_reps(reps) for reps in product(*(members[c] for c in key))}
+        if len(values) > 1:
+            raise InducedOpIllDefined(
+                f"{operation} of cosets {tuple(names[c] for c in key)} "
+                "depends on the representatives"
+            )
+        (table[key],) = values
+    return table
 
 
 # ---------------------------------------------------------------------------

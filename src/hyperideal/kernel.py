@@ -16,17 +16,19 @@ checks the axioms on them and hands the same lists to the ``HyperRing``.
 The ring's views of g (``g_row``, ``scalar_row``) read ``g_dense`` in
 place; only ``g_tuples`` is built as a second structure.
 
-Associativity and distributivity, the costly axioms, are decided a whole
-row of the last argument c at a time.  Values get byte ids (an element is
-its own id, an f value its place among f's distinct masks), a row is a
-``bytes`` over c, and rows are composed with ``bytes.translate``: for each
-sorted multiset of the other arguments, every grouping with c in the inner
-group must give the same row, and the two sides of distributivity must give
-equal rows or, where they differ, rows whose ids pass the containment test.  Only when a row
-check fails does the multiset scan run, to name the lexicographically first
-witness, so reports do not depend on which check decided.  Rings whose ids
-do not fit in a byte (``_BYTE_IDS``) are scanned straight away, which costs
-far more: on a 2-CPU host z256 verifies in about 0.6 s, z257 in about 25 s.
+Associativity, reversibility and distributivity, the costly axioms, are
+decided a whole row of the last argument c at a time.  Values get byte ids
+(an element is its own id, an f value its place among f's distinct masks),
+a row is a ``bytes`` over c, and rows are composed with ``bytes.translate``:
+for each sorted multiset of the other arguments, every grouping with c in
+the inner group must give the same row, and the two sides of distributivity
+must give equal rows or, where they differ, rows whose ids pass the
+containment test.  Reversibility compares the row f(-R, .) with the
+transpose of the row f(R, .).  Only when a row check fails does the
+multiset scan run, to name the lexicographically first witness, so reports
+do not depend on which check decided.  Rings whose ids do not fit in a byte
+(``_BYTE_IDS``) are scanned straight away, which costs far more: on a 2-CPU
+host z256 verifies in about 0.6 s, z257 in about 25 s.
 """
 
 from __future__ import annotations
@@ -138,21 +140,28 @@ class HyperRingSpec:
             raise UnknownElement(name, self.name) from None
 
 
+_INT = frozenset({int})
+
+
 def validate_spec(spec: HyperRingSpec) -> None:
-    """Raise a SpecFormatError subtype unless the tables are complete and closed."""
-    if spec.m < 2:
+    """Raise a SpecFormatError subtype unless the tables are complete and closed.
+
+    A spec built in code reaches here without ``parse_spec``, so every value
+    is type-checked before it is compared.  Numbers must be exact ints: a
+    bool would pass as 0 or 1, and a float as the int it equals."""
+    if type(spec.m) is not int or spec.m < 2:
         raise ArityOutOfRange("m", spec.m)
-    if spec.n < 2:
+    if type(spec.n) is not int or spec.n < 2:
         raise ArityOutOfRange("n", spec.n)
     if max(spec.m, spec.n) > MAX_VERIFY_ARITY:  # before a key walk builds a key that long
         raise TablesTooLarge(f"m={spec.m}, n={spec.n} is past the arity limit {MAX_VERIFY_ARITY}")
     if not spec.elements:
         raise SpecFormatError("no elements declared")
+    for name in spec.elements:
+        if not isinstance(name, str) or "," in name or name == "":
+            raise SpecFormatError(f"element name {name!r} is not allowed")
     if len(set(spec.elements)) != len(spec.elements):
         raise SpecFormatError("element names are not distinct")
-    for name in spec.elements:
-        if "," in name or name == "":
-            raise SpecFormatError(f"element name {name!r} is not allowed")
     if spec.zero not in spec.elements:
         raise UnknownElement(spec.zero, "zero")
     if spec.one not in spec.elements:
@@ -160,13 +169,16 @@ def validate_spec(spec: HyperRingSpec) -> None:
     if spec.zero == spec.one:
         raise SpecFormatError("zero and one must be distinct elements")
     order = spec.order
+    carrier = frozenset(range(order))
     for key in combinations_with_replacement(range(order), spec.m):
         if key not in spec.f_table:
             raise MissingEntry("f", tuple(spec.elements[i] for i in key))
         value = spec.f_table[key]
+        if type(value) not in (set, frozenset) or not _INT.issuperset(map(type, value)):
+            raise SpecFormatError(f"f value at {key} is not a set of element indices")
         if not value:
             raise EmptyHyperValue(tuple(spec.elements[i] for i in key))
-        if any(v < 0 or v >= order for v in value):
+        if not value <= carrier:
             raise SpecFormatError(f"f value out of range at {key}")
     if len(spec.f_table) != comb(order + spec.m - 1, spec.m):
         raise SpecFormatError("f table has surplus keys")
@@ -174,6 +186,8 @@ def validate_spec(spec: HyperRingSpec) -> None:
         if key not in spec.g_table:
             raise MissingEntry("g", tuple(spec.elements[i] for i in key))
         value = spec.g_table[key]
+        if type(value) is not int:
+            raise SpecFormatError(f"g value at {key} is not an element index")
         if value < 0 or value >= order:
             raise SpecFormatError(f"g value out of range at {key}")
     if len(spec.g_table) != comb(order + spec.n - 1, spec.n):
@@ -728,6 +742,35 @@ def _contained_by_rows(
     return True
 
 
+def _reversible_by_rows(
+    order: int, m: int, f: list[int], f_ids: bytes, f_members: list, negation: list[int],
+) -> bool:
+    """Reversibility, decided a row of the last argument at a time.
+
+    For a sorted (m-1)-multiset R, x in f(R, a) must imply a in f(-R, x).
+    Taken for R and for -R, this says that the row f(-R, .) is the transpose
+    of the row f(R, .): its entry at x is the mask of the a with x in
+    f(R, a).  So each pair {R, -R} is checked once, as equal lists; the
+    transpose groups the a by the id of f(R, a).
+    """
+    for r in combinations_with_replacement(range(order), m - 1):
+        neg = sorted(negation[x] for x in r)
+        if neg < list(r):  # checked from the side of -R
+            continue
+        start = _index(r, order) * order
+        groups: dict[int, int] = {}
+        for a, i in enumerate(f_ids[start : start + order]):
+            groups[i] = groups.get(i, 0) | 1 << a
+        transposed = [0] * order
+        for i, bits in groups.items():
+            for x in f_members[i]:
+                transposed[x] |= bits
+        start = _index(neg, order) * order
+        if transposed != f[start : start + order]:
+            return False
+    return True
+
+
 def _decide(rows_fit: bool, rows_hold, scan) -> Verdict:
     """Pass when the row check ``rows_hold()`` does.  When it fails, runs out
     of byte ids midway, or does not apply (``rows_fit`` false), ``scan()``
@@ -832,12 +875,14 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     )
     tick(perf_counter())
 
-    # unique inverses: exactly one y with 0 in f(x, y, 0^(m-2)).
+    # unique inverses: exactly one y with 0 in f(x, 0^(m-2), y), read off
+    # the row of (x, 0^(m-2)).
     negation = [0] * order
     status = PASS
     pad = (zero,) * (m - 2)
     for x in range(order):
-        ys = [y for y in range(order) if f_of((x, y, *pad)) >> zero & 1]
+        start = _index((x, *pad), order) * order
+        ys = [y for y, bits in enumerate(f[start : start + order]) if bits >> zero & 1]
         if len(ys) != 1:
             kind = "no inverse" if not ys else f"multiple inverses {ys}"
             status = Verdict(False, witness=(x,), detail=kind)
@@ -847,13 +892,17 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     tick(perf_counter())
 
     # reversibility: x in f(a_1..a_m) implies a_i in f(x, -a_j for j != i).
-    entries["reversibility"] = _first_failure(
-        (ms, f"element {x} cannot be reversed at position {i + 1}")
-        for ms in combinations_with_replacement(range(order), m)
-        for x in bit_members(f_of(ms))
-        for i in range(m)
-        if (i == 0 or ms[i] != ms[i - 1])
-        and not f[x * f_lead + _index((negation[ms[j]] for j in range(m) if j != i), order)] >> ms[i] & 1
+    entries["reversibility"] = _decide(
+        rows_fit,
+        lambda: _reversible_by_rows(order, m, f, f_ids, f_members, negation),
+        lambda: _first_failure(
+            (ms, f"element {x} cannot be reversed at position {i + 1}")
+            for ms in combinations_with_replacement(range(order), m)
+            for x in bit_members(f_of(ms))
+            for i in range(m)
+            if (i == 0 or ms[i] != ms[i - 1])
+            and not f[x * f_lead + _index((negation[ms[j]] for j in range(m) if j != i), order)] >> ms[i] & 1
+        ),
     ) if status.ok else Verdict(False, witness=(0,), detail="not checkable: inverses are not unique")
     tick(perf_counter())
 

@@ -1,0 +1,132 @@
+"""The row checks of the constructions and of the verifier against their
+scans, on the larger rings that the benchmark builds.  CI runs it.
+
+    PYTHONPATH=src python tests/compare_rows.py
+
+``check_homomorphism`` and ``quotient_ring`` decide by rows
+(``constructions._rows_commute``), and ``verify_axioms`` by its row checks;
+the scans run only when a row check fails, to name the witness.  For z64,
+z2^5, z4xz8, paper-example^2 and paper-example^2xz2-as-33, in both modes,
+the quotient by every proper hyperideal is built twice: as it is, and with
+``_rows_commute`` patched to fail, so that the scans decide.  The specs,
+cosets and projections must be equal, or the errors equal in type and
+message.  Each projection is checked both ways, and each quotient spec, like
+each ring's own spec, must get the same ``AxiomReport`` with
+``kernel._BYTE_IDS`` at its default and at 0, where every axiom is scanned.
+The script prints one line per ring and mode and exits 1 on any
+difference.  It takes about 6 s on a 2-CPU host, most of it the scans of
+z64 and of paper-example^2xz2-as-33.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from contextlib import contextmanager
+
+from hyperideal import (
+    AxiomReport,
+    check_homomorphism,
+    constructions,
+    cyclic_ring,
+    fixtures,
+    kernel,
+    product_ring,
+    proper_hyperideals,
+    quotient_ring,
+    verify_axioms,
+)
+from hyperideal.errors import HyperIdealError
+
+
+@contextmanager
+def patched(module, name: str, value):
+    saved = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, saved)
+
+
+def rows_off():
+    return patched(constructions, "_rows_commute", lambda *args: False)
+
+
+def report(spec) -> AxiomReport:
+    result = verify_axioms(spec)
+    return result if isinstance(result, AxiomReport) else result.axiom_report
+
+
+def reports_agree(spec) -> bool:
+    by_rows = report(spec)
+    with patched(kernel, "_BYTE_IDS", 0):
+        return report(spec) == by_rows
+
+
+def quotient(ring, ideal, mode):
+    """The quotient and what must not depend on the check that decided: the
+    spec, the cosets and the projection, or the error's type and message."""
+    try:
+        q = quotient_ring(ring, ideal, mode)
+    except HyperIdealError as exc:
+        return None, (type(exc).__name__, str(exc))
+    return q, (q.quotient.spec, q.cosets, q.projection.mapping)
+
+
+def rings() -> dict:
+    z2, pe, z2_33 = fixtures("z2"), fixtures("paper-example"), fixtures("z2-as-33")
+    return {
+        "z64": cyclic_ring(64),
+        "z2^5": product_ring([z2] * 5, name="z2^5"),
+        "z4xz8": product_ring([cyclic_ring(4), cyclic_ring(8)], name="z4xz8"),
+        "paper-example^2": product_ring([pe, pe], name="paper-example^2"),
+        "paper-example^2xz2-as-33": product_ring([pe, pe, z2_33], name="paper-example^2xz2-as-33"),
+    }
+
+
+def compare(ring, mode: str, scanned: dict) -> tuple[int, int, int]:
+    """Differences, quotients built and quotients refused, over every proper
+    hyperideal of ``ring`` in ``mode``.  The quotient by an ideal does not
+    depend on the mode, so ``scanned`` keeps the report comparison of each
+    ideal's quotient for the other mode."""
+    differ = built = refused = 0
+    for ideal in proper_hyperideals(ring, mode):
+        q, by_rows = quotient(ring, ideal, mode)
+        with rows_off():
+            _, by_scan = quotient(ring, ideal, mode)
+        differ += by_scan != by_rows
+        if q is None:
+            refused += 1
+            continue
+        built += 1
+        hom = check_homomorphism(ring, q.quotient, q.projection.mapping)
+        with rows_off():
+            differ += check_homomorphism(ring, q.quotient, q.projection.mapping) != hom
+        if ideal.bits not in scanned:
+            scanned[ideal.bits] = reports_agree(q.quotient.spec)
+        differ += hom != q.projection or not scanned[ideal.bits]
+    return differ, built, refused
+
+
+def main() -> int:
+    differ = 0
+    print(f"{'ring':<25} {'mode':<8} {'quotients':>9} {'refused':>7} {'s':>6}  equal")
+    for name, ring in rings().items():
+        start = time.perf_counter()
+        equal = reports_agree(ring.spec)
+        differ += not equal
+        print(f"{name:<25} {'(axioms)':<8} {'':>9} {'':>7} {time.perf_counter() - start:>6.2f}  {equal}",
+              flush=True)
+        scanned: dict[int, bool] = {}
+        for mode in ("lenient", "strict"):
+            start = time.perf_counter()
+            count, built, refused = compare(ring, mode, scanned)
+            differ += count
+            print(f"{name:<25} {mode:<8} {built:>9} {refused:>7} "
+                  f"{time.perf_counter() - start:>6.2f}  {count == 0}", flush=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

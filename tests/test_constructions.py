@@ -1,14 +1,18 @@
 """Products, quotients, homomorphisms, ideal transport."""
 
 import re
+from itertools import combinations_with_replacement, permutations
+from itertools import product as tuples
 
 import pytest
 
 from conftest import z2_ternary_spec
 from hyperideal import (
+    FIXTURE_NAMES,
     HyperRingHom,
     check_homomorphism,
     classify_s,
+    constructions,
     cyclic_ring,
     enumerate_hyperideals,
     enumerate_multiplicative_sets,
@@ -27,8 +31,10 @@ from hyperideal.errors import (
     ArityMismatch,
     CosetsNotPartition,
     HypothesisViolation,
+    InducedOpIllDefined,
     NotARing,
 )
+from hyperideal.kernel import _index
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +204,10 @@ def test_non_hom_multiplication_witness(z6):
     assert isinstance(result, Verdict) and not result.ok
 
 
-@pytest.mark.parametrize("mapping", [(0, 1, 5, 1), (0, 1, -1, 1)])
+@pytest.mark.parametrize("mapping", [(0, 1, 5, 1), (0, 1, -1, 1), (0, True, 0, 1)])
 def test_mapping_outside_the_target_is_refused(z4, z2, mapping):
-    # unchecked, these raise IndexError and "negative shift count"
+    # unchecked, these raise IndexError and "negative shift count", and True
+    # passes as the element 1
     with pytest.raises(ValueError, match="mapping must send every element into the target"):
         check_homomorphism(z4, z2, mapping)
 
@@ -281,3 +288,122 @@ def test_preimage_keeps_s_property(z6):
                 continue
             pre = proj.preimage_of(upper)
             assert classify_s(z6, pre, s).verdict is SVerdict.S_HYPERIDEAL
+
+
+# ---------------------------------------------------------------------------
+# row checks against the scans
+#
+# ``check_homomorphism`` and ``quotient_ring`` decide by rows
+# (``constructions._rows_commute``) and scan only when a row differs.  With
+# the row check patched to fail, the scans decide everything, and every
+# result must be the same.
+
+
+def _rows_fail(monkeypatch):
+    monkeypatch.setattr(constructions, "_rows_commute", lambda *args: False)
+
+
+@pytest.mark.parametrize("name", ["z4", "paper-example"])
+def test_rows_commute_sees_every_entry(name):
+    """Each multiset is read through one sorted prefix, so a change to any
+    one entry, in every order of its arguments, must show."""
+    ring = fixtures(name)
+    g, order, n = ring.g_dense, ring.order, ring.n
+    identity = list(range(order))
+    assert constructions._rows_commute(n, g, identity, g, order)
+    for key in combinations_with_replacement(range(order), n):
+        changed = list(g)
+        for args in set(permutations(key)):
+            changed[_index(args, order)] += order
+        assert not constructions._rows_commute(n, changed, identity, g, order), key
+
+
+def _fixture_projections():
+    for name in FIXTURE_NAMES:
+        ring = fixtures(name)
+        for mode in ("lenient", "strict"):
+            for ideal in proper_hyperideals(ring, mode):
+                try:
+                    q = quotient_ring(ring, ideal, mode)
+                except (CosetsNotPartition, InducedOpIllDefined):
+                    continue
+                yield ring, q.quotient, q.projection.mapping
+
+
+def _xor_rings():
+    """The field of four elements and the Boolean ring z2 x z2, both on
+    0..3 with XOR as addition and 1 as identity: the identity map keeps sums
+    and 1 but not products."""
+    xor = [[a ^ b for b in range(4)] for a in range(4)]
+    swap = (0, 3, 2, 1)  # relabels z2 x z2 (bitwise AND, identity 3) to identity 1
+    boolean = [[swap[swap[a] & swap[b]] for b in range(4)] for a in range(4)]
+    f4 = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+    return [require_ring(ring_from_ring_table(xor, mul, 0, 1, name)) for mul, name in
+            ((boolean, "z2xz2"), (f4, "f4"))]
+
+
+def test_homomorphism_rows_agree_with_the_scan(monkeypatch, z4, z2):
+    boolean, f4 = _xor_rings()
+    cases = [(z4, z2, h) for h in tuples(range(2), repeat=4)]
+    cases += [(z4, z4, h) for h in tuples(range(4), repeat=4)]
+    cases += [(boolean, f4, h) for h in tuples(range(4), repeat=4)]
+    cases += list(_fixture_projections())
+    assert len(cases) == 16 + 256 + 256 + 40
+    by_rows = [check_homomorphism(*case) for case in cases]
+    _rows_fail(monkeypatch)
+    assert [check_homomorphism(*case) for case in cases] == by_rows
+    clauses = [r.clause if isinstance(r, Verdict) else "hom" for r in by_rows]
+    assert {"identity", "hyperaddition", "multiplication", "hom"} <= set(clauses)
+
+
+def _partitions(items):
+    """Every partition of ``items`` into ascending classes, ordered by their
+    least members."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1:]]
+
+
+def _induced_outcomes(ring):
+    """``_induced_tables`` on every partition of the carrier: the tables, or
+    the type and message of the error."""
+    outcomes = []
+    for part in _partitions(list(range(ring.order))):
+        part.sort()
+        coset_index = [0] * ring.order
+        for c, members in enumerate(part):
+            for x in members:
+                coset_index[x] = c
+        names = tuple("+".join(ring.elements[x] for x in members) for members in part)
+        try:
+            outcomes.append(constructions._induced_tables(ring, coset_index, part, names))
+        except Exception as exc:  # compared by type and message
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("name, partitions, tables", [
+    ("z6", 203, 4), ("paper-example", 5, 2),
+])
+def test_quotient_rows_agree_with_the_scan(monkeypatch, name, partitions, tables):
+    """Only a partition that is not the coset partition of a hyperideal
+    reaches the "depends on the representatives" branch; the quotients of
+    the fixtures never do."""
+    ring = fixtures(name)
+    scans = []
+    real = constructions._induced
+    monkeypatch.setattr(constructions, "_induced", lambda *args: scans.append(args) or real(*args))
+    by_rows = _induced_outcomes(ring)
+    assert len(by_rows) == partitions
+    refused = [o for o in by_rows if isinstance(o[0], str)]
+    assert len(refused) == partitions - tables
+    assert {kind for kind, _ in refused} == {"InducedOpIllDefined"}
+    assert all(message.endswith("depends on the representatives") for _, message in refused)
+    assert len(scans) == len(refused)  # each table the rows passed was read off them
+    _rows_fail(monkeypatch)
+    assert _induced_outcomes(ring) == by_rows

@@ -114,6 +114,13 @@ Z2_G = {(0, 0): 0, (0, 1): 0, (1, 1): 1}
     ({"g_table": {**Z2_G, (1, 1): -1}}, SpecFormatError, r"g value out of range at \(1, 1\)"),
     ({"g_table": {**Z2_G, (0, 1): 2}}, SpecFormatError, r"g value out of range at \(0, 1\)"),
     ({"g_table": {**Z2_G, (1, 0): 0}}, SpecFormatError, "g table has surplus keys"),
+    # wrong types, refused before any comparison; True would pass as element 1
+    ({"m": "2"}, ArityOutOfRange, "m='2'"),
+    ({"elements": ("0", 1), "one": 1}, SpecFormatError, "element name 1 is not allowed"),
+    ({"g_table": {**Z2_G, (1, 1): "1"}}, SpecFormatError, r"g value at \(1, 1\) is not an element index"),
+    ({"f_table": {**Z2_F, (0, 0): frozenset({0.0})}}, SpecFormatError,
+     r"f value at \(0, 0\) is not a set of element indices"),
+    ({"g_table": {**Z2_G, (1, 1): True}}, SpecFormatError, r"g value at \(1, 1\) is not an element index"),
 ])
 def test_specs_built_in_code_are_validated(z2, edit, error, match):
     assert z2.spec.f_table == Z2_F and z2.spec.g_table == Z2_G

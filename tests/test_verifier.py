@@ -5,13 +5,13 @@ is verified.  The joined reports are pinned by hash, so a changed witness or
 detail fails here, and each family's verdict is checked against
 ``axiom_oracle.NaiveOracle``.
 
-``verify_axioms`` decides associativity and distributivity by a row check
-and leaves failures and rings whose ids do not fit in a byte to the scans.
-A wrong row check shows in a report only when it passes a failing ring; one
-that fails a good ring just hands over to the scan.  So the tests below
-lower the bound ``kernel._BYTE_IDS`` to send every ring to the scans, and
-``_both_ways`` runs the scan next to every row check and records both
-verdicts.
+``verify_axioms`` decides associativity, reversibility and distributivity
+by a row check and leaves failures and rings whose ids do not fit in a byte
+to the scans.  A wrong row check shows in a report only when it passes a
+failing ring; one that fails a good ring just hands over to the scan.  So
+the tests below lower the bound ``kernel._BYTE_IDS`` to send every ring to
+the scans, and ``_both_ways`` runs the scan next to every row check and
+records both verdicts.
 """
 
 import hashlib
@@ -81,7 +81,9 @@ def test_mutation_reports_are_pinned_on_each_path(monkeypatch, bounds):
     verdicts = _both_ways(monkeypatch)
     assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
     assert all(by_rows == by_scan for by_rows, by_scan in verdicts)
-    assert len(verdicts) == (0 if bounds == SCAN_ONLY else 3 * 262)
+    # three row checks per spec, and reversibility on the 159 whose inverses
+    # are unique
+    assert len(verdicts) == (0 if bounds == SCAN_ONLY else 3 * 262 + 159)
 
 
 def _paper_times_z2_as_33():
@@ -162,7 +164,7 @@ def test_census_verdicts_match_the_oracle(monkeypatch):
                     disagreements.append((path, spec.name, family, "witness is no violation"))
     assert disagreements == []
     assert len(accepted) == 20  # the same 10 rings on each path
-    assert len(verdicts) == 3 * 1029
+    assert len(verdicts) == 3 * 1029 + 252  # reversibility where inverses are unique
     assert [pair for pair in verdicts if pair[0] != pair[1]] == []
     assert (True, True) in verdicts and (False, False) in verdicts
 
@@ -179,7 +181,7 @@ def test_row_check_passes_every_ring_that_holds(monkeypatch):
     verdicts = _both_ways(monkeypatch)
     for ring in rings:
         assert isinstance(verify_axioms(ring.spec), HyperRing)
-    assert verdicts == [(True, True)] * 3 * len(rings)
+    assert verdicts == [(True, True)] * 4 * len(rings)
 
 
 def test_verifier_agrees_with_naive_oracle():
