@@ -6,17 +6,18 @@ representatives, otherwise construction fails loudly.  Lenient-mode
 hyperideals can and do break these conditions.
 
 Homomorphism clauses and the independence of representatives are decided a
-whole row of the last argument at a time (``_rows_commute``), as the
-verifier decides associativity.  A pass is final; when a row differs, the
-key-by-key scan runs and names the first failing key, so every verdict and
-error message is the same whichever check decided.
+whole row of the last argument at a time (``_differences``), as the
+verifier decides associativity.  The same comparison names the failure: it
+yields the differing tuples of a row that differs, and its first yield is
+the first failing sorted key.  The projection of a quotient and the
+identity are homomorphisms by construction and are not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .analysis import Verdict
 from .errors import (
@@ -68,9 +69,13 @@ class HyperRingHom:
         return out
 
     def image_of(self, subset: SubsetMask) -> SubsetMask:
+        if subset.ring is not self.source:
+            raise RingMismatch("image expects a subset of the source")
         return SubsetMask(self.target, self.image_bits(subset.bits))
 
     def preimage_of(self, subset: SubsetMask) -> SubsetMask:
+        if subset.ring is not self.target:
+            raise RingMismatch("preimage expects a subset of the target")
         return SubsetMask(self.source, self.preimage_bits(subset.bits))
 
     @property
@@ -94,7 +99,10 @@ def check_homomorphism(
     returned as a failing Verdict naming the clause and witness, never raised."""
     if source.m != target.m or source.n != target.n:
         raise ArityMismatch((source.m, source.n), (target.m, target.n))
-    if isinstance(mapping, dict):  # a missing element shortens the tuple
+    if isinstance(mapping, dict):
+        # exact int keys: a bool would stand for 0 or 1, other keys be dropped
+        if not all(type(x) is int and 0 <= x < source.order for x in mapping):
+            raise ValueError("mapping keys must be elements of the source")
         mapping = tuple(mapping[x] for x in range(source.order) if x in mapping)
     if len(mapping) != source.order:
         raise ValueError("mapping must be total on the source")
@@ -106,41 +114,39 @@ def check_homomorphism(
     hom = HyperRingHom(source, target, tuple(mapping), len(set(mapping)) == target.order)
     mapping = hom.mapping
     sums = list(map(_Memo(hom.image_bits).__getitem__, source.f_dense))
+    key = next(_differences(source.m, sums, mapping, target.f_dense, target.order), None)
+    if key is not None:
+        return Verdict(False, "hyperaddition", key, "images of the sum differ")
     products = list(map(mapping.__getitem__, source.g_dense))
-    if (_rows_commute(source.m, sums, mapping, target.f_dense, target.order)
-            and _rows_commute(source.n, products, mapping, target.g_dense, target.order)):
-        return hom
-    # a row differs: the scans name the clause and its first failing key
-    for key in combinations_with_replacement(range(source.order), source.m):
-        if hom.image_bits(source.f_bits(key)) != target.f_bits([mapping[x] for x in key]):
-            return Verdict(False, "hyperaddition", key, "images of the sum differ")
-    for key in combinations_with_replacement(range(source.order), source.n):
-        if mapping[source.g_at(key)] != target.g_at(tuple(mapping[x] for x in key)):
-            return Verdict(False, "multiplication", key, "images of the product differ")
+    key = next(_differences(source.n, products, mapping, target.g_dense, target.order), None)
+    if key is not None:
+        return Verdict(False, "multiplication", key, "images of the product differ")
     return hom
 
 
-def _rows_commute(
+def _differences(
     arity: int, values: list, h: Sequence[int], target: list, target_order: int,
-) -> bool:
-    """Whether ``values`` at every ordered arity-tuple t over ``range(len(h))``
-    equals ``target`` at h(t).  Both lists are dense (see ``kernel``) and
-    symmetric in their arguments, so for each sorted (arity-1)-prefix p the
-    row ``values(p, .)`` is compared with the row of h(p) in ``target``, read
-    at h(c) for every c."""
+) -> Iterator[tuple[int, ...]]:
+    """The ordered arity-tuples t over ``range(len(h))``, each with a sorted
+    (arity-1)-prefix, at which ``values`` differs from ``target`` at h(t).
+    Both lists are dense (see ``kernel``) and symmetric in their arguments,
+    so for each sorted prefix p the row ``values(p, .)`` is compared whole
+    with the row of h(p) in ``target``, read at h(c) for every c; only a row
+    that differs is searched for its c.  The first yield is the first
+    failing sorted key: an entry (p, c) with c below p's last element is the
+    multiset of an entry whose prefix sorts before p, in a row found equal."""
     order = len(h)
     for p in combinations_with_replacement(range(order), arity - 1):
         start = _index(p, order) * order
         at = _index(map(h.__getitem__, p), target_order) * target_order
-        if values[start : start + order] != list(map(target[at : at + target_order].__getitem__, h)):
-            return False
-    return True
+        row = values[start : start + order]
+        image = list(map(target[at : at + target_order].__getitem__, h))
+        if row != image:
+            yield from ((*p, c) for c in range(order) if row[c] != image[c])
 
 
 def identity_hom(ring: HyperRing) -> HyperRingHom:
-    hom = check_homomorphism(ring, ring, tuple(range(ring.order)))
-    assert isinstance(hom, HyperRingHom)
-    return hom
+    return HyperRingHom(ring, ring, tuple(range(ring.order)), True)
 
 
 def transport_ideal(hom: HyperRingHom, direction: str, subset: SubsetMask) -> SubsetMask:
@@ -150,17 +156,14 @@ def transport_ideal(hom: HyperRingHom, direction: str, subset: SubsetMask) -> Su
     those hypotheses are checked, not assumed.
     """
     if direction == "preimage":
-        if subset.ring is not hom.target:
-            raise RingMismatch("preimage expects a subset of the target")
         return hom.preimage_of(subset)
     if direction == "image":
-        if subset.ring is not hom.source:
-            raise RingMismatch("image expects a subset of the source")
+        image = hom.image_of(subset)  # refuses a subset of another ring first
         if not hom.surjective:
             raise HypothesisViolation("image transport requires a surjective homomorphism")
         if not hom.kernel.issubset(subset):
             raise HypothesisViolation("image transport requires the kernel inside the ideal")
-        return hom.image_of(subset)
+        return image
     raise ValueError(f"direction must be 'image' or 'preimage', got {direction!r}")
 
 
@@ -264,16 +267,15 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
             "quotient tables are representative-independent but fail axiom "
             f"verification: {', '.join(result.failures())}"
         )
-    quotient = result
-    hom = check_homomorphism(ring, quotient, tuple(coset_index))
-    if not isinstance(hom, HyperRingHom):
-        raise InternalContradiction("canonical projection is not a homomorphism")
+    # the projection is a homomorphism by construction: its sum and product
+    # clauses compare the lists the independence test compared, and the
+    # quotient's one is the coset of one
     return QuotientRing(
         base=ring,
         modulus=modulus,
         cosets=tuple(SubsetMask(ring, b) for b in distinct),
-        quotient=quotient,
-        projection=hom,
+        quotient=result,
+        projection=HyperRingHom(ring, result, tuple(coset_index), True),
     )
 
 
@@ -283,50 +285,32 @@ def _induced_tables(
     """The hyperaddition and multiplication induced on the classes
     ``members`` (a partition of the carrier, each class ascending;
     ``coset_index`` names the class of each element), keyed like spec
-    tables.  Each operation is lifted to classes over the whole dense table;
-    when every entry equals the entry at the least members of its arguments'
-    classes, the table is read there, and otherwise ``_induced`` raises."""
+    tables.  Each operation is lifted to classes over the whole dense table
+    and compared with itself at the least members of the arguments' classes.
+    A class key depends on the representatives exactly when some tuple of
+    its classes differs there; the least such key is refused.  Otherwise
+    each entry is read at the least members."""
     order = ring.order
     reps = [members[c][0] for c in coset_index]
 
-    def induced(arity: int, lifted: list, of_reps, operation: str) -> dict:
-        if not _rows_commute(arity, lifted, reps, lifted, order):
-            return _induced(members, names, arity, of_reps, operation)
+    def induced(arity: int, lifted: list, operation: str) -> dict:
+        differing = (tuple(sorted(coset_index[x] for x in t))
+                     for t in _differences(arity, lifted, reps, lifted, order))
+        key = min(differing, default=None)
+        if key is not None:
+            raise InducedOpIllDefined(
+                f"{operation} of cosets {tuple(names[c] for c in key)} "
+                "depends on the representatives"
+            )
         return {
             key: lifted[_index((members[c][0] for c in key), order)]
             for key in combinations_with_replacement(range(len(members)), arity)
         }
 
     classes = _Memo(lambda bits: frozenset(coset_index[z] for z in bit_members(bits)))
-    f_table = induced(
-        ring.m,
-        list(map(classes.__getitem__, ring.f_dense)),
-        lambda reps: classes[ring.f_bits(reps)],
-        "hyperaddition",
-    )
-    g_table = induced(
-        ring.n,
-        list(map(coset_index.__getitem__, ring.g_dense)),
-        lambda reps: coset_index[ring.g_at(reps)],
-        "multiplication",
-    )
+    f_table = induced(ring.m, list(map(classes.__getitem__, ring.f_dense)), "hyperaddition")
+    g_table = induced(ring.n, list(map(coset_index.__getitem__, ring.g_dense)), "multiplication")
     return f_table, g_table
-
-
-def _induced(members: list[list[int]], names: tuple[str, ...], arity: int, of_reps,
-             operation: str) -> dict:
-    """The table of classes keyed like ``arity``-ary entries, each value
-    ``of_reps`` of the representatives, which must not depend on them."""
-    table = {}
-    for key in combinations_with_replacement(range(len(members)), arity):
-        values = {of_reps(reps) for reps in product(*(members[c] for c in key))}
-        if len(values) > 1:
-            raise InducedOpIllDefined(
-                f"{operation} of cosets {tuple(names[c] for c in key)} "
-                "depends on the representatives"
-            )
-        (table[key],) = values
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ def _transfer(ring: HyperRing, modulus_bits: int | None, mode: str) -> HyperRing
     ``None``), built once per ring; ``None`` when the quotient is
     ill-defined.  The mode only validates the modulus: a strict hyperideal is
     a lenient one, and the quotient does not depend on the mode.  Both maps
-    pass ``check_homomorphism``, which refuses any map that breaks the
-    g-law, so the image of every MS is an MS of the target."""
+    are homomorphisms by construction, so they keep the g-law and the image
+    of every MS is an MS of the target."""
     quotients = ring.analysis.quotients
     if modulus_bits not in quotients:
         try:

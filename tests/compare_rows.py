@@ -1,21 +1,24 @@
-"""The row checks of the constructions and of the verifier against their
-scans, on the larger rings that the benchmark builds.  CI runs it.
+"""The quotients and projections of the constructions, and the axiom
+reports of the verifier, against their scans, on the larger rings that the
+benchmark builds.  CI runs it.
 
     PYTHONPATH=src python tests/compare_rows.py
 
-``check_homomorphism`` and ``quotient_ring`` decide by rows
-(``constructions._rows_commute``), and ``verify_axioms`` by its row checks;
-the scans run only when a row check fails, to name the witness.  For z64,
-z2^5, z4xz8, paper-example^2 and paper-example^2xz2-as-33, in both modes,
-the quotient by every proper hyperideal is built twice: as it is, and with
-``_rows_commute`` patched to fail, so that the scans decide.  The specs,
+``quotient_ring`` decides the independence of representatives by rows, as
+``check_homomorphism`` decides its clauses (``constructions._differences``),
+and ``verify_axioms`` decides by its row checks and scans only to name a
+witness.  For z64, z2^5, z4xz8, paper-example^2 and
+paper-example^2xz2-as-33, in both modes, the quotient by every proper
+hyperideal is built twice: as it is, and with ``_induced_tables`` replaced
+by the key-by-key scan of ``tests/construction_oracle.py``.  The specs,
 cosets and projections must be equal, or the errors equal in type and
-message.  Each projection is checked both ways, and each quotient spec, like
-each ring's own spec, must get the same ``AxiomReport`` with
-``kernel._BYTE_IDS`` at its default and at 0, where every axiom is scanned.
-The script prints one line per ring and mode and exits 1 on any
-difference.  It takes about 6 s on a 2-CPU host, most of it the scans of
-z64 and of paper-example^2xz2-as-33.
+message.  ``quotient_ring`` builds each projection without checking it, so
+the projection must equal both ``check_homomorphism`` and the oracle's scan
+of its mapping.  Each quotient spec, like each ring's own spec, must get the
+same ``AxiomReport`` with ``kernel._BYTE_IDS`` at its default and at 0,
+where every axiom is scanned.  The script prints one line per ring and mode
+and exits 1 on any difference.  It takes about 6 s on a 2-CPU host, most of
+it the axiom scans of z64 and of paper-example^2xz2-as-33.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import sys
 import time
 from contextlib import contextmanager
 
+from construction_oracle import homomorphism_scan, induced_tables_scan
 from hyperideal import (
     AxiomReport,
     check_homomorphism,
@@ -47,10 +51,6 @@ def patched(module, name: str, value):
         yield
     finally:
         setattr(module, name, saved)
-
-
-def rows_off():
-    return patched(constructions, "_rows_commute", lambda *args: False)
 
 
 def report(spec) -> AxiomReport:
@@ -93,19 +93,19 @@ def compare(ring, mode: str, scanned: dict) -> tuple[int, int, int]:
     differ = built = refused = 0
     for ideal in proper_hyperideals(ring, mode):
         q, by_rows = quotient(ring, ideal, mode)
-        with rows_off():
+        with patched(constructions, "_induced_tables", induced_tables_scan):
             _, by_scan = quotient(ring, ideal, mode)
         differ += by_scan != by_rows
         if q is None:
             refused += 1
             continue
         built += 1
-        hom = check_homomorphism(ring, q.quotient, q.projection.mapping)
-        with rows_off():
-            differ += check_homomorphism(ring, q.quotient, q.projection.mapping) != hom
+        mapping = q.projection.mapping
+        hom = check_homomorphism(ring, q.quotient, mapping)
+        differ += hom != q.projection or homomorphism_scan(ring, q.quotient, mapping) != hom
         if ideal.bits not in scanned:
             scanned[ideal.bits] = reports_agree(q.quotient.spec)
-        differ += hom != q.projection or not scanned[ideal.bits]
+        differ += not scanned[ideal.bits]
     return differ, built, refused
 
 

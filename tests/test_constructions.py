@@ -3,10 +3,12 @@
 import re
 from itertools import combinations_with_replacement, permutations
 from itertools import product as tuples
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import z2_ternary_spec
+from construction_oracle import homomorphism_scan, induced_tables_scan, product_scan, sum_scan
 from hyperideal import (
     FIXTURE_NAMES,
     HyperRingHom,
@@ -33,6 +35,7 @@ from hyperideal.errors import (
     HypothesisViolation,
     InducedOpIllDefined,
     NotARing,
+    RingMismatch,
 )
 from hyperideal.kernel import _index
 
@@ -217,9 +220,14 @@ def test_mapping_outside_the_target_is_refused(z4, z2, mapping):
     ((0, 1.0, 0, 1), "mapping must send every element into the target"),
     ("0101", "mapping must send every element into the target"),
     ({0: 0, 1: "1", 2: 0, 3: 1}, "mapping must send every element into the target"),
-], ids=["dict-missing-elements", "float-image", "string", "dict-string-image"])
+    ({0: 0, 1: 1, 2: 0, 3: 1, 9: 7, "x": 0}, "mapping keys must be elements of the source"),
+    ({False: 0, True: 1, 2: 0, 3: 1}, "mapping keys must be elements of the source"),
+], ids=["dict-missing-elements", "float-image", "string", "dict-string-image",
+        "dict-keys-outside-the-source", "dict-bool-keys"])
 def test_malformed_mapping_is_refused(z4, z2, mapping, message):
-    # unchecked, these raise KeyError and TypeError
+    # unchecked, the first four raise KeyError and TypeError, and the last
+    # two pass as x -> x mod 2: stray keys are dropped, and False and True
+    # stand for 0 and 1
     with pytest.raises(ValueError, match=message):
         check_homomorphism(z4, z2, mapping)
 
@@ -232,6 +240,21 @@ def test_projection_reverified(z6):
 
 # ---------------------------------------------------------------------------
 # transport
+
+
+@pytest.mark.parametrize("method, ring, members, message", [
+    ("preimage_of", 8, [0], "preimage expects a subset of the target"),
+    ("preimage_of", 6, [0], "preimage expects a subset of the target"),
+    ("image_of", 8, [7], "image expects a subset of the source"),
+    ("image_of", 4, [1], "image expects a subset of the source"),
+], ids=["preimage-z8", "preimage-source", "image-z8", "image-z4"])
+def test_image_and_preimage_refuse_masks_of_other_rings(z6, method, ring, members, message):
+    # unchecked, the z8 preimage reads {0,3}, the z8 image raises IndexError
+    # and the z4 image is a wrong mask
+    projection = quotient_ring(z6, z6.subset([0, 3])).projection
+    other = z6 if ring == 6 else cyclic_ring(ring)
+    with pytest.raises(RingMismatch, match=message):
+        getattr(projection, method)(other.subset(members))
 
 
 def test_preimage_of_zero_is_modulus(z6):
@@ -293,41 +316,64 @@ def test_preimage_keeps_s_property(z6):
 # ---------------------------------------------------------------------------
 # row checks against the scans
 #
-# ``check_homomorphism`` and ``quotient_ring`` decide by rows
-# (``constructions._rows_commute``) and scan only when a row differs.  With
-# the row check patched to fail, the scans decide everything, and every
-# result must be the same.
-
-
-def _rows_fail(monkeypatch):
-    monkeypatch.setattr(constructions, "_rows_commute", lambda *args: False)
+# ``check_homomorphism`` and ``_induced_tables`` decide by rows and name a
+# failure from the row that differs (``constructions._differences``).
+# ``tests/construction_oracle.py`` keeps the key-by-key scans they replaced;
+# every result must be the same.
 
 
 @pytest.mark.parametrize("name", ["z4", "paper-example"])
 def test_rows_commute_sees_every_entry(name):
     """Each multiset is read through one sorted prefix, so a change to any
-    one entry, in every order of its arguments, must show."""
+    one entry, in every order of its arguments, must show: as each of its
+    orders with a sorted prefix, the first being the scan's key."""
     ring = fixtures(name)
     g, order, n = ring.g_dense, ring.order, ring.n
     identity = list(range(order))
-    assert constructions._rows_commute(n, g, identity, g, order)
+    assert next(constructions._differences(n, g, identity, g, order), None) is None
     for key in combinations_with_replacement(range(order), n):
         changed = list(g)
-        for args in set(permutations(key)):
+        orders = set(permutations(key))
+        for args in orders:
             changed[_index(args, order)] += order
-        assert not constructions._rows_commute(n, changed, identity, g, order), key
+        found = list(constructions._differences(n, changed, identity, g, order))
+        # the changed values lie past the carrier, and map to themselves
+        source = SimpleNamespace(order=order, n=n, g_at=lambda t: changed[_index(t, order)])
+        assert found[0] == product_scan(source, ring, range(2 * order)) == key
+        assert sorted(found) == sorted(t for t in orders if list(t[:-1]) == sorted(t[:-1]))
 
 
-def _fixture_projections():
+@pytest.mark.parametrize("source, target", [
+    ("z4", "z2"), ("z4", "z4"), ("paper-example", "paper-example"),
+])
+def test_first_difference_is_the_first_failing_key(source, target):
+    """Whatever the identity clause says, the first differing tuple of each
+    clause is the scan's first failing sorted key, on every map."""
+    source, target = fixtures(source), fixtures(target)
+    failing = {"sums": 0, "products": 0}
+    for mapping in tuples(range(target.order), repeat=source.order):
+        hom = HyperRingHom(source, target, mapping, False)
+        sums = [hom.image_bits(bits) for bits in source.f_dense]
+        products = [mapping[x] for x in source.g_dense]
+        for clause, arity, values, table, scan in (
+            ("sums", source.m, sums, target.f_dense, sum_scan),
+            ("products", source.n, products, target.g_dense, product_scan),
+        ):
+            first = next(constructions._differences(arity, values, mapping, table, target.order), None)
+            assert first == scan(source, target, mapping), (clause, mapping)
+            failing[clause] += first is not None
+    assert all(failing.values())
+
+
+def _fixture_quotients():
     for name in FIXTURE_NAMES:
         ring = fixtures(name)
         for mode in ("lenient", "strict"):
             for ideal in proper_hyperideals(ring, mode):
                 try:
-                    q = quotient_ring(ring, ideal, mode)
+                    yield quotient_ring(ring, ideal, mode)
                 except (CosetsNotPartition, InducedOpIllDefined):
                     continue
-                yield ring, q.quotient, q.projection.mapping
 
 
 def _xor_rings():
@@ -342,18 +388,32 @@ def _xor_rings():
             ((boolean, "z2xz2"), (f4, "f4"))]
 
 
-def test_homomorphism_rows_agree_with_the_scan(monkeypatch, z4, z2):
+def test_homomorphism_rows_agree_with_the_scan(z4, z2):
     boolean, f4 = _xor_rings()
     cases = [(z4, z2, h) for h in tuples(range(2), repeat=4)]
     cases += [(z4, z4, h) for h in tuples(range(4), repeat=4)]
     cases += [(boolean, f4, h) for h in tuples(range(4), repeat=4)]
-    cases += list(_fixture_projections())
+    cases += [(q.base, q.quotient, q.projection.mapping) for q in _fixture_quotients()]
     assert len(cases) == 16 + 256 + 256 + 40
     by_rows = [check_homomorphism(*case) for case in cases]
-    _rows_fail(monkeypatch)
-    assert [check_homomorphism(*case) for case in cases] == by_rows
+    assert by_rows == [homomorphism_scan(*case) for case in cases]
     clauses = [r.clause if isinstance(r, Verdict) else "hom" for r in by_rows]
     assert {"identity", "hyperaddition", "multiplication", "hom"} <= set(clauses)
+
+
+def test_projections_pass_check_homomorphism():
+    # quotient_ring builds its projection unchecked: its independence test
+    # compares the lists that the sum and product clauses would
+    quotients = list(_fixture_quotients())
+    assert len(quotients) == 40
+    for q in quotients:
+        assert check_homomorphism(q.base, q.quotient, q.projection.mapping) == q.projection
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_identity_hom_is_the_checked_identity(name):
+    ring = fixtures(name)
+    assert identity_hom(ring) == check_homomorphism(ring, ring, tuple(range(ring.order)))
 
 
 def _partitions(items):
@@ -369,8 +429,8 @@ def _partitions(items):
             yield [*part[:i], [first, *part[i]], *part[i + 1:]]
 
 
-def _induced_outcomes(ring):
-    """``_induced_tables`` on every partition of the carrier: the tables, or
+def _induced_outcomes(ring, induced_tables):
+    """``induced_tables`` on every partition of the carrier: the tables, or
     the type and message of the error."""
     outcomes = []
     for part in _partitions(list(range(ring.order))):
@@ -381,7 +441,7 @@ def _induced_outcomes(ring):
                 coset_index[x] = c
         names = tuple("+".join(ring.elements[x] for x in members) for members in part)
         try:
-            outcomes.append(constructions._induced_tables(ring, coset_index, part, names))
+            outcomes.append(induced_tables(ring, coset_index, part, names))
         except Exception as exc:  # compared by type and message
             outcomes.append((type(exc).__name__, str(exc)))
     return outcomes
@@ -390,20 +450,15 @@ def _induced_outcomes(ring):
 @pytest.mark.parametrize("name, partitions, tables", [
     ("z6", 203, 4), ("paper-example", 5, 2),
 ])
-def test_quotient_rows_agree_with_the_scan(monkeypatch, name, partitions, tables):
+def test_quotient_rows_agree_with_the_scan(name, partitions, tables):
     """Only a partition that is not the coset partition of a hyperideal
     reaches the "depends on the representatives" branch; the quotients of
     the fixtures never do."""
     ring = fixtures(name)
-    scans = []
-    real = constructions._induced
-    monkeypatch.setattr(constructions, "_induced", lambda *args: scans.append(args) or real(*args))
-    by_rows = _induced_outcomes(ring)
+    by_rows = _induced_outcomes(ring, constructions._induced_tables)
     assert len(by_rows) == partitions
     refused = [o for o in by_rows if isinstance(o[0], str)]
     assert len(refused) == partitions - tables
     assert {kind for kind, _ in refused} == {"InducedOpIllDefined"}
     assert all(message.endswith("depends on the representatives") for _, message in refused)
-    assert len(scans) == len(refused)  # each table the rows passed was read off them
-    _rows_fail(monkeypatch)
-    assert _induced_outcomes(ring) == by_rows
+    assert _induced_outcomes(ring, induced_tables_scan) == by_rows
