@@ -49,9 +49,7 @@ VERIFY_WARN_LIMITS = {2: 112, 3: 18}
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or input error, reported on stderr with exit code 2."""
 
 
 def _warn_if_large(spec) -> None:
@@ -365,7 +363,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
+        return 2
     except (HyperIdealError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,8 @@ class HyperRingHom:
     surjective: bool
 
     def image_bits(self, bits: int) -> int:
+        if bits < 0 or bits >> self.source.order:
+            raise ValueError("mask bits out of range for the source")
         out = 0
         for x in range(bits.bit_length()):
             if bits >> x & 1:
@@ -62,6 +64,8 @@ class HyperRingHom:
         return out
 
     def preimage_bits(self, bits: int) -> int:
+        if bits < 0 or bits >> self.target.order:
+            raise ValueError("mask bits out of range for the target")
         out = 0
         for x in range(self.source.order):
             if bits >> self.mapping[x] & 1:

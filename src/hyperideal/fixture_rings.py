@@ -81,9 +81,7 @@ def fixtures(name: str) -> HyperRing:
     if name == "z6-mod-3":
         z6 = fixtures("z6")
         q = quotient_ring(z6, z6.subset([0, 3]), LENIENT).quotient
-        # quotient_ring verified these tables; a new name changes no axiom
-        return HyperRing(replace(q.spec, name="z6-mod-3"), q.axiom_report, q.negation,
-                         q.f_dense, q.g_dense)
+        return require_ring(replace(q.spec, name="z6-mod-3"))
     if name == "z2-as-33":
         return require_ring(_z2_as_33_spec())
     raise UnknownFixture(name)

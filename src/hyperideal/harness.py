@@ -661,13 +661,11 @@ def _check_thom_pre(ring: HyperRing, mode: str, tally: _Tally) -> None:
 
 
 def _check_thom_img(ring: HyperRing, mode: str, tally: _Tally) -> None:
-    """Images of S-hyperideals containing the kernel along epimorphisms are
-    image-MS hyperideals."""
+    """Images of S-hyperideals containing the kernel along epimorphisms
+    (every map of ``_transfers`` is onto) are image-MS hyperideals."""
     a = ring.analysis
     ms_all = a.ms_all
     for hom in _transfers(ring, mode):
-        if not hom.surjective:
-            continue
         target = hom.target
         ker = hom.preimage_bits(1 << target.zero)
         tally.instances += len(ms_all) * len(a.proper(mode))

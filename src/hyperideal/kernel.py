@@ -17,18 +17,17 @@ The ring's views of g (``g_row``, ``scalar_row``) read ``g_dense`` in
 place; only ``g_tuples`` is built as a second structure.
 
 Associativity, reversibility and distributivity, the costly axioms, are
-decided a whole row of the last argument c at a time.  Values get byte ids
-(an element is its own id, an f value its place among f's distinct masks),
-a row is a ``bytes`` over c, and rows are composed with ``bytes.translate``:
+decided a whole row of the last argument c at a time.  Values get ids (an
+element is its own id, an f value its place among f's distinct masks).
+Reversibility compares the row f(-R, .) with the transpose of the row
+f(R, .) at every order and names its witness where they differ.  For the
+other two, a row is a ``bytes`` over c, composed with ``bytes.translate``:
 for each sorted multiset of the other arguments, every grouping with c in
 the inner group must give the same row, and the two sides of distributivity
-must give equal rows or, where they differ, rows whose ids pass the
-containment test.  Reversibility compares the row f(-R, .) with the
-transpose of the row f(R, .).  Only when a row check fails does the
-multiset scan run, to name the lexicographically first witness, so reports
-do not depend on which check decided.  Rings whose ids do not fit in a byte
-(``_BYTE_IDS``) are scanned straight away, which costs far more: on a 2-CPU
-host z256 verifies in about 0.6 s, z257 in about 25 s.
+must give equal rows or rows whose ids pass the containment test.  When one
+fails, or the ids do not fit in a byte (``_BYTE_IDS``), the multiset scan
+decides and names the lexicographically first witness; past a byte it costs
+far more: on a 2-CPU host z256 verifies in about 0.6 s, z257 in about 25 s.
 """
 
 from __future__ import annotations
@@ -742,17 +741,23 @@ def _contained_by_rows(
     return True
 
 
-def _reversible_by_rows(
-    order: int, m: int, f: list[int], f_ids: bytes, f_members: list, negation: list[int],
-) -> bool:
-    """Reversibility, decided a row of the last argument at a time.
-
-    For a sorted (m-1)-multiset R, x in f(R, a) must imply a in f(-R, x).
-    Taken for R and for -R, this says that the row f(-R, .) is the transpose
-    of the row f(R, .): its entry at x is the mask of the a with x in
-    f(R, a).  So each pair {R, -R} is checked once, as equal lists; the
-    transpose groups the a by the id of f(R, a).
+def _reversibility(
+    order: int, m: int, f: list[int], f_ids: Sequence[int], f_members: list, negation: list[int],
+) -> Verdict:
+    """Reversibility: for a sorted (m-1)-multiset R, x in f(R, a) must imply
+    a in f(-R, x).  Taken for R and -R, the row f(-R, .) must equal the
+    transpose T of f(R, .), which groups the a by the id (of any width) of
+    f(R, a).  Where they differ, an a in T[x] - f(-R, x) fails as (R, a, x)
+    and an a in f(-R, x) - T[x] as (-R, x, a); each (R', b, y) has y in
+    f(R', b) and b not in f(-R', y).  The witness is the least
+    (sorted(R' + b), y, first index of b), as in the multiset scan; in each
+    column only the least member of a difference can give it.
     """
+    def failure(side: Sequence[int], b: int, y: int) -> tuple:
+        ms = tuple(sorted((*side, b)))
+        return ms, y, ms.index(b)
+
+    failures = []
     for r in combinations_with_replacement(range(order), m - 1):
         neg = sorted(negation[x] for x in r)
         if neg < list(r):  # checked from the side of -R
@@ -766,9 +771,18 @@ def _reversible_by_rows(
             for x in f_members[i]:
                 transposed[x] |= bits
         start = _index(neg, order) * order
-        if transposed != f[start : start + order]:
-            return False
-    return True
+        row = f[start : start + order]
+        if transposed == row:
+            continue
+        for x, (t, b) in enumerate(zip(transposed, row)):
+            if t & ~b:
+                failures.append(failure(r, bit_members(t & ~b)[0], x))
+            if b & ~t:
+                failures.append(failure(neg, x, bit_members(b & ~t)[0]))
+    if not failures:
+        return PASS
+    ms, x, i = min(failures)
+    return Verdict(False, witness=ms, detail=f"element {x} cannot be reversed at position {i + 1}")
 
 
 def _decide(rows_fit: bool, rows_hold, scan) -> Verdict:
@@ -819,19 +833,13 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     clock = [perf_counter()]
     tick = clock.append
 
-    def f_of(args: Sequence[int]) -> int:
-        return f[_index(args, order)]
-
-    # Byte ids for the row checks: an element names itself, and an f value
-    # is named by its place among f's distinct masks.
-    rows_fit = order <= _BYTE_IDS
-    if rows_fit:
-        f_values = list(dict.fromkeys(f))
-        rows_fit = len(f_values) <= _BYTE_IDS
-    if rows_fit:
-        f_id = {bits: i for i, bits in enumerate(f_values)}
-        f_ids = bytes(map(f_id.__getitem__, f))
-        f_members = [bit_members(bits) for bits in f_values]
+    # Ids for the row checks: an element names itself, an f value its place
+    # among f's distinct masks; bytes where all fit, for bytes.translate.
+    f_values = list(dict.fromkeys(f))
+    f_id = {bits: i for i, bits in enumerate(f_values)}
+    f_members = [bit_members(bits) for bits in f_values]
+    rows_fit = order <= _BYTE_IDS and len(f_values) <= _BYTE_IDS
+    f_ids = (bytes if rows_fit else list)(map(f_id.__getitem__, f))
 
     # f-associativity: the row check lifts an f value v to the id of
     # f(v, rest); the scan memoises the lifted masks for itself.
@@ -871,7 +879,7 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     zeros = (zero,) * (m - 1)
     entries["neutral-element"] = _first_failure(
         ((x, *zeros), "hyperaddition with zeros must be the singleton")
-        for x in range(order) if f_of((x, *zeros)) != 1 << x
+        for x in range(order) if f[_index((x, *zeros), order)] != 1 << x
     )
     tick(perf_counter())
 
@@ -892,18 +900,10 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     tick(perf_counter())
 
     # reversibility: x in f(a_1..a_m) implies a_i in f(x, -a_j for j != i).
-    entries["reversibility"] = _decide(
-        rows_fit,
-        lambda: _reversible_by_rows(order, m, f, f_ids, f_members, negation),
-        lambda: _first_failure(
-            (ms, f"element {x} cannot be reversed at position {i + 1}")
-            for ms in combinations_with_replacement(range(order), m)
-            for x in bit_members(f_of(ms))
-            for i in range(m)
-            if (i == 0 or ms[i] != ms[i - 1])
-            and not f[x * f_lead + _index((negation[ms[j]] for j in range(m) if j != i), order)] >> ms[i] & 1
-        ),
-    ) if status.ok else Verdict(False, witness=(0,), detail="not checkable: inverses are not unique")
+    entries["reversibility"] = (
+        _reversibility(order, m, f, f_ids, f_members, negation) if status.ok
+        else Verdict(False, witness=(0,), detail="not checkable: inverses are not unique")
+    )
     tick(perf_counter())
 
     # commutativity of g holds by multiset keying.
@@ -928,7 +928,7 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
 
     def distributivity() -> Verdict:
         for q in combinations_with_replacement(range(order), m):
-            members = bit_members(f_of(q))
+            members = bit_members(f[_index(q, order)])
             for p, column in zip(ps, columns):
                 image = 0
                 for z in members:

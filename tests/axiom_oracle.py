@@ -1,9 +1,14 @@
-"""A naive axiom oracle and the single-entry mutations it is run against.
+"""A naive axiom oracle, the single-entry mutations it is run against, and
+the multiset scan of reversibility.
 
 The oracle follows each axiom's definition over ordered sequences of
 elements.  It reads a table entry only through ``f`` and ``g`` below, and
 it never walks multisets, never uses bitmasks and never indexes a dense
 table, so it shares no scan logic with ``verify_axioms``.
+
+``reversibility_scan`` is the scan that ``verify_axioms`` once ran to
+decide reversibility and name its witness.  It is the reference that the
+row pass of ``kernel._reversibility`` must match, witness and detail.
 """
 
 from __future__ import annotations
@@ -11,7 +16,9 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import combinations_with_replacement, permutations, product
 
-from hyperideal import fixtures
+from hyperideal import Verdict, fixtures
+from hyperideal.analysis import bit_members
+from hyperideal.kernel import _dense_tables, _first_failure, _index
 
 MUTATED_FIXTURES = ("paper-example", "z4", "z2-as-33")
 
@@ -38,6 +45,47 @@ def single_entry_mutations(spec, tables="fg"):
 def fixture_mutations():
     for name in MUTATED_FIXTURES:
         yield from single_entry_mutations(fixtures(name).spec)
+
+
+def negation_of(spec, f: list[int]) -> list[int] | None:
+    """The inverse of each element, read off the dense f as ``verify_axioms``
+    reads it, or None when some inverse is not unique."""
+    order, zero = spec.order, spec.index(spec.zero)
+    pad = (zero,) * (spec.m - 2)
+    negation = []
+    for x in range(order):
+        start = _index((x, *pad), order) * order
+        ys = [y for y, bits in enumerate(f[start : start + order]) if bits >> zero & 1]
+        if len(ys) != 1:
+            return None
+        negation.append(ys[0])
+    return negation
+
+
+def reversibility_scan(order: int, m: int, f: list[int], negation: list[int]) -> Verdict:
+    """The first sorted m-multiset ms, then x in f(ms), then the first place
+    i of each value in ms, where ms[i] is not in f(x, -ms[j] for j != i)."""
+    f_lead = order ** (m - 1)
+
+    def f_of(args):
+        return f[_index(args, order)]
+
+    return _first_failure(
+        (ms, f"element {x} cannot be reversed at position {i + 1}")
+        for ms in combinations_with_replacement(range(order), m)
+        for x in bit_members(f_of(ms))
+        for i in range(m)
+        if (i == 0 or ms[i] != ms[i - 1])
+        and not f[x * f_lead + _index((negation[ms[j]] for j in range(m) if j != i), order)] >> ms[i] & 1
+    )
+
+
+def spec_reversibility_scan(spec) -> Verdict | None:
+    """``reversibility_scan`` on ``spec``, or None when its inverses are not
+    unique (the verifier then reports reversibility as not checkable)."""
+    f, _ = _dense_tables(spec)
+    negation = negation_of(spec, f)
+    return None if negation is None else reversibility_scan(spec.order, spec.m, f, negation)
 
 
 class NaiveOracle:

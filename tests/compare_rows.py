@@ -16,9 +16,13 @@ message.  ``quotient_ring`` builds each projection without checking it, so
 the projection must equal both ``check_homomorphism`` and the oracle's scan
 of its mapping.  Each quotient spec, like each ring's own spec, must get the
 same ``AxiomReport`` with ``kernel._BYTE_IDS`` at its default and at 0,
-where every axiom is scanned.  The script prints one line per ring and mode
-and exits 1 on any difference.  It takes about 6 s on a 2-CPU host, most of
-it the axiom scans of z64 and of paper-example^2xz2-as-33.
+where associativity and distributivity are scanned.  None of these
+quotients is refused as representative-dependent, so every partition of
+z8 (4,140) also goes through ``_induced_tables`` and the scan, compared by
+tables or by error type and message.  The script prints one line per ring
+and mode, then the partitions and their refusals, and exits 1 on any
+difference or if no partition is refused.  It takes about 7 s on a 2-CPU
+host, most of it the axiom scans of z64 and of paper-example^2xz2-as-33.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from construction_oracle import homomorphism_scan, induced_tables_scan
+from construction_oracle import homomorphism_scan, induced_outcomes, induced_tables_scan
 from hyperideal import (
     AxiomReport,
     check_homomorphism,
@@ -125,7 +129,13 @@ def main() -> int:
             differ += count
             print(f"{name:<25} {mode:<8} {built:>9} {refused:>7} "
                   f"{time.perf_counter() - start:>6.2f}  {count == 0}", flush=True)
-    return 1 if differ else 0
+    start = time.perf_counter()
+    by_rows = induced_outcomes(fixtures("z8"), constructions._induced_tables)
+    equal = induced_outcomes(fixtures("z8"), induced_tables_scan) == by_rows
+    refused = sum(outcome[0] == "InducedOpIllDefined" for outcome in by_rows)
+    print(f"z8 partitions: {len(by_rows)}, refused as representative-dependent: {refused}, "
+          f"{time.perf_counter() - start:.2f} s  {equal}")
+    return 1 if differ or not equal or not refused else 0
 
 
 if __name__ == "__main__":

@@ -79,3 +79,34 @@ def induced_tables_scan(ring, coset_index: list[int], members: list[list[int]],
         members, names, ring.n, lambda reps: coset_index[ring.g_at(reps)], "multiplication",
     )
     return f_table, g_table
+
+
+def partitions(items):
+    """Every partition of ``items`` into ascending classes, ordered by their
+    least members."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1:]]
+
+
+def induced_outcomes(ring, induced_tables):
+    """``induced_tables`` on every partition of the carrier: the tables, or
+    the type and message of the error."""
+    outcomes = []
+    for part in partitions(list(range(ring.order))):
+        part.sort()
+        coset_index = [0] * ring.order
+        for c, members in enumerate(part):
+            for x in members:
+                coset_index[x] = c
+        names = tuple("+".join(ring.elements[x] for x in members) for members in part)
+        try:
+            outcomes.append(induced_tables(ring, coset_index, part, names))
+        except Exception as exc:  # compared by type and message
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes

@@ -8,7 +8,13 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import z2_ternary_spec
-from construction_oracle import homomorphism_scan, induced_tables_scan, product_scan, sum_scan
+from construction_oracle import (
+    homomorphism_scan,
+    induced_outcomes,
+    induced_tables_scan,
+    product_scan,
+    sum_scan,
+)
 from hyperideal import (
     FIXTURE_NAMES,
     HyperRingHom,
@@ -257,6 +263,23 @@ def test_image_and_preimage_refuse_masks_of_other_rings(z6, method, ring, member
         getattr(projection, method)(other.subset(members))
 
 
+@pytest.mark.parametrize("method, bits", [
+    ("image_bits", 1 << 7),
+    ("image_bits", 1 << 6),
+    ("image_bits", -1),
+    ("preimage_bits", 0b1001),
+    ("preimage_bits", -1),
+])
+def test_image_and_preimage_bits_refuse_bits_outside_the_carrier(z6, method, bits):
+    # unchecked, image_bits(1 << 7) raises IndexError and preimage_bits(0b1001)
+    # drops bit 3 and returns the preimage of {0}, 0b1001
+    projection = quotient_ring(z6, z6.subset([0, 3])).projection
+    with pytest.raises(ValueError, match="mask bits out of range"):
+        getattr(projection, method)(bits)
+    assert projection.image_bits(0b111111) == 0b111
+    assert projection.preimage_bits(0b001) == 0b001001
+
+
 def test_preimage_of_zero_is_modulus(z6):
     q = quotient_ring(z6, z6.subset([0, 3]))
     zero = q.quotient.subset([q.quotient.zero])
@@ -416,37 +439,6 @@ def test_identity_hom_is_the_checked_identity(name):
     assert identity_hom(ring) == check_homomorphism(ring, ring, tuple(range(ring.order)))
 
 
-def _partitions(items):
-    """Every partition of ``items`` into ascending classes, ordered by their
-    least members."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        yield [[first], *part]
-        for i in range(len(part)):
-            yield [*part[:i], [first, *part[i]], *part[i + 1:]]
-
-
-def _induced_outcomes(ring, induced_tables):
-    """``induced_tables`` on every partition of the carrier: the tables, or
-    the type and message of the error."""
-    outcomes = []
-    for part in _partitions(list(range(ring.order))):
-        part.sort()
-        coset_index = [0] * ring.order
-        for c, members in enumerate(part):
-            for x in members:
-                coset_index[x] = c
-        names = tuple("+".join(ring.elements[x] for x in members) for members in part)
-        try:
-            outcomes.append(induced_tables(ring, coset_index, part, names))
-        except Exception as exc:  # compared by type and message
-            outcomes.append((type(exc).__name__, str(exc)))
-    return outcomes
-
-
 @pytest.mark.parametrize("name, partitions, tables", [
     ("z6", 203, 4), ("paper-example", 5, 2),
 ])
@@ -455,10 +447,10 @@ def test_quotient_rows_agree_with_the_scan(name, partitions, tables):
     reaches the "depends on the representatives" branch; the quotients of
     the fixtures never do."""
     ring = fixtures(name)
-    by_rows = _induced_outcomes(ring, constructions._induced_tables)
+    by_rows = induced_outcomes(ring, constructions._induced_tables)
     assert len(by_rows) == partitions
     refused = [o for o in by_rows if isinstance(o[0], str)]
     assert len(refused) == partitions - tables
     assert {kind for kind, _ in refused} == {"InducedOpIllDefined"}
     assert all(message.endswith("depends on the representatives") for _, message in refused)
-    assert _induced_outcomes(ring, induced_tables_scan) == by_rows
+    assert induced_outcomes(ring, induced_tables_scan) == by_rows

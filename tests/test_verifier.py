@@ -5,24 +5,33 @@ is verified.  The joined reports are pinned by hash, so a changed witness or
 detail fails here, and each family's verdict is checked against
 ``axiom_oracle.NaiveOracle``.
 
-``verify_axioms`` decides associativity, reversibility and distributivity
-by a row check and leaves failures and rings whose ids do not fit in a byte
-to the scans.  A wrong row check shows in a report only when it passes a
-failing ring; one that fails a good ring just hands over to the scan.  So
-the tests below lower the bound ``kernel._BYTE_IDS`` to send every ring to
-the scans, and ``_both_ways`` runs the scan next to every row check and
-records both verdicts.
+``verify_axioms`` decides associativity and distributivity by a row check
+and leaves failures and rings whose ids do not fit in a byte to the scans.
+A wrong row check shows in a report only when it passes a failing ring; one
+that fails a good ring just hands over to the scan.  So the tests below
+lower the bound ``kernel._BYTE_IDS`` to send every ring to the scans, and
+``_both_ways`` runs the scan next to every row check and records both
+verdicts.  Reversibility is decided by its row pass alone, at every order,
+and is held to the scan of ``axiom_oracle.reversibility_scan``.
 """
 
 import hashlib
 from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
-from axiom_oracle import NaiveOracle, fixture_mutations, single_entry_mutations
+from axiom_oracle import (
+    NaiveOracle,
+    fixture_mutations,
+    negation_of,
+    reversibility_scan,
+    single_entry_mutations,
+    spec_reversibility_scan,
+)
 from conftest import order3_spec
 
 from hyperideal import AxiomReport, Verdict, fixtures, kernel, product_ring, verify_axioms
-from hyperideal.kernel import AXIOM_ORDER, HyperRing
+from hyperideal.analysis import bit_members
+from hyperideal.kernel import AXIOM_ORDER, HyperRing, HyperRingSpec
 
 # the bound that sends every ring to the scans
 SCAN_ONLY = {"_BYTE_IDS": 0}
@@ -81,9 +90,8 @@ def test_mutation_reports_are_pinned_on_each_path(monkeypatch, bounds):
     verdicts = _both_ways(monkeypatch)
     assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
     assert all(by_rows == by_scan for by_rows, by_scan in verdicts)
-    # three row checks per spec, and reversibility on the 159 whose inverses
-    # are unique
-    assert len(verdicts) == (0 if bounds == SCAN_ONLY else 3 * 262 + 159)
+    # three row checks per spec
+    assert len(verdicts) == (0 if bounds == SCAN_ONLY else 3 * 262)
 
 
 def _paper_times_z2_as_33():
@@ -128,6 +136,14 @@ def test_ids_past_a_byte_fall_back_to_the_scan(monkeypatch):
     assert overflows
 
 
+def _census() -> list:
+    values = [set(c) for k in (1, 2, 3) for c in combinations(range(3), k)]
+    return [
+        order3_spec(f11, f12, f22, g22)
+        for f11, f12, f22 in product(values, repeat=3) for g22 in range(3)
+    ]
+
+
 def test_census_verdicts_match_the_oracle(monkeypatch):
     """Each of the 1029 order-3 (2,2) candidates of ``order3_spec``, verified
     by the row check (the default) and by the scans, agrees
@@ -135,11 +151,7 @@ def test_census_verdicts_match_the_oracle(monkeypatch):
     violation.  The candidates hold 343 hyperadditions, many multi-valued,
     and some accepted rings distribute only as containment, so the row
     check is also held to the scan verdict by verdict."""
-    values = [set(c) for k in (1, 2, 3) for c in combinations(range(3), k)]
-    specs = [
-        order3_spec(f11, f12, f22, g22)
-        for f11, f12, f22 in product(values, repeat=3) for g22 in range(3)
-    ]
+    specs = _census()
     assert len(specs) == 1029
     oracles = [NaiveOracle(spec) for spec in specs]
     families = [oracle.family_holds() for oracle in oracles]
@@ -164,7 +176,7 @@ def test_census_verdicts_match_the_oracle(monkeypatch):
                     disagreements.append((path, spec.name, family, "witness is no violation"))
     assert disagreements == []
     assert len(accepted) == 20  # the same 10 rings on each path
-    assert len(verdicts) == 3 * 1029 + 252  # reversibility where inverses are unique
+    assert len(verdicts) == 3 * 1029
     assert [pair for pair in verdicts if pair[0] != pair[1]] == []
     assert (True, True) in verdicts and (False, False) in verdicts
 
@@ -181,7 +193,60 @@ def test_row_check_passes_every_ring_that_holds(monkeypatch):
     verdicts = _both_ways(monkeypatch)
     for ring in rings:
         assert isinstance(verify_axioms(ring.spec), HyperRing)
-    assert verdicts == [(True, True)] * 4 * len(rings)
+    assert verdicts == [(True, True)] * 3 * len(rings)
+
+
+def _z6_and_paper_times_z2_as_33_f_mutations():
+    yield from islice(single_entry_mutations(fixtures("z6").spec, tables="f"), 0, None, 3)
+    yield from islice(single_entry_mutations(_paper_times_z2_as_33(), tables="f"), 0, None, 7)
+
+
+@pytest.mark.parametrize("make_specs, compared, failing", [
+    (fixture_mutations, 159, 104),
+    (_census, 252, 207),
+    (_z6_and_paper_times_z2_as_33_f_mutations, 611, 611),
+], ids=["fixture mutations", "census", "z6 and paper-example x z2-as-33 f mutations"])
+def test_reversibility_names_the_scans_witness(make_specs, compared, failing):
+    """Where inverses are unique, the verifier's reversibility entry, decided
+    by the row pass, is the multiset scan's verdict, witness and detail."""
+    verdicts = []
+    for spec in make_specs():
+        by_scan = spec_reversibility_scan(spec)
+        if by_scan is not None:
+            assert _report(spec).entries["reversibility"] == by_scan, spec.name
+            verdicts.append(by_scan.ok)
+    assert (len(verdicts), verdicts.count(False)) == (compared, failing)
+
+
+def _z257(f_change: dict) -> HyperRingSpec:
+    """The integers modulo 257 as a spec, with ``f_change`` over its f table;
+    not verified, which would take about 25 s."""
+    pairs = list(combinations_with_replacement(range(257), 2))
+    return HyperRingSpec(
+        name="z257", m=2, n=2, elements=tuple(map(str, range(257))), zero="0", one="1",
+        f_table={**{(a, b): frozenset({(a + b) % 257}) for a, b in pairs}, **f_change},
+        g_table={(a, b): a * b % 257 for a, b in pairs},
+    )
+
+
+@pytest.mark.parametrize("f_change, expected", [
+    ({}, Verdict(True)),
+    ({(1, 2): frozenset({3, 4})},
+     Verdict(False, witness=(1, 2), detail="element 4 cannot be reversed at position 1")),
+], ids=["z257", "z257 with f(1,2) = {3,4}"])
+def test_reversibility_past_a_byte(f_change, expected):
+    """Order 257 is past the byte ids of the other row checks; the
+    reversibility pass takes its ids as a list and names the scan's witness."""
+    spec = _z257(f_change)
+    f, _ = kernel._dense_tables(spec)
+    values = list(dict.fromkeys(f))
+    ids = {bits: i for i, bits in enumerate(values)}
+    negation = negation_of(spec, f)
+    verdict = kernel._reversibility(
+        spec.order, spec.m, f, [ids[bits] for bits in f], list(map(bit_members, values)), negation,
+    )
+    assert spec.order > kernel._BYTE_IDS
+    assert verdict == reversibility_scan(spec.order, spec.m, f, negation) == expected
 
 
 def test_verifier_agrees_with_naive_oracle():
