@@ -37,12 +37,24 @@ from .kernel import (
     HyperRingSpec,
     SubsetMask,
     _index,
-    _Memo,
     bit_members,
     check_mode,
     check_table_size,
     verify_axioms,
 )
+
+
+class _Memo(dict):
+    """A dict that builds a missing value with ``build(key)`` and keeps it."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 @dataclass(frozen=True)

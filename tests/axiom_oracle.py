@@ -1,24 +1,28 @@
 """A naive axiom oracle, the single-entry mutations it is run against, and
-the multiset scan of reversibility.
+the multiset scans of the row-checked axioms.
 
 The oracle follows each axiom's definition over ordered sequences of
 elements.  It reads a table entry only through ``f`` and ``g`` below, and
 it never walks multisets, never uses bitmasks and never indexes a dense
 table, so it shares no scan logic with ``verify_axioms``.
 
-``reversibility_scan`` is the scan that ``verify_axioms`` once ran to
-decide reversibility and name its witness.  It is the reference that the
-row pass of ``kernel._reversibility`` must match, witness and detail.
+``associativity_scan``, ``distributivity_scan`` and ``reversibility_scan``
+are the scans that ``verify_axioms`` once ran to decide those axioms and
+name their witnesses, over every sorted multiset in lexicographic order.
+They are the reference that the row passes of ``kernel._associativity``,
+``kernel._distributivity`` and ``kernel._reversibility`` must match,
+verdict, witness and detail; ``spec_scans`` runs all four on a spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import itemgetter
 
 from hyperideal import Verdict, fixtures
-from hyperideal.analysis import bit_members
-from hyperideal.kernel import _dense_tables, _first_failure, _index
+from hyperideal.analysis import PASS, bit_members
+from hyperideal.kernel import HyperRingSpec, _dense_tables, _first_failure, _index
 
 MUTATED_FIXTURES = ("paper-example", "z4", "z2-as-33")
 
@@ -80,12 +84,124 @@ def reversibility_scan(order: int, m: int, f: list[int], negation: list[int]) ->
     )
 
 
+def associativity_scan(order: int, arity: int, regroup, show) -> Verdict:
+    """The first sorted (2*arity-1)-multiset with two distinct splits whose
+    ``regroup(inner index, rest index)`` values differ.  Split positions are
+    worked out once; a split repeating an earlier inner group is skipped."""
+    size = 2 * arity - 1
+    splits = [
+        (itemgetter(*inner), [i for i in range(size) if i not in inner])
+        for inner in combinations(range(size), arity)
+    ]
+    for ms in combinations_with_replacement(range(order), size):
+        seen = set()
+        first = first_split = None
+        for inner_of, rest in splits:
+            inner = inner_of(ms)
+            if inner in seen:
+                continue
+            seen.add(inner)
+            index = outer = 0
+            for x in inner:
+                index = index * order + x
+            for i in rest:
+                outer = outer * order + ms[i]
+            value = regroup(index, outer)
+            if first is None:
+                first, first_split = value, inner
+            elif value != first:
+                return Verdict(
+                    False,
+                    witness=ms,
+                    detail=f"grouping {first_split} gives {show(first)} "
+                    f"but grouping {inner} gives {show(value)}",
+                )
+    return PASS
+
+
+def f_associativity_scan(order: int, m: int, f: list[int]) -> Verdict:
+    """``associativity_scan`` of the dense f, regrouping an f value v with
+    rest as the union of f(z, rest) over z in v, memoised."""
+    f_lead = order ** (m - 1)
+    lifted: dict[tuple[int, int], int] = {}
+
+    def f_regroup(inner: int, rest: int) -> int:
+        key = (f[inner], rest)
+        value = lifted.get(key)
+        if value is None:
+            value = 0
+            for z in bit_members(key[0]):
+                value |= f[z * f_lead + rest]
+            lifted[key] = value
+        return value
+
+    return associativity_scan(order, m, f_regroup, bit_members)
+
+
+def g_associativity_scan(order: int, n: int, g: list[int]) -> Verdict:
+    g_lead = order ** (n - 1)
+    return associativity_scan(order, n, lambda inner, rest: g[g[inner] * g_lead + rest], int)
+
+
+def distributivity_scan(order: int, m: int, n: int, f: list[int], g: list[int]) -> Verdict:
+    """The first sorted m-multiset q, then (n-1)-multiset p, where
+    f(g(q_1, p), ..., g(q_m, p)) is not inside the image of f(q) under
+    g(., p)."""
+    g_lead = order ** (n - 1)
+    ps = list(combinations_with_replacement(range(order), n - 1))
+    columns = [g[_index(p, order) :: g_lead] for p in ps]
+    for q in combinations_with_replacement(range(order), m):
+        members = bit_members(f[_index(q, order)])
+        for p, column in zip(ps, columns):
+            image = 0
+            for z in members:
+                image |= 1 << column[z]
+            summed = 0
+            for qi in q:
+                summed = summed * order + column[qi]
+            if f[summed] & ~image:
+                return Verdict(
+                    False,
+                    witness=q + p,
+                    detail="hyperaddition of slotted products is not contained in the "
+                    "image of the hyperaddition value",
+                )
+    return PASS
+
+
 def spec_reversibility_scan(spec) -> Verdict | None:
     """``reversibility_scan`` on ``spec``, or None when its inverses are not
     unique (the verifier then reports reversibility as not checkable)."""
     f, _ = _dense_tables(spec)
     negation = negation_of(spec, f)
     return None if negation is None else reversibility_scan(spec.order, spec.m, f, negation)
+
+
+def spec_scans(spec) -> dict[str, Verdict]:
+    """The scans' verdicts on ``spec``, by family; reversibility is left out
+    when inverses are not unique."""
+    order, m, n = spec.order, spec.m, spec.n
+    f, g = _dense_tables(spec)
+    scans = {
+        "f-associativity": f_associativity_scan(order, m, f),
+        "g-associativity": g_associativity_scan(order, n, g),
+        "distributivity": distributivity_scan(order, m, n, f, g),
+    }
+    negation = negation_of(spec, f)
+    if negation is not None:
+        scans["reversibility"] = reversibility_scan(order, m, f, negation)
+    return scans
+
+
+def z257_spec(f_change: dict) -> HyperRingSpec:
+    """The integers modulo 257 as a spec, with ``f_change`` over its f table:
+    past a byte, so every row pass composes lists."""
+    pairs = list(combinations_with_replacement(range(257), 2))
+    return HyperRingSpec(
+        name="z257", m=2, n=2, elements=tuple(map(str, range(257))), zero="0", one="1",
+        f_table={**{(a, b): frozenset({(a + b) % 257}) for a, b in pairs}, **f_change},
+        g_table={(a, b): a * b % 257 for a, b in pairs},
+    )
 
 
 class NaiveOracle:

@@ -1,28 +1,35 @@
 """The quotients and projections of the constructions, and the axiom
 reports of the verifier, against their scans, on the larger rings that the
-benchmark builds.  CI runs it.
+benchmark builds and past a byte.  CI runs it.
 
     PYTHONPATH=src python tests/compare_rows.py
 
 ``quotient_ring`` decides the independence of representatives by rows, as
 ``check_homomorphism`` decides its clauses (``constructions._differences``),
-and ``verify_axioms`` decides by its row checks and scans only to name a
-witness.  For z64, z2^5, z4xz8, paper-example^2 and
-paper-example^2xz2-as-33, in both modes, the quotient by every proper
-hyperideal is built twice: as it is, and with ``_induced_tables`` replaced
-by the key-by-key scan of ``tests/construction_oracle.py``.  The specs,
-cosets and projections must be equal, or the errors equal in type and
-message.  ``quotient_ring`` builds each projection without checking it, so
-the projection must equal both ``check_homomorphism`` and the oracle's scan
-of its mapping.  Each quotient spec, like each ring's own spec, must get the
-same ``AxiomReport`` with ``kernel._BYTE_IDS`` at its default and at 0,
-where associativity and distributivity are scanned.  None of these
-quotients is refused as representative-dependent, so every partition of
-z8 (4,140) also goes through ``_induced_tables`` and the scan, compared by
-tables or by error type and message.  The script prints one line per ring
-and mode, then the partitions and their refusals, and exits 1 on any
-difference or if no partition is refused.  It takes about 7 s on a 2-CPU
-host, most of it the axiom scans of z64 and of paper-example^2xz2-as-33.
+and ``verify_axioms`` decides associativity, reversibility and
+distributivity by row passes that name their own witnesses.  For z64, z2^5,
+z4xz8, paper-example^2 and paper-example^2xz2-as-33, in both modes, the
+quotient by every proper hyperideal is built twice: as it is, and with
+``_induced_tables`` replaced by the key-by-key scan of
+``tests/construction_oracle.py``.  The specs, cosets and projections must be
+equal, or the errors equal in type and message.  ``quotient_ring`` builds
+each projection without checking it, so the projection must equal both
+``check_homomorphism`` and the oracle's scan of its mapping.  Each quotient
+spec, like each ring's own spec, must get the same ``AxiomReport`` with
+``kernel._BYTE_IDS`` at its default and at 0, where every pass composes
+lists, and its entries must equal the multiset scans of
+``tests/axiom_oracle.py``.  None of these quotients is refused as
+representative-dependent, so every partition of z8 (4,140) also goes
+through ``_induced_tables`` and the scan, compared by tables or by error
+type and message.  Last, z257 and z257 with f(1,2) = {3,4}, past a byte,
+are verified by the row passes alone: the first must pass, and each failing
+entry of the second must carry a witness that
+``axiom_oracle.NaiveOracle`` confirms (the scans would take about 26 s).
+The script prints one line per ring and mode, then the partitions and
+their refusals, then the two z257 specs, and exits 1 on any difference, if
+no partition is refused, or on a wrong z257 report.  It takes about 10 s
+on a 2-CPU host, most of it the scans of z64 and of
+paper-example^2xz2-as-33 and the two z257 verifications.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import sys
 import time
 from contextlib import contextmanager
 
+from axiom_oracle import NaiveOracle, spec_scans, z257_spec
 from construction_oracle import homomorphism_scan, induced_outcomes, induced_tables_scan
 from hyperideal import (
     AxiomReport,
@@ -63,9 +71,33 @@ def report(spec) -> AxiomReport:
 
 
 def reports_agree(spec) -> bool:
-    by_rows = report(spec)
+    """Whether the report composed by bytes equals the one composed by lists
+    and each of its entries the multiset scan."""
+    by_bytes = report(spec)
     with patched(kernel, "_BYTE_IDS", 0):
-        return report(spec) == by_rows
+        by_lists = report(spec)
+    return by_lists == by_bytes and all(
+        by_bytes.entries[family] == scan for family, scan in spec_scans(spec).items()
+    )
+
+
+def past_a_byte() -> int:
+    """Verifies z257 and z257 with f(1,2) = {3,4}; prints each and returns
+    the number whose report is wrong."""
+    differ = 0
+    for label, f_change in (("z257", {}), ("z257 with f(1,2) = {3,4}", {(1, 2): frozenset({3, 4})})):
+        spec = z257_spec(f_change)
+        start = time.perf_counter()
+        verified = report(spec)
+        took = time.perf_counter() - start
+        oracle = NaiveOracle(spec)
+        failures = verified.failures()
+        right = bool(failures) == bool(f_change) and all(
+            oracle.witness_violates(family, verified.entries[family].witness) for family in failures
+        )
+        differ += not right
+        print(f"{label}: {took:.2f} s, failing {', '.join(failures) or 'none'}  {right}", flush=True)
+    return differ
 
 
 def quotient(ring, ideal, mode):
@@ -135,6 +167,7 @@ def main() -> int:
     refused = sum(outcome[0] == "InducedOpIllDefined" for outcome in by_rows)
     print(f"z8 partitions: {len(by_rows)}, refused as representative-dependent: {refused}, "
           f"{time.perf_counter() - start:.2f} s  {equal}")
+    differ += past_a_byte()
     return 1 if differ or not equal or not refused else 0
 
 

@@ -58,6 +58,20 @@ def test_non_name_f_member_is_a_format_error(member):
         parse_spec(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("name", None), ("name", 2), ("zero", 0), ("one", 1), ("one", ["1"]),
+])
+def test_non_string_name_zero_or_one_is_a_format_error(doc_path, field, value):
+    """Each would once have passed through ``str()``: ``"zero": 0`` as the
+    element "0", ``"name": null`` as the name "None"."""
+    doc = json.loads(Z2_DOCUMENT)
+    doc[field] = value
+    data = json.dumps(doc)
+    with pytest.raises(SpecFormatError, match=f"field '{field}' must be a string"):
+        parse_spec(data)
+    assert verify_exit_code(doc_path, data.encode("utf-8")) == 2
+
+
 def test_lone_surrogate_name_exits_2(doc_path):
     doc = json.loads(Z2_DOCUMENT)
     doc["name"] = "\ud800"

@@ -1,21 +1,21 @@
-"""The axiom verifier against pinned reports and a naive oracle.
+"""The axiom verifier against pinned reports, the multiset scans and a naive
+oracle.
 
 Every single-entry mutation of paper-example, z4 and z2-as-33 (262 specs)
 is verified.  The joined reports are pinned by hash, so a changed witness or
 detail fails here, and each family's verdict is checked against
 ``axiom_oracle.NaiveOracle``.
 
-``verify_axioms`` decides associativity and distributivity by a row check
-and leaves failures and rings whose ids do not fit in a byte to the scans.
-A wrong row check shows in a report only when it passes a failing ring; one
-that fails a good ring just hands over to the scan.  So the tests below
-lower the bound ``kernel._BYTE_IDS`` to send every ring to the scans, and
-``_both_ways`` runs the scan next to every row check and records both
-verdicts.  Reversibility is decided by its row pass alone, at every order,
-and is held to the scan of ``axiom_oracle.reversibility_scan``.
+``verify_axioms`` decides associativity, reversibility and distributivity by
+row passes that name their own witnesses.  Each entry is held to the scan
+of ``axiom_oracle`` that once decided it, verdict, witness and detail.  The
+passes compose rows with ``bytes.translate`` where ids fit in a byte and as
+lists past that, so the tests run with ``kernel._BYTE_IDS`` at its default
+and at 0, where every ring takes the list composition.
 """
 
 import hashlib
+from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
@@ -26,15 +26,17 @@ from axiom_oracle import (
     reversibility_scan,
     single_entry_mutations,
     spec_reversibility_scan,
+    spec_scans,
+    z257_spec,
 )
 from conftest import order3_spec
 
 from hyperideal import AxiomReport, Verdict, fixtures, kernel, product_ring, verify_axioms
 from hyperideal.analysis import bit_members
-from hyperideal.kernel import AXIOM_ORDER, HyperRing, HyperRingSpec
+from hyperideal.kernel import AXIOM_ORDER, HyperRing
 
-# the bound that sends every ring to the scans
-SCAN_ONLY = {"_BYTE_IDS": 0}
+# the bound that sends every ring to the list composition
+LISTS_ONLY = {"_BYTE_IDS": 0}
 
 # sha256 of the joined ``AxiomReport.lines`` of all 262 mutations, recorded
 # on the verifier that keyed every lookup by a sorted tuple
@@ -51,23 +53,16 @@ def _set_bounds(monkeypatch, bounds: dict) -> None:
         monkeypatch.setattr(kernel, name, value)
 
 
-def _both_ways(monkeypatch) -> list:
-    """Make ``verify_axioms`` run the scan next to each row check it makes;
-    returns the list it fills with (row verdict, scan verdict) pairs.  The
-    reports stay those of the row check."""
-    verdicts = []
-    decide = kernel._decide
-
-    def both(rows_fit, rows_hold, scan):
-        status = scan()
-        if not rows_fit:
-            return status
-        by_rows = decide(rows_fit, rows_hold, lambda: Verdict(False))
-        verdicts.append((by_rows.ok, status.ok))
-        return by_rows if by_rows.ok else status
-
-    monkeypatch.setattr(kernel, "_decide", both)
-    return verdicts
+def _scan_differences(specs) -> list:
+    """(spec number, family, entry, scan) for each entry of ``specs``'
+    reports that differs from the scan of ``axiom_oracle``."""
+    differences = []
+    for i, spec in enumerate(specs):
+        entries = _report(spec).entries
+        for family, scan in spec_scans(spec).items():
+            if entries[family] != scan:
+                differences.append((i, family, entries[family], scan))
+    return differences
 
 
 def _mutation_reports_digest() -> str:
@@ -84,14 +79,11 @@ def test_mutation_reports_are_pinned():
     assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
 
 
-@pytest.mark.parametrize("bounds", [SCAN_ONLY, {}], ids=["scan", "rows"])
+@pytest.mark.parametrize("bounds", [{}, LISTS_ONLY], ids=["bytes", "lists"])
 def test_mutation_reports_are_pinned_on_each_path(monkeypatch, bounds):
     _set_bounds(monkeypatch, bounds)
-    verdicts = _both_ways(monkeypatch)
     assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
-    assert all(by_rows == by_scan for by_rows, by_scan in verdicts)
-    # three row checks per spec
-    assert len(verdicts) == (0 if bounds == SCAN_ONLY else 3 * 262)
+    assert _scan_differences(fixture_mutations()) == []
 
 
 def _paper_times_z2_as_33():
@@ -103,37 +95,37 @@ def _paper_times_z2_as_33():
     (_paper_times_z2_as_33, 280),
 ], ids=["z8", "paper-example x z2-as-33"])
 def test_row_check_agrees_with_scan_on_g_mutations(monkeypatch, make_spec, count):
+    """Every g mutation fails, with the scans' entries, in both compositions."""
     base = make_spec()
-    assert base.order <= kernel._BYTE_IDS  # so the default path is the row check
+    assert base.order <= kernel._BYTE_IDS  # so the default composition is by bytes
     specs = list(single_entry_mutations(base, tables="g"))
     assert len(specs) == count
-    by_rows = [_report(spec) for spec in specs]
-    _set_bounds(monkeypatch, SCAN_ONLY)
-    assert [_report(spec) for spec in specs] == by_rows
-    assert {report.all_pass for report in by_rows} == {False}
+    by_bytes = [_report(spec) for spec in specs]
+    assert {report.all_pass for report in by_bytes} == {False}
+    assert _scan_differences(specs) == []
+    _set_bounds(monkeypatch, LISTS_ONLY)
+    assert [_report(spec) for spec in specs] == by_bytes
 
 
-def test_ids_past_a_byte_fall_back_to_the_scan(monkeypatch):
-    """With the byte bound at its 8 distinct f values, the images that
-    distributivity interns on paper-example x z2-as-33 overflow mid-check;
-    the scan then decides, so the ring and every 14th g mutation keep their
-    reports."""
+def test_ids_past_a_byte_take_the_list_composition(monkeypatch):
+    """With the byte bound at its 8 distinct f values, paper-example x
+    z2-as-33 has more images for distributivity than a byte would name; that
+    pass composes lists while g-associativity, on 6 elements, keeps bytes.
+    The ring and every 14th g mutation keep their reports."""
     base = _paper_times_z2_as_33()
     specs = [base, *islice(single_entry_mutations(base, tables="g"), 0, None, 14)]
     expected = [_report(spec) for spec in specs]
-    overflows = []
+    widths = []
 
-    def counting_intern(ids, value):
-        try:
-            return real_intern(ids, value)
-        except kernel._IdsOverflow:
-            overflows.append(value)
-            raise
+    def recording_composer(row, byte_ids):
+        widths.append(byte_ids)
+        return composer(row, byte_ids)
 
-    real_intern = kernel._intern
-    _set_bounds(monkeypatch, {"_BYTE_IDS": 8, "_intern": counting_intern})
+    composer = kernel._composer
+    _set_bounds(monkeypatch, {"_BYTE_IDS": 8, "_composer": recording_composer})
     assert [_report(spec) for spec in specs] == expected
-    assert overflows
+    assert set(widths) == {False, True}
+    assert _scan_differences(specs) == []
 
 
 def _census() -> list:
@@ -145,25 +137,20 @@ def _census() -> list:
 
 
 def test_census_verdicts_match_the_oracle(monkeypatch):
-    """Each of the 1029 order-3 (2,2) candidates of ``order3_spec``, verified
-    by the row check (the default) and by the scans, agrees
-    with the naive oracle family by family, and every witness is a real
-    violation.  The candidates hold 343 hyperadditions, many multi-valued,
-    and some accepted rings distribute only as containment, so the row
-    check is also held to the scan verdict by verdict."""
+    """Each of the 1029 order-3 (2,2) candidates of ``order3_spec``, composed
+    by bytes (the default) and by lists, agrees with the naive oracle
+    family by family, and every witness is a real violation.  The
+    candidates hold 343 hyperadditions, many multi-valued, and some accepted
+    rings distribute only as containment, so the entries are also held to
+    the scans, verdict, witness and detail."""
     specs = _census()
     assert len(specs) == 1029
     oracles = [NaiveOracle(spec) for spec in specs]
     families = [oracle.family_holds() for oracle in oracles]
     disagreements = []
     accepted = set()
-    verdicts = []
-    # the scans run second: ``_both_ways`` stays in place and, with no ring
-    # fitting the byte bound, hands every check to the scan
-    for path, bounds in (("rows", {}), ("scan", SCAN_ONLY)):
+    for path, bounds in (("bytes", {}), ("lists", LISTS_ONLY)):
         _set_bounds(monkeypatch, bounds)
-        if path == "rows":
-            verdicts = _both_ways(monkeypatch)
         for spec, oracle, holds in zip(specs, oracles, families):
             report = _report(spec)
             if report.all_pass:
@@ -174,26 +161,42 @@ def test_census_verdicts_match_the_oracle(monkeypatch):
                     disagreements.append((path, spec.name, family, status))
                 elif not status.ok and not oracle.witness_violates(family, status.witness):
                     disagreements.append((path, spec.name, family, "witness is no violation"))
+        assert _scan_differences(specs) == [], path
     assert disagreements == []
     assert len(accepted) == 20  # the same 10 rings on each path
-    assert len(verdicts) == 3 * 1029
-    assert [pair for pair in verdicts if pair[0] != pair[1]] == []
-    assert (True, True) in verdicts and (False, False) in verdicts
 
 
 def test_row_check_passes_every_ring_that_holds(monkeypatch):
-    """On rings that satisfy every axiom, the row check decides alone: the
-    scan would agree and is never needed."""
+    """On rings that satisfy every axiom, each pass decides alone in either
+    composition, and the scans agree."""
     z2_as_33 = fixtures("z2-as-33")
     rings = [fixtures(name) for name in ("z2", "z2-as-33", "z6", "z8", "z12", "z2xz3")] + [
         product_ring([z2_as_33, z2_as_33]),
         product_ring([fixtures("paper-example"), z2_as_33]),
         product_ring([fixtures("z4"), fixtures("z2")]),
     ]
-    verdicts = _both_ways(monkeypatch)
     for ring in rings:
-        assert isinstance(verify_axioms(ring.spec), HyperRing)
-    assert verdicts == [(True, True)] * 3 * len(rings)
+        assert set(spec_scans(ring.spec).values()) == {Verdict(True)}
+    for bounds in ({}, LISTS_ONLY):
+        _set_bounds(monkeypatch, bounds)
+        for ring in rings:
+            assert isinstance(verify_axioms(ring.spec), HyperRing)
+
+
+def test_witness_is_the_least_column_over_every_grouping(monkeypatch):
+    """On the (3,3) ring paper-example x z2-as-33 with f(0|0, 0|1, 0|1) =
+    {0|1}, each row M has six groupings to compare, and the scan's witness
+    comes only from the least column at which any of them differs."""
+    base = _paper_times_z2_as_33()
+    spec = replace(base, f_table={**base.f_table, (0, 1, 1): frozenset({1})})
+    expected = Verdict(
+        False, witness=(0, 0, 1, 1, 2),
+        detail="grouping (0, 0, 1) gives [2] but grouping (0, 1, 1) gives [3]",
+    )
+    assert spec_scans(spec)["f-associativity"] == expected
+    for bounds in ({}, LISTS_ONLY):
+        _set_bounds(monkeypatch, bounds)
+        assert _report(spec).entries["f-associativity"] == expected
 
 
 def _z6_and_paper_times_z2_as_33_f_mutations():
@@ -218,33 +221,21 @@ def test_reversibility_names_the_scans_witness(make_specs, compared, failing):
     assert (len(verdicts), verdicts.count(False)) == (compared, failing)
 
 
-def _z257(f_change: dict) -> HyperRingSpec:
-    """The integers modulo 257 as a spec, with ``f_change`` over its f table;
-    not verified, which would take about 25 s."""
-    pairs = list(combinations_with_replacement(range(257), 2))
-    return HyperRingSpec(
-        name="z257", m=2, n=2, elements=tuple(map(str, range(257))), zero="0", one="1",
-        f_table={**{(a, b): frozenset({(a + b) % 257}) for a, b in pairs}, **f_change},
-        g_table={(a, b): a * b % 257 for a, b in pairs},
-    )
-
-
 @pytest.mark.parametrize("f_change, expected", [
     ({}, Verdict(True)),
     ({(1, 2): frozenset({3, 4})},
      Verdict(False, witness=(1, 2), detail="element 4 cannot be reversed at position 1")),
 ], ids=["z257", "z257 with f(1,2) = {3,4}"])
 def test_reversibility_past_a_byte(f_change, expected):
-    """Order 257 is past the byte ids of the other row checks; the
-    reversibility pass takes its ids as a list and names the scan's witness."""
-    spec = _z257(f_change)
+    """At order 257, past a byte, the reversibility pass takes its ids as a
+    list and names the scan's witness."""
+    spec = z257_spec(f_change)
     f, _ = kernel._dense_tables(spec)
     values = list(dict.fromkeys(f))
     ids = {bits: i for i, bits in enumerate(values)}
     negation = negation_of(spec, f)
-    verdict = kernel._reversibility(
-        spec.order, spec.m, f, [ids[bits] for bits in f], list(map(bit_members, values)), negation,
-    )
+    f_rows = kernel._rows([ids[bits] for bits in f], spec.order, spec.m)
+    verdict = kernel._reversibility(spec.order, f, f_rows, list(map(bit_members, values)), negation)
     assert spec.order > kernel._BYTE_IDS
     assert verdict == reversibility_scan(spec.order, spec.m, f, negation) == expected
 
