@@ -24,6 +24,7 @@ from .ideals import (
 from .kernel import (
     AXIOM_ORDER,
     LENIENT,
+    MODES,
     AxiomReport,
     HyperRing,
     HyperRingSpec,
@@ -277,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_mode=True):
         if with_mode:
-            p.add_argument("--mode", choices=("strict", "lenient"), default=LENIENT)
+            p.add_argument("--mode", choices=MODES, default=LENIENT)
         p.add_argument("--out", default=None, help="write the report to this path")
 
     p = sub.add_parser("verify", help="check every axiom of a ring document")

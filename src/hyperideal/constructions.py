@@ -38,7 +38,6 @@ from .kernel import (
     SubsetMask,
     _index,
     bit_members,
-    check_mode,
     check_table_size,
     verify_axioms,
 )
@@ -188,7 +187,8 @@ def transport_ideal(hom: HyperRingHom, direction: str, subset: SubsetMask) -> Su
 
 
 def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
-    """Componentwise product; element names join the factor names with '|'.
+    """Componentwise product; element names join the factor names with '|',
+    or, where those collide, the element indices.
 
     The resulting tables are re-verified as a sanity gate; a product past the
     verifier's table limit is refused (``TablesTooLarge``) before any is built.
@@ -206,8 +206,8 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
     tuples = list(product(*(range(r.order) for r in rings)))
     index_of = {t: i for i, t in enumerate(tuples)}
     names = tuple("|".join(r.elements[x] for r, x in zip(rings, t)) for t in tuples)
-    zero = "|".join(r.elements[r.zero] for r in rings)
-    one = "|".join(r.elements[r.one] for r in rings)
+    if len(set(names)) < total:  # a factor's element name holds '|'
+        names = tuple("|".join(map(str, t)) for t in tuples)
 
     f_table: dict[tuple[int, ...], frozenset[int]] = {}
     for key in combinations_with_replacement(range(total), m):
@@ -223,8 +223,8 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
         m=m,
         n=n,
         elements=names,
-        zero=zero,
-        one=one,
+        zero=names[index_of[tuple(r.zero for r in rings)]],
+        one=names[index_of[tuple(r.one for r in rings)]],
         f_table=f_table,
         g_table=g_table,
     )
@@ -239,13 +239,14 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
 
 
 def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> QuotientRing:
-    """Quotient by a proper hyperideal via cosets f(x, P, 0^(m-2)).
+    """Quotient by a proper hyperideal via cosets f(x, P, 0^(m-2)), each
+    named by joining its members' names with '+' or, where those collide,
+    by its least member.
 
     Raises CosetsNotPartition when two distinct cosets overlap and
     InducedOpIllDefined when an induced table entry depends on the chosen
     representatives.
     """
-    check_mode(mode)
     require_proper_hyperideal(ring, modulus, mode)
     zero_pad = (ring.zero,) * (ring.m - 2)
     coset_bits = [
@@ -265,6 +266,8 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
     coset_index = [position[b] for b in coset_bits]
     members = [bit_members(b) for b in distinct]
     names = tuple("+".join(ring.elements[x] for x in mem) for mem in members)
+    if len(set(names)) < len(names):  # an element name holds '+'
+        names = tuple(ring.elements[mem[0]] for mem in members)
     f_table, g_table = _induced_tables(ring, coset_index, members, names)
 
     spec = HyperRingSpec(
@@ -372,7 +375,7 @@ def _ring_from_tables(
         name=name,
         m=2,
         n=2,
-        elements=element_names,
+        elements=tuple(element_names),
         zero=element_names[zero],
         one=element_names[one],
         f_table=f_table,

@@ -111,7 +111,6 @@ def proper_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]
 
 def classify_ideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> IdealProfile:
     """Full classification of a proper hyperideal; pure and deterministic."""
-    check_mode(mode)
     require_proper_hyperideal(ring, subset, mode)
     bits = subset.bits
     analysis = ring.analysis
@@ -135,7 +134,6 @@ def prime_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
 def radical(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> SubsetMask:
     """Intersection of all prime hyperideals containing the set; the whole
     ring when no prime contains it."""
-    check_mode(mode)
     require_hyperideal(ring, subset, mode)
     return SubsetMask(ring, ring.analysis.radical(subset.bits, mode))
 
@@ -149,10 +147,8 @@ def radical_power_diagnostic(
     of the radical whose whole power orbit misses the ideal is flagged as an
     anomaly rather than raising.
     """
-    check_mode(mode)
     require_hyperideal(ring, subset, mode)
-    if not 0 <= p < ring.order:
-        raise ValueError(f"element index {p} out of range")
+    ring._element(p)
     in_radical = bool(ring.analysis.radical(subset.bits, mode) >> p & 1)
     seen = set()
     w = 1
@@ -176,7 +172,6 @@ def radical_power_diagnostic(
 
 def minimal_primes_over(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> list[SubsetMask]:
     """Inclusion-minimal prime hyperideals containing the given hyperideal."""
-    check_mode(mode)
     require_proper_hyperideal(ring, subset, mode)
     return [SubsetMask(ring, q) for q in ring.analysis.minimal_primes_over(subset.bits, mode)]
 

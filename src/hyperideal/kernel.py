@@ -4,7 +4,9 @@ A ring is described by an m-ary hyperaddition table ``f`` (set valued) and an
 n-ary multiplication table ``g`` (single valued), both keyed by sorted
 multisets so that commutativity holds by construction.  ``verify_axioms``
 checks every remaining axiom exhaustively and only hands out ``HyperRing``
-objects for specs that pass.
+objects for specs that pass.  It first calls ``validate_spec``, the one
+statement of the spec rules, whose every accepted spec round-trips through
+its document; ``parse_spec`` checks only what resolving names and keys needs.
 
 The multiset-keyed dicts of ``HyperRingSpec`` are the document form.  For
 checking and computing, each table is expanded once into a dense list over
@@ -144,18 +146,24 @@ class HyperRingSpec:
 _INT = frozenset({int})
 
 
+def _check_arities(m: object, n: object) -> None:
+    """Exact ints >= 2: a bool would pass as 0 or 1, a float as the int it equals."""
+    for which, value in (("m", m), ("n", n)):
+        if type(value) is not int or value < 2:
+            raise ArityOutOfRange(which, value)
+
+
 def validate_spec(spec: HyperRingSpec) -> None:
-    """Raise a SpecFormatError subtype unless the tables are complete and closed.
+    """Raise a SpecFormatError subtype unless ``parse_spec(serialize_spec(spec))``
+    gives back an equal spec: the one statement of the spec rules.
 
     A spec built in code reaches here without ``parse_spec``, so every value
-    is type-checked before it is compared.  Numbers must be exact ints: a
-    bool would pass as 0 or 1, and a float as the int it equals."""
-    if type(spec.m) is not int or spec.m < 2:
-        raise ArityOutOfRange("m", spec.m)
-    if type(spec.n) is not int or spec.n < 2:
-        raise ArityOutOfRange("n", spec.n)
+    is type-checked before it is compared."""
+    _check_arities(spec.m, spec.n)
     if max(spec.m, spec.n) > MAX_VERIFY_ARITY:  # before a key walk builds a key that long
         raise TablesTooLarge(f"m={spec.m}, n={spec.n} is past the arity limit {MAX_VERIFY_ARITY}")
+    if type(spec.elements) is not tuple:
+        raise SpecFormatError("elements must be a tuple of names")
     if not spec.elements:
         raise SpecFormatError("no elements declared")
     for name in spec.elements:
@@ -163,6 +171,13 @@ def validate_spec(spec: HyperRingSpec) -> None:
             raise SpecFormatError(f"element name {name!r} is not allowed")
     if len(set(spec.elements)) != len(spec.elements):
         raise SpecFormatError("element names are not distinct")
+    for key in ("name", "zero", "one"):
+        if not isinstance(getattr(spec, key), str):
+            raise SpecFormatError(f"top-level field {key!r} must be a string")
+    try:
+        "".join((spec.name, *spec.elements)).encode("utf-8")
+    except UnicodeEncodeError:
+        raise SpecFormatError("names must be Unicode text without lone surrogates") from None
     if spec.zero not in spec.elements:
         raise UnknownElement(spec.zero, "zero")
     if spec.one not in spec.elements:
@@ -210,9 +225,8 @@ def _parse_key(raw: str, name_to_index: Mapping[str, int], arity: int, table: st
 def parse_spec(document: str) -> HyperRingSpec:
     """Parse a UTF-8 JSON ring document into a validated HyperRingSpec.
 
-    Keys arriving in non-canonical order are normalised; duplicate multisets,
-    missing entries, unknown names, and empty hyperoperation values are
-    rejected.
+    Keys arriving in non-canonical order are normalised.  Only what resolving
+    names and keys needs is checked here; ``validate_spec`` states the rest.
     """
     try:
         data = json.loads(document)
@@ -224,24 +238,11 @@ def parse_spec(document: str) -> HyperRingSpec:
         if key not in data:
             raise SpecFormatError(f"missing top-level field {key!r}")
     m, n = data["m"], data["n"]
-    if not isinstance(m, int) or m < 2:
-        raise ArityOutOfRange("m", m)
-    if not isinstance(n, int) or n < 2:
-        raise ArityOutOfRange("n", n)
+    _check_arities(m, n)
     elements = data["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SpecFormatError("elements must be an array of names")
     name_to_index = {name: i for i, name in enumerate(elements)}
-    if len(name_to_index) != len(elements):
-        raise SpecFormatError("element names are not distinct")
-    for key in ("name", "zero", "one"):
-        if not isinstance(data[key], str):
-            raise SpecFormatError(f"top-level field {key!r} must be a string")
-    name = data["name"]
-    try:
-        "".join((name, *elements)).encode("utf-8")
-    except UnicodeEncodeError:
-        raise SpecFormatError("names must be Unicode text without lone surrogates") from None
     for table in ("f", "g"):
         if not isinstance(data[table], dict):
             raise SpecFormatError(f"table {table!r} must be an object")
@@ -253,8 +254,6 @@ def parse_spec(document: str) -> HyperRingSpec:
             raise SpecFormatError(f"duplicate f entry for multiset {raw_key!r}")
         if not isinstance(raw_value, list):
             raise SpecFormatError(f"f value for {raw_key!r} must be an array")
-        if not raw_value:
-            raise EmptyHyperValue(tuple(elements[i] for i in key))
         members = set()
         for member in raw_value:
             if not isinstance(member, str) or member not in name_to_index:
@@ -271,7 +270,7 @@ def parse_spec(document: str) -> HyperRingSpec:
         g_table[key] = name_to_index[raw_value]
 
     spec = HyperRingSpec(
-        name=name,
+        name=data["name"],
         m=m,
         n=n,
         elements=tuple(elements),

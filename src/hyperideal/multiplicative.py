@@ -91,7 +91,6 @@ def classify_s(
     The witness is the first failing (tuple, position) pair in lexicographic
     order; for ``NEITHER``, the first whose substitution leaves the radical.
     """
-    check_mode(mode)
     require_proper_hyperideal(ring, ideal, mode)
     p_bits, s_bits = ideal.bits, _require_ms(ring, s).bits
     a = ring.analysis
@@ -129,7 +128,6 @@ def is_sr_hyperideal(
 def residual(ring: HyperRing, ideal: SubsetMask, by: SubsetMask, mode: str = LENIENT) -> SubsetMask:
     """Elements whose product with every member of the given set stays in the
     ideal (division of the ideal by the set)."""
-    check_mode(mode)
     require_hyperideal(ring, ideal, mode)
     check_ring(ring, by)
     if by.is_empty:
@@ -146,7 +144,6 @@ def saturation(
     ideal; the result records whether that hypothesis held and whether the
     outcome is proper (an improper saturation is flagged, never an error).
     """
-    check_mode(mode)
     require_hyperideal(ring, ideal, mode)
     s_mask = _require_ms(ring, s)
     bits = ring.analysis.saturation(ideal.bits, s_mask.bits)
@@ -164,7 +161,6 @@ def saturation(
 def maximal_ms_for(ring: HyperRing, ideal: SubsetMask, mode: str = LENIENT) -> MulSet:
     """The largest multiplicative set with respect to which the ideal keeps
     the substitution property, built by exhaustive scan and re-verified."""
-    check_mode(mode)
     require_proper_hyperideal(ring, ideal, mode)
     bits = ring.analysis.compatible(ideal.bits, ideal.bits)
     verdict = ring.analysis.ms(bits)
@@ -197,7 +193,6 @@ def primary_decomposition(
     Preconditions are verified and named on failure; the caller (harness or
     test) owns the assertions that the intersection recovers the ideal.
     """
-    check_mode(mode)
     require_proper_hyperideal(ring, ideal, mode)
     if not min_primes:
         raise HypothesisViolation("at least one minimal prime is required")

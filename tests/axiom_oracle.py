@@ -27,23 +27,37 @@ from hyperideal.kernel import HyperRingSpec, _dense_tables, _first_failure, _ind
 MUTATED_FIXTURES = ("paper-example", "z4", "z2-as-33")
 
 
-def single_entry_mutations(spec, tables="fg"):
-    """Every spec that differs from ``spec`` in exactly one entry of one of
-    ``tables``.
+def single_entry_mutations(spec, tables="fg", stride=1):
+    """Every ``stride``-th spec, from the first, of those that differ from
+    ``spec`` in exactly one entry of one of ``tables``.  Only the specs
+    yielded are built: each is a full copy of a table.
 
     f entries come first, then g entries, each in canonical key order; the
     replacement values of one entry ascend (f values by their bitmask).
     """
     order = spec.order
-    for key in combinations_with_replacement(range(order), spec.m) if "f" in tables else ():
-        for bits in range(1, 1 << order):
+    first = 0  # the index, among the next table's mutations, of the first yielded
+    if "f" in tables:
+        keys = list(combinations_with_replacement(range(order), spec.m))
+        values = range(1, 1 << order)  # the non-empty values, as bitmasks
+        own = {key: sum(1 << i for i in value) for key, value in spec.f_table.items()}
+        for key, bits in _strided(keys, values, own, first, stride):
             value = frozenset(i for i in range(order) if bits >> i & 1)
-            if value != spec.f_table[key]:
-                yield replace(spec, f_table={**spec.f_table, key: value})
-    for key in combinations_with_replacement(range(order), spec.n) if "g" in tables else ():
-        for value in range(order):
-            if value != spec.g_table[key]:
-                yield replace(spec, g_table={**spec.g_table, key: value})
+            yield replace(spec, f_table={**spec.f_table, key: value})
+        first = (first - len(keys) * (len(values) - 1)) % stride
+    if "g" in tables:
+        keys = list(combinations_with_replacement(range(order), spec.n))
+        for key, value in _strided(keys, range(order), spec.g_table, first, stride):
+            yield replace(spec, g_table={**spec.g_table, key: value})
+
+
+def _strided(keys: list, values: range, own: dict, first: int, stride: int):
+    """Every ``stride``-th (key, value) from index ``first``, where each key
+    in turn takes each of ``values`` but ``own[key]``."""
+    per_key = len(values) - 1
+    for i in range(first, len(keys) * per_key, stride):
+        key, j = keys[i // per_key], i % per_key
+        yield key, values[j + (j >= values.index(own[key]))]
 
 
 def fixture_mutations():

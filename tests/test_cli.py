@@ -142,6 +142,38 @@ def test_product_command(z6_path, paper_path, tmp_path):
     assert len(doc["elements"]) == 12
 
 
+def test_joined_names_that_collide_fall_back(tmp_path, capsys):
+    """In Z4 named a, a+b, b+c, c, the cosets {a, b+c} and {a+b, c} both
+    join to a+b+c, so the quotient names each coset by its least member;
+    the product of Z2s named (a, a|b) and (b|c, c) joins a|b|c twice, so it
+    names each pair by its element indices."""
+    from hyperideal import parse_spec, ring_from_ring_table
+
+    def write(name, k, elements):
+        add = [[(a + b) % k for b in range(k)] for a in range(k)]
+        mul = [[(a * b) % k for b in range(k)] for a in range(k)]
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_spec(ring_from_ring_table(add, mul, 0, 1, name, elements)),
+                        encoding="utf-8")
+        return str(path)
+
+    z4 = write("z4-joined", 4, ("a", "a+b", "b+c", "c"))
+    pair = write("z2-a", 2, ("a", "a|b")), write("z2-c", 2, ("b|c", "c"))
+    built = tmp_path / "built.json"
+    for argv, elements in [
+        (["quotient", z4, "--ideal", "a,b+c"], ("a", "a+b")),
+        (["product", *pair], ("0|0", "0|1", "1|0", "1|1")),
+    ]:
+        assert cli.run([*argv, "--out", str(built)]) == 0
+        document = built.read_text(encoding="utf-8")
+        assert parse_spec(document).elements == elements
+        assert serialize_spec(parse_spec(document)) == document
+        assert cli.run(["verify", str(built)]) == 0
+        assert cli.run(["theorems", str(built)]) in (0, 1)
+    assert cli.run(["theorems", z4]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
 def test_theorems_only_t5_json(paper_path):
     result = invoke("theorems", paper_path, "--only", "T5", "--format", "json")
     assert result.returncode == 0

@@ -102,12 +102,22 @@ _Z3_MUL = [[(a * b) % 3 for b in range(3)] for a in range(3)]
     (_Z3_ADD, _Z3_MUL, 3, 1, None, "zero 3 and one 1 must index elements 0..2"),
     (_Z3_ADD, _Z3_MUL, 0, -1, None, "zero 0 and one -1 must index elements 0..2"),
     (_Z3_ADD, _Z3_MUL, 0, 1, ("a", "b"), "2 element names given for 3 elements"),
+    (_Z3_ADD, [[0, 0, 0], [0, 1, 2], [0, 1, 1]], 0, 1, None, "tables are not commutative"),
 ], ids=["ragged-mul-row", "short-mul", "ragged-add-row", "zero-outside", "one-negative",
-        "few-names"])
+        "few-names", "non-commutative"])
 def test_ring_from_tables_rejects_malformed_tables(add, mul, zero, one, names, message):
     # unchecked, these raise IndexError, or (one=-1) silently take the last element
     with pytest.raises(NotARing, match=message):
         ring_from_ring_table(add, mul, zero, one, element_names=names)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: product_ring([]), "at least one factor is required"),
+    (lambda: cyclic_ring(1), "modulus must be at least 2"),
+], ids=["product-of-none", "z1"])
+def test_degenerate_constructions_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +288,25 @@ def test_image_and_preimage_bits_refuse_bits_outside_the_carrier(z6, method, bit
         getattr(projection, method)(bits)
     assert projection.image_bits(0b111111) == 0b111
     assert projection.preimage_bits(0b001) == 0b001001
+
+
+def _diagonal_z2():
+    """Z2 into Z2 x Z2 by x -> (x, x): a homomorphism that is not onto."""
+    z2 = fixtures("z2")
+    hom = check_homomorphism(z2, product_ring([z2, z2]), (0, 3))
+    assert isinstance(hom, HyperRingHom) and not hom.surjective
+    return hom
+
+
+@pytest.mark.parametrize("make_hom, direction, error, message", [
+    (_diagonal_z2, "image", HypothesisViolation, "requires a surjective homomorphism"),
+    (lambda: identity_hom(fixtures("z2")), "inverse", ValueError,
+     "direction must be 'image' or 'preimage', got 'inverse'"),
+], ids=["not-onto", "direction"])
+def test_transport_refuses_what_it_cannot_carry(make_hom, direction, error, message):
+    hom = make_hom()
+    with pytest.raises(error, match=message):
+        transport_ideal(hom, direction, hom.source.subset([0]))
 
 
 def test_preimage_of_zero_is_modulus(z6):

@@ -47,6 +47,14 @@ def test_non_ideal_has_witness(z6):
     assert verdict.witness is not None
 
 
+def test_mask_without_zero_fails_zero_membership(z6):
+    verdict = is_hyperideal(z6, z6.subset([3]))
+    assert (verdict.ok, verdict.clause, verdict.witness, verdict.detail) == (
+        False, "zero-membership", (0,), "zero is missing")
+    with pytest.raises(NotAHyperideal, match=r"\{3\} fails zero-membership at \(0\)"):
+        radical(z6, z6.subset([3]))
+
+
 def test_empty_subset_rejected(z6):
     with pytest.raises(EmptySubset):
         is_hyperideal(z6, z6.subset([]))

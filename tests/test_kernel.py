@@ -8,8 +8,12 @@ import pytest
 from hyperideal import (
     AxiomReport,
     HyperRing,
+    cyclic_ring,
     fixtures,
     parse_spec,
+    product_ring,
+    proper_hyperideals,
+    quotient_ring,
     require_ring,
     serialize_spec,
     verify_axioms,
@@ -18,13 +22,16 @@ from hyperideal.errors import (
     ArityMismatch,
     ArityOutOfRange,
     AxiomsFailed,
+    CosetsNotPartition,
     EmptyHyperValue,
+    InducedOpIllDefined,
     MissingEntry,
     RingMismatch,
     SpecFormatError,
     TablesTooLarge,
     UnknownElement,
 )
+from hyperideal.kernel import MODES
 
 
 def paper_doc() -> dict:
@@ -121,11 +128,54 @@ Z2_G = {(0, 0): 0, (0, 1): 0, (1, 1): 1}
     ({"f_table": {**Z2_F, (0, 0): frozenset({0.0})}}, SpecFormatError,
      r"f value at \(0, 0\) is not a set of element indices"),
     ({"g_table": {**Z2_G, (1, 1): True}}, SpecFormatError, r"g value at \(1, 1\) is not an element index"),
+    # each verified once into a ring whose own document did not reload as it
+    ({"name": None}, SpecFormatError, "field 'name' must be a string"),
+    ({"name": "z\ud8002"}, SpecFormatError, "without lone surrogates"),
+    ({"elements": ["0", "1"]}, SpecFormatError, "elements must be a tuple"),
 ])
 def test_specs_built_in_code_are_validated(z2, edit, error, match):
     assert z2.spec.f_table == Z2_F and z2.spec.g_table == Z2_G
     with pytest.raises(error, match=match):
         verify_axioms(replace(z2.spec, **edit))
+
+
+def _z2_document(table: str, key: str, value) -> str:
+    doc = json.loads(serialize_spec(fixtures("z2").spec))
+    doc[table][key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("document, match", [
+    ("[]", "document root must be an object"),
+    (_z2_document("f", "1,0", ["1"]), "duplicate f entry for multiset '1,0'"),
+    (_z2_document("g", "1,0", "0"), "duplicate g entry for multiset '1,0'"),
+], ids=["root-array", "duplicate-f", "duplicate-g"])
+def test_documents_are_refused_while_resolving_keys(document, match):
+    with pytest.raises(SpecFormatError, match=match):
+        parse_spec(document)
+
+
+def test_every_accepted_spec_round_trips(all_fixture_rings, census_rings, large_rings):
+    """The fixtures, the census rings, the products the tests build and the
+    quotients of each fixture by each proper hyperideal, in both modes."""
+    z2_as_33 = fixtures("z2-as-33")
+    rings = [
+        *all_fixture_rings, *census_rings.values(), *large_rings.values(),
+        product_ring([cyclic_ring(2), cyclic_ring(3)]),
+        product_ring([fixtures("z4"), fixtures("z2")]),
+        product_ring([z2_as_33, z2_as_33]),
+        product_ring([fixtures("paper-example"), z2_as_33]),
+    ]
+    for ring in all_fixture_rings:
+        for mode in MODES:
+            for ideal in proper_hyperideals(ring, mode):
+                try:
+                    rings.append(quotient_ring(ring, ideal, mode).quotient)
+                except (CosetsNotPartition, InducedOpIllDefined):
+                    pass
+    assert len(rings) == 9 + 10 + 3 + 4 + 40
+    for ring in rings:
+        assert parse_spec(serialize_spec(ring.spec)) == ring.spec, ring.name
 
 
 def test_require_ring_raises_axioms_failed(z2):
@@ -242,6 +292,20 @@ def test_operations_refuse_elements_outside_the_carrier(z4, call):
     # unchecked, z4 answers multiply(1, 4) with 0, multiply(-1, 1) with 3,
     # hyperadd(-1, 0) with {3} and negate(-1) with 1
     with pytest.raises(ValueError, match="element index -?[0-9]+ out of range"):
+        call(z4)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda r: r.power(1, 0), ValueError, "power exponent must be >= 1"),
+    (lambda r: r.multiply(1), ArityMismatch, "expected 2 arguments, got 1"),
+    (lambda r: r.multiply(1, 1, 1), ArityMismatch, "expected 2 arguments, got 3"),
+    (lambda r: r.subset_from_bits(1 << 4), ValueError, "mask bits out of range"),
+    (lambda r: r.subset_from_bits(-1), ValueError, "mask bits out of range"),
+    (lambda r: setattr(r.subset([1]), "bits", 0), AttributeError, "SubsetMask is immutable"),
+], ids=["power-0", "multiply-1-argument", "multiply-3-arguments", "mask-bit-4", "mask-negative",
+        "mask-assignment"])
+def test_malformed_calls_are_refused(z4, call, error, match):
+    with pytest.raises(error, match=match):
         call(z4)
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from hyperideal import (
     SVerdict,
+    check_theorem,
+    classify_ideal,
     classify_s,
     enumerate_hyperideals,
     enumerate_multiplicative_sets,
@@ -15,13 +17,19 @@ from hyperideal import (
     is_s_hyperideal,
     is_sr_hyperideal,
     maximal_ms_for,
+    minimal_primes_over,
     multiplicative_set,
+    prime_hyperideals,
     primary_decomposition,
     proper_hyperideals,
+    quotient_ring,
     radical,
+    radical_power_diagnostic,
     residual,
+    run_suite,
     s_maximal_hyperideals,
     saturation,
+    special_sets,
     transport_ideal,
 )
 from hyperideal.errors import (
@@ -377,3 +385,56 @@ def test_same_ring_arguments_still_accepted(foreign, z6):
     assert classify_s(ring, ideal, ms).verdict is SVerdict.S_HYPERIDEAL
     assert residual(ring, ideal, z6.subset([1])) == ideal
     assert primary_decomposition(ring, ideal, [ideal]) == [ideal]
+
+
+# ---------------------------------------------------------------------------
+# modes and empty arguments
+
+
+MODE_ENTRY_POINTS = {
+    "is_hyperideal": lambda ring, ideal, ms, mode: is_hyperideal(ring, ideal, mode),
+    "classify_ideal": lambda ring, ideal, ms, mode: classify_ideal(ring, ideal, mode),
+    "radical": lambda ring, ideal, ms, mode: radical(ring, ideal, mode),
+    "radical_power_diagnostic": lambda ring, ideal, ms, mode: radical_power_diagnostic(
+        ring, ideal, 2, mode),
+    "minimal_primes_over": lambda ring, ideal, ms, mode: minimal_primes_over(ring, ideal, mode),
+    "generated_hyperideal": lambda ring, ideal, ms, mode: generated_hyperideal(ring, ideal, mode),
+    "enumerate_hyperideals": lambda ring, ideal, ms, mode: enumerate_hyperideals(ring, mode),
+    "prime_hyperideals": lambda ring, ideal, ms, mode: prime_hyperideals(ring, mode),
+    "special_sets": lambda ring, ideal, ms, mode: special_sets(ring, mode),
+    "classify_s": lambda ring, ideal, ms, mode: classify_s(ring, ideal, ms, mode),
+    "residual": lambda ring, ideal, ms, mode: residual(ring, ideal, ms.subset, mode),
+    "saturation": lambda ring, ideal, ms, mode: saturation(ring, ideal, ms, mode),
+    "maximal_ms_for": lambda ring, ideal, ms, mode: maximal_ms_for(ring, ideal, mode),
+    "s_maximal_hyperideals": lambda ring, ideal, ms, mode: s_maximal_hyperideals(ring, ms, mode),
+    "primary_decomposition": lambda ring, ideal, ms, mode: primary_decomposition(
+        ring, ideal, [ideal], mode),
+    "quotient_ring": lambda ring, ideal, ms, mode: quotient_ring(ring, ideal, mode),
+    "check_theorem": lambda ring, ideal, ms, mode: check_theorem(ring, "T1.1", mode),
+    "run_suite": lambda ring, ideal, ms, mode: run_suite([ring], mode, ["T1.1"]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODE_ENTRY_POINTS))
+def test_an_unknown_mode_is_refused(z6, entry):
+    """Each call checks its mode once; where it takes a hyperideal, through
+    ``is_hyperideal``, after the mask's ring and before anything else."""
+    args = z6, z6.subset([0, 3]), multiplicative_set(z6, z6.subset([1, 5]))
+    assert MODE_ENTRY_POINTS[entry](*args, "lenient") is not None
+    with pytest.raises(ValueError, match=r"mode must be one of \('strict', 'lenient'\), got 'Strict'"):
+        MODE_ENTRY_POINTS[entry](*args, "Strict")
+
+
+def test_a_mask_of_another_ring_is_named_before_an_unknown_mode(foreign, z4):
+    ring, _, _ = foreign
+    with pytest.raises(RingMismatch):
+        classify_ideal(ring, z4.subset([0, 2]), "Strict")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda r: generated_hyperideal(r, r.subset([])), "generating set must be non-empty"),
+    (lambda r: residual(r, r.subset([0, 3]), r.subset([])), "residual divisor must be non-empty"),
+], ids=["generated_hyperideal-seed", "residual-divisor"])
+def test_an_empty_argument_is_refused(z6, call, message):
+    with pytest.raises(EmptySubset, match=message):
+        call(z6)

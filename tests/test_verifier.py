@@ -75,6 +75,15 @@ def _mutation_reports_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
+def test_strided_mutations_are_every_kth_mutation(z6):
+    """A stride builds only the specs that ``islice`` would keep of all."""
+    for tables in ("f", "g", "fg"):
+        for stride in (1, 3, 14):
+            every = single_entry_mutations(z6.spec, tables)
+            assert list(single_entry_mutations(z6.spec, tables, stride)) == list(
+                islice(every, 0, None, stride)), (tables, stride)
+
+
 def test_mutation_reports_are_pinned():
     assert _mutation_reports_digest() == MUTATION_REPORTS_SHA256
 
@@ -113,7 +122,7 @@ def test_ids_past_a_byte_take_the_list_composition(monkeypatch):
     pass composes lists while g-associativity, on 6 elements, keeps bytes.
     The ring and every 14th g mutation keep their reports."""
     base = _paper_times_z2_as_33()
-    specs = [base, *islice(single_entry_mutations(base, tables="g"), 0, None, 14)]
+    specs = [base, *single_entry_mutations(base, tables="g", stride=14)]
     expected = [_report(spec) for spec in specs]
     widths = []
 
@@ -200,8 +209,8 @@ def test_witness_is_the_least_column_over_every_grouping(monkeypatch):
 
 
 def _z6_and_paper_times_z2_as_33_f_mutations():
-    yield from islice(single_entry_mutations(fixtures("z6").spec, tables="f"), 0, None, 3)
-    yield from islice(single_entry_mutations(_paper_times_z2_as_33(), tables="f"), 0, None, 7)
+    yield from single_entry_mutations(fixtures("z6").spec, tables="f", stride=3)
+    yield from single_entry_mutations(_paper_times_z2_as_33(), tables="f", stride=7)
 
 
 @pytest.mark.parametrize("make_specs, compared, failing", [
