@@ -8,8 +8,8 @@ checked one element of S at a time, so it is fixed by one set per ideal:
 ``compatible(P, P)`` is the largest compatible MS S*(P), and P is an
 S-hyperideal exactly when S lies in it (an S_r-hyperideal when S lies in
 ``compatible(P, radical(P))``).  Residuals and saturations are intersections
-and unions of the colon ideals ``colons(Q)``.  ``scan_s`` walks the n-tuples
-only to name witnesses.
+and unions of the colon ideals ``colons(Q)``.  Only the witness scans, such as
+``scan_s``, and the second routes of the harness walk n-tuples.
 
 The multiplicative-set index names a family of MS by one int, bit i for
 ``ms_all[i]``: ``containing[x]`` holds the MS with x, ``within(T)`` those
@@ -21,15 +21,17 @@ products, h(g(x_1, ..., x_n)) = g(h(x_1), ..., h(x_n)), so the image of every
 MS is an MS of the target: the transfer checkers read the whole family.
 
 Hyperideals of either mode and multiplicative sets are each closed under
-intersection, so each family is the set of closed sets of a closure operator.
-``closed_sets`` walks them from the least one by Close-by-One: in a fixed
-element order (by the size of x·R, units first in Z_k), each closed set is
-extended only by elements after the one last added, and the semi-naive
-``close`` gives up as soon as it adds an earlier element, so each set is
-closed once, from its canonical parent.  Its cost follows the number of
-closed sets, not the 2^order subsets, and it is refused once its table
-lookups pass ``WALK_BUDGET``.  ``generated_hyperideal`` is ``close`` from
-the empty set.
+intersection, so each family is the set of closed sets of a closure operator,
+walked by ``closed_sets`` under ``WALK_BUDGET``, one lookup per row entry
+read.  Every closure reads binary rows, at every arity.  With
+a·b = g(a, b, 1^(n-2)), g(x_1, ..., x_n) = x_1·...·x_n, as 1 is a scalar
+identity and g is associative (Dörnte, 1929); likewise f(a, b, c, ...) =
+f(f(a, b, 0, ...), c, 0, ...) as sets.  So a set with 0 is closed under f
+when it is closed under the sums f(x, b, 0^(m-2)) (``sum_rows``), and it
+absorbs when it holds x·R (``absorb``) for each member x.  An MS need not
+hold 1: it is closed when S^n lies in S, so ``close`` carries its powers
+S^2, ..., S^(n-1).  ``_compatible`` and the colon ideals read ``scalar_rows``
+too, since g(x, r) = x·g(1, r).
 """
 
 from __future__ import annotations
@@ -194,51 +196,60 @@ class RingAnalysis:
     # -- closed sets ---------------------------------------------------------
 
     @cached_property
+    def sum_rows(self) -> list[list[int]]:
+        """``sum_rows[x][b]``: the mask f(x, b, 0^(m-2))."""
+        ring, step = self.ring, self.ring.order ** (self.ring.m - 2)
+        start, width = ring.zero * (step - 1) // (ring.order - 1), ring.order * step  # start: 0^(m-2)
+        return [ring.f_dense[x * width + start:(x + 1) * width:step] for x in range(ring.order)]
+
+    @cached_property
+    def scalar_rows(self) -> list[list[int]]:
+        """``scalar_rows[x][b]``: the mask of x·b = g(x, b, 1^(n-2))."""
+        return [[1 << p for p in self.ring.scalar_row(x)] for x in range(self.ring.order)]
+
+    @cached_property
     def absorb(self) -> list[int]:
-        """``absorb[x]``: the mask of every product g(x, r), r over (n-1)-tuples."""
-        return [sum(1 << p for p in set(self.ring.g_row(x))) for x in range(self.ring.order)]
+        """``absorb[x]``: the mask of x·R, which holds every product g(x, r)."""
+        return [sum(set(row)) for row in self.scalar_rows]
 
     def close(self, bits: int, new: int, kind: str, budget: LookupBudget | None = None,
-              members: list[int] | None = None, stop: int = 0) -> int | None:
-        """The least closed set of the kind containing the closed mask ``bits``
-        and the mask ``new``.  The kinds are the hyperideal modes (closure
-        under hyperaddition and absorption, and under negation when strict)
-        and ``MS`` (closure under multiplication).  Semi-naive: each added
-        element is handled once, with only the sums or products that take it
-        as first argument; those of old members alone already lie in ``bits``.
-        A walk charges its ``budget`` one lookup per such rest, and may pass
-        the ``members`` of ``bits | new`` as a list for the call to extend.
-        When the closure adds an element of ``stop``, the call gives up: it
-        charges the lookups made so far and returns None.
-        """
-        ring = self.ring
-        order = ring.order
+              members: list[int] | None = None, stop: int = 0, powers: list[int] | None = None) -> int | None:
+        """The least closed set of the kind (a hyperideal mode, or ``MS``)
+        containing the closed mask ``bits`` and the mask ``new``.  Semi-naive:
+        each added y is read once against the members, in its sum or scalar
+        row.  An MS also keeps its ``powers`` S^2, ..., S^(n-1) (none when
+        n = 2): y grows S^k by y·S^(k-1), and the closure by y·S^(n-1).  A walk
+        charges its ``budget`` one lookup per row entry read, and may pass the
+        ``members`` of ``bits | new`` and the ``powers`` of ``bits`` as lists
+        for the call to extend; without powers, the members of ``bits`` are
+        handled as added.  Once the closure adds an element of ``stop``, the
+        call gives up: it charges the lookups made so far and returns None."""
         products = kind == MS
-        table, arity = (ring.g_dense, ring.n) if products else (ring.f_dense, ring.m)
-        absorb, negation = self.absorb, ring.negation if kind == "strict" else None
-        lead = order ** (arity - 1)
+        rows = self.scalar_rows if products else self.sum_rows
+        absorb, negation = self.absorb, self.ring.negation if kind == "strict" else None
         pending = new & ~bits
+        if powers is None:  # those of bits are unknown: rebuild them from its members
+            powers = [0] * (self.ring.n - 2) if products else []
+            pending |= bits if powers else 0
         bits |= pending
-        if members is None:
-            members = bit_members(bits)
+        members = bit_members(bits) if members is None else members
         lookups = 0
         while pending:
             low = pending & -pending
             pending ^= low
             y = low.bit_length() - 1
-            rests = members
-            for _ in range(arity - 2):
-                rests = [r * order + z for r in rests for z in members]
-            base = y * lead
-            lookups += len(rests)
-            if products:
-                add = 0
-                for r in rests:
-                    add |= 1 << table[base + r]
-            else:
-                add = absorb[y] | (1 << negation[y] if negation else 0)
-                for r in rests:
-                    add |= table[base + r]
+            row = rows[y]
+            add = 0 if products else absorb[y] | (1 << negation[y] if negation else 0)
+            factors = members
+            for k, power in enumerate(powers):  # S^(k+2) gains y·S^(k+1)
+                for z in factors:
+                    power |= row[z]
+                lookups += len(factors)
+                powers[k] = power
+                factors = bit_members(power)
+            lookups += len(factors)
+            for z in factors:
+                add |= row[z]
             add &= ~bits
             if add & stop:
                 bits = None
@@ -277,19 +288,20 @@ class RingAnalysis:
             earlier.append(earlier[-1] | 1 << y)
         try:
             bottom = 0 if kind == MS else close(0, 1 << ring.zero, kind, budget)
-            # each set waits with its members: the list close extended
-            found, stack = [bottom], [(bottom, 0, bit_members(bottom))]
+            empty = [0] * (ring.n - 2) if kind == MS else []  # the powers of the empty set
+            # each set waits with its members and powers: the lists close extended
+            found, stack = [bottom], [(bottom, 0, bit_members(bottom), empty)]
             while stack:
-                current, start, members = stack.pop()
+                current, start, members, powers = stack.pop()
                 for i in range(start, ring.order):
                     y = walk[i]
                     if current >> y & 1:
                         continue
-                    extended = members + [y]
-                    child = close(current, 1 << y, kind, budget, extended, earlier[i] & ~current)
+                    extended, grown = members + [y], powers[:]
+                    child = close(current, 1 << y, kind, budget, extended, earlier[i] & ~current, grown)
                     if child is not None:
                         found.append(child)
-                        stack.append((child, i + 1, extended))
+                        stack.append((child, i + 1, extended, grown))
         except WalkBudgetExceeded as exc:
             self.refused[kind, WALK_BUDGET] = str(exc)
             raise
@@ -407,18 +419,13 @@ class RingAnalysis:
     # -- S-classification, residuals and saturation -------------------------
 
     def _compatible(self, p_bits: int, target: int) -> int:
-        """Elements x such that, for every ordered (n-1)-tuple r, g(x, r) in P
-        implies g(1, r) in the target.  Against P itself this is the largest
-        compatible MS S*(P) of T3: P is an S-hyperideal exactly when S lies
-        in it, and an S_r-hyperideal when S lies in the set for the radical."""
-        ring = self.ring
-        out = 0
-        by_one = ring.g_row(ring.one)
-        for x in range(ring.order):
-            # over ordered tuples r; g is symmetric, so this covers every position
-            if not any(p_bits >> a & 1 and not target >> b & 1 for a, b in zip(ring.g_row(x), by_one)):
-                out |= 1 << x
-        return out
+        """Elements x such that, for every element r, x·r in P implies r in
+        the target: g(x, r) in P implies g(1, r) in it for every (n-1)-tuple r.
+        Against P itself this is the largest compatible MS S*(P) of T3: P is
+        an S-hyperideal exactly when S lies in it, and an S_r-hyperideal when
+        S lies in the set for the radical."""
+        outside, rows = bit_members(self.ring.full_bits & ~target), self.scalar_rows
+        return sum(1 << x for x, row in enumerate(rows) if not any(p_bits & row[r] for r in outside))
 
     def classify_s(self, p_bits: int, s_bits: int, mode: str) -> SVerdict:
         if not s_bits & ~self.compatible(p_bits, p_bits):
@@ -445,10 +452,7 @@ class RingAnalysis:
 
     def _colons(self, q_bits: int) -> tuple[int, ...]:
         """The colon ideals (q : t) = {x : g(t, x, 1^(n-2)) in q}, by t."""
-        return tuple(
-            sum(1 << x for x, prod in enumerate(self.ring.scalar_row(t)) if q_bits >> prod & 1)
-            for t in range(self.ring.order)
-        )
+        return tuple(sum(1 << x for x, prod in enumerate(row) if q_bits & prod) for row in self.scalar_rows)
 
     def residual(self, p_bits: int, x_bits: int) -> int:
         """The intersection of (p : x) over x in X."""

@@ -16,7 +16,7 @@ loops they replace, so reports are unchanged.  Only TPROD, whose S are pairs
 of MS from two rings, loops over them.  Several keep two independently
 computed sides: ``compatible`` against the colon ideals (T1.3, T4, T5), the
 base ring against the target ring (THOM-PRE, THOM-IMG, TQUOT), and the
-``g_row`` masks against one n-tuple scan per ideal (T3, FW-SR).  A
+scalar rows against one n-tuple scan per ideal (T3, FW-SR).  A
 target-side verdict is pulled back along the map: img(S) lies in C exactly
 when S lies in the preimage of C.
 """

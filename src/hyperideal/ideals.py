@@ -180,15 +180,10 @@ def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
     """Units, regular elements, the Jacobson-style radical, and the minimal
     primes, each computed by exhaustive scan."""
     check_mode(mode)
-    units = 0
-    for p in range(ring.order):
-        if ring.one in ring.scalar_row(p):
-            units |= 1 << p
-    regulars = 0
-    for p in range(ring.order):
-        if p in ring.g_row(ring.g_at((p,) * ring.n)):
-            regulars |= 1 << p
     analysis = ring.analysis
+    # units: 1 in p·R; regulars: p in p^n·R (``absorb[x]`` is x·R)
+    units = sum(1 << p for p in range(ring.order) if analysis.absorb[p] >> ring.one & 1)
+    regulars = sum(1 << p for p in range(ring.order) if analysis.absorb[ring.g_at((p,) * ring.n)] >> p & 1)
     jacobson = ring.full_bits
     for bits in analysis.proper(mode):
         if analysis.maximal(bits, mode).ok:

@@ -171,9 +171,10 @@ def validate_spec(spec: HyperRingSpec) -> None:
             raise SpecFormatError(f"element name {name!r} is not allowed")
     if len(set(spec.elements)) != len(spec.elements):
         raise SpecFormatError("element names are not distinct")
-    for key in ("name", "zero", "one"):
-        if not isinstance(getattr(spec, key), str):
-            raise SpecFormatError(f"top-level field {key!r} must be a string")
+    for key, kind in (("name", str), ("zero", str), ("one", str), ("f_table", Mapping), ("g_table", Mapping)):
+        if not isinstance(getattr(spec, key), kind):  # a list table would read as missing entries
+            noun = "string" if kind is str else "mapping"
+            raise SpecFormatError(f"top-level field {key!r} must be a {noun}")
     try:
         "".join((spec.name, *spec.elements)).encode("utf-8")
     except UnicodeEncodeError:

@@ -77,6 +77,40 @@ def z2_ternary_spec():
     )
 
 
+def lift(spec, m, n):
+    """The (m,n) lift of a (2,2) spec: f folds the binary sum over its
+    arguments, as sets, and g folds the binary product.  z2-as-33 is the
+    lift of Z2 to (3,3)."""
+    from functools import reduce
+    from itertools import combinations_with_replacement
+
+    from hyperideal import HyperRingSpec
+
+    def add(values, b):
+        return frozenset().union(*(spec.f_table[tuple(sorted((a, b)))] for a in values))
+
+    def times(a, b):
+        return spec.g_table[tuple(sorted((a, b)))]
+
+    carrier = range(spec.order)
+    return HyperRingSpec(
+        name=f"{spec.name}-as-{m}{n}", m=m, n=n, elements=spec.elements, zero=spec.zero, one=spec.one,
+        f_table={k: reduce(add, k[1:], frozenset(k[:1])) for k in combinations_with_replacement(carrier, m)},
+        g_table={k: reduce(times, k) for k in combinations_with_replacement(carrier, n)},
+    )
+
+
+@pytest.fixture(scope="session")
+def lifted_rings():
+    """The lifts of cyclic rings past (2,2) that the oracles compare, by name."""
+    from hyperideal import cyclic_ring, require_ring
+
+    return {
+        f"z{k}-as-{m}{n}": require_ring(lift(cyclic_ring(k).spec, m, n))
+        for k, m, n in ((8, 3, 3), (12, 3, 3), (12, 2, 4), (8, 4, 2))
+    }
+
+
 @pytest.fixture(scope="session")
 def census_rings():
     """Every order-3 (2,2) table of ``order3_spec`` that ``verify_axioms``

@@ -1,7 +1,7 @@
 """The closure walk against the power-set oracles in enumeration_oracle."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,29 +21,51 @@ from hyperideal import (
     generated_hyperideal,
     is_hyperideal,
 )
+from hyperideal.analysis import bit_members
 
 LARGE = ("z16", "z2^4", "paper-example^2")
+# lifts of Z_k past (2,2) (conftest.lift); z12-as-24 and z8-as-42 reach n = 4 and m = 4
+LIFTED = ("z8-as-33", "z12-as-33", "z12-as-24", "z8-as-42")
 MODES = ("lenient", "strict")
 
 
-def ring_named(name, large_rings):
-    return large_rings[name] if name in large_rings else fixtures(name)
+def ring_named(name, large_rings, lifted_rings=None):
+    for rings in (large_rings, lifted_rings or {}):
+        if name in rings:
+            return rings[name]
+    return fixtures(name)
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES + LARGE)
-def test_ideals_match_the_power_set(name, large_rings):
-    ring = ring_named(name, large_rings)
+@pytest.mark.parametrize("name", FIXTURE_NAMES + LARGE + LIFTED)
+def test_ideals_match_the_power_set(name, large_rings, lifted_rings):
+    ring = ring_named(name, large_rings, lifted_rings)
     expected = power_set_ideals(ring)
     for mode in MODES:
         walked = [s.bits for s in enumerate_hyperideals(ring, mode)]
         assert walked == list(expected[mode]), mode
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES + LARGE)
-def test_multiplicative_sets_match_the_power_set(name, large_rings):
-    ring = ring_named(name, large_rings)
+@pytest.mark.parametrize("name", FIXTURE_NAMES + LARGE + LIFTED)
+def test_multiplicative_sets_match_the_power_set(name, large_rings, lifted_rings):
+    ring = ring_named(name, large_rings, lifted_rings)
     walked = [s.bits for s in enumerate_multiplicative_sets(ring)]
     assert walked == list(power_set_multiplicative_sets(ring))
+
+
+def test_close_rebuilds_the_powers_it_is_not_given(lifted_rings):
+    """Called without the powers S^2, ..., S^(n-1), as the seen-set walk of
+    tests/compare_walks.py calls it, ``close`` must rebuild them from S: on
+    this (3,3) ring S^2 need not lie in S, so starting them empty would miss
+    products of an old member pair with the added element."""
+    ring = lifted_rings["z8-as-33"]
+    close, family = ring.analysis.close, ring.analysis.closed_sets(analysis.MS)
+    assert len(family) == 65  # the empty set too
+    # some S has a square outside it
+    assert any(not s >> ring.multiply(a, b, ring.one) & 1 for s in family for a, b in product(bit_members(s), repeat=2))
+    for s in family:
+        for x in range(ring.order):
+            if not s >> x & 1:
+                assert close(s, 1 << x, analysis.MS) == close(0, s | 1 << x, analysis.MS), (s, x)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

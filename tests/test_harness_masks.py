@@ -26,15 +26,18 @@ MODES = ("lenient", "strict")
 
 
 @pytest.fixture(scope="session")
-def mask_rings(large_rings, census_rings):
-    """The rings of each engine-oracle comparison, by key."""
+def mask_rings(large_rings, census_rings, lifted_rings):
+    """The rings of each engine-oracle comparison, by key.  z8-as-33 has MS
+    S with S^2 outside S, so T3's tuple scan checks ``compatible`` where the
+    binary rows and the n-tuples could part."""
     rings = {name: [fixtures(name)] for name in FIXTURE_NAMES}
     rings.update((name, [ring]) for name, ring in large_rings.items())
     rings["census"] = list(census_rings.values())
+    rings["z8-as-33"] = [lifted_rings["z8-as-33"]]
     return rings
 
 
-RING_KEYS = (*FIXTURE_NAMES, "z16", "z2^4", "paper-example^2", "census")
+RING_KEYS = (*FIXTURE_NAMES, "z16", "z2^4", "paper-example^2", "census", "z8-as-33")
 
 
 @pytest.mark.parametrize("mode", MODES)

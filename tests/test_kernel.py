@@ -132,6 +132,11 @@ Z2_G = {(0, 0): 0, (0, 1): 0, (1, 1): 1}
     ({"name": None}, SpecFormatError, "field 'name' must be a string"),
     ({"name": "z\ud8002"}, SpecFormatError, "without lone surrogates"),
     ({"elements": ["0", "1"]}, SpecFormatError, "elements must be a tuple"),
+    # tables that are not mappings, refused before any entry is looked up
+    ({"f_table": None}, SpecFormatError, "field 'f_table' must be a mapping"),
+    ({"g_table": None}, SpecFormatError, "field 'g_table' must be a mapping"),
+    ({"f_table": list(Z2_F.values())}, SpecFormatError, "field 'f_table' must be a mapping"),
+    ({"g_table": list(Z2_G.values())}, SpecFormatError, "field 'g_table' must be a mapping"),
 ])
 def test_specs_built_in_code_are_validated(z2, edit, error, match):
     assert z2.spec.f_table == Z2_F and z2.spec.g_table == Z2_G
