@@ -36,11 +36,12 @@ too, since g(x, r) = x·g(1, r).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import WalkBudgetExceeded
 
@@ -129,42 +130,66 @@ class LookupBudget:
             )
 
 
+def _memo(owner: weakref.ref, function: Callable) -> Callable:
+    """A per-instance ``lru_cache`` of ``function`` called on the owner.  It
+    reaches the owner through a weak reference, where the ``lru_cache`` of a
+    bound method would hold it, so the memo keeps its owner in no cycle."""
+
+    def miss(*args):
+        return function(owner(), *args)
+
+    return lru_cache(maxsize=None)(miss)
+
+
 class RingAnalysis:
     """Derived lists and verdict memos of one ring.
 
     Each memo is a per-instance ``lru_cache`` held in an instance attribute,
-    so a hit costs one attribute lookup and no wrapper frame.  A class-level
-    descriptor of the same name would make CPython skip specialising that
-    lookup.  ``quotients`` holds the projections the harness builds (None
-    for an ill-defined quotient), ``tprod_product`` its product ring, and
-    ``refused`` the message of each refused walk, by kind and budget.
+    so a hit costs one attribute lookup and one C call, with no wrapper
+    frame; only a miss runs ``_memo``'s function.  A class-level descriptor
+    of the same name would make CPython skip specialising that lookup.
+    ``quotients`` holds, by modulus, the target and mapping of each
+    projection the harness builds (None for an ill-defined quotient),
+    ``tprod_product`` its product ring, and ``refused`` the message of each
+    refused walk, by kind and budget.
+
+    The ring owns its analysis (``HyperRing.analysis``), which reaches the
+    ring through a weak reference (``ring``), and nothing the analysis keeps
+    refers back to the ring.  So a ring and its analysis are freed by
+    reference counting once the last outside reference to the ring drops,
+    without waiting for the cyclic garbage collector.
     """
 
     def __init__(self, ring: HyperRing):
-        self.ring = ring
-        memo = lru_cache(maxsize=None)
-        self.hyperideal = memo(self._hyperideal)
-        self.prime = memo(self._prime)
-        self.semiprime = memo(self._semiprime)
-        self.primary = memo(self._primary)
-        self.maximal = memo(self._maximal)
-        self.radical = memo(self._radical)
-        self.ms = memo(self._ms)
-        self.compatible = memo(self._compatible)
-        self.colons = memo(self._colons)
-        self.within = memo(self._within)
-        self.ideals = memo(self.closed_sets)
-        self.proper = memo(self._proper)
-        self.primes = memo(self._primes)
-        self.min_primes = memo(self._min_primes)
-        self.quotients: dict = {}
+        self._ring = weakref.ref(ring)
+        memo = partial(_memo, weakref.ref(self))
+        cls = RingAnalysis
+        self.hyperideal = memo(cls._hyperideal)
+        self.prime = memo(cls._prime)
+        self.semiprime = memo(cls._semiprime)
+        self.primary = memo(cls._primary)
+        self.maximal = memo(cls._maximal)
+        self.radical = memo(cls._radical)
+        self.ms = memo(cls._ms)
+        self.compatible = memo(cls._compatible)
+        self.colons = memo(cls._colons)
+        self.within = memo(cls._within)
+        self.ideals = memo(cls.closed_sets)
+        self.proper = memo(cls._proper)
+        self.primes = memo(cls._primes)
+        self.min_primes = memo(cls._min_primes)
+        self.quotients: dict[int, tuple[HyperRing, tuple[int, ...]] | None] = {}
         self.tprod_product: HyperRing | None = None
         self.refused: dict[tuple[str, int], str] = {}
+
+    @property
+    def ring(self) -> HyperRing:
+        return self._ring()
 
     # -- hyperideals ------------------------------------------------------
 
     def _hyperideal(self, bits: int, mode: str) -> Verdict:
-        ring = self.ring
+        ring = self._ring()
         if not (bits >> ring.zero & 1):
             return Verdict(False, "zero-membership", (ring.zero,), "zero is missing")
         members = bit_members(bits)
@@ -190,7 +215,7 @@ class RingAnalysis:
         return PASS
 
     def _proper(self, mode: str) -> tuple[int, ...]:
-        full = self.ring.full_bits
+        full = self._ring().full_bits
         return tuple(b for b in self.ideals(mode) if b != full)
 
     # -- closed sets ---------------------------------------------------------
@@ -198,14 +223,16 @@ class RingAnalysis:
     @cached_property
     def sum_rows(self) -> list[list[int]]:
         """``sum_rows[x][b]``: the mask f(x, b, 0^(m-2))."""
-        ring, step = self.ring, self.ring.order ** (self.ring.m - 2)
+        ring = self._ring()
+        step = ring.order ** (ring.m - 2)
         start, width = ring.zero * (step - 1) // (ring.order - 1), ring.order * step  # start: 0^(m-2)
         return [ring.f_dense[x * width + start:(x + 1) * width:step] for x in range(ring.order)]
 
     @cached_property
     def scalar_rows(self) -> list[list[int]]:
         """``scalar_rows[x][b]``: the mask of x·b = g(x, b, 1^(n-2))."""
-        return [[1 << p for p in self.ring.scalar_row(x)] for x in range(self.ring.order)]
+        ring = self._ring()
+        return [[1 << p for p in ring.scalar_row(x)] for x in range(ring.order)]
 
     @cached_property
     def absorb(self) -> list[int]:
@@ -226,10 +253,10 @@ class RingAnalysis:
         call gives up: it charges the lookups made so far and returns None."""
         products = kind == MS
         rows = self.scalar_rows if products else self.sum_rows
-        absorb, negation = self.absorb, self.ring.negation if kind == "strict" else None
+        absorb, negation = self.absorb, self._ring().negation if kind == "strict" else None
         pending = new & ~bits
         if powers is None:  # those of bits are unknown: rebuild them from its members
-            powers = [0] * (self.ring.n - 2) if products else []
+            powers = [0] * (self._ring().n - 2) if products else []
             pending |= bits if powers else 0
         bits |= pending
         members = bit_members(bits) if members is None else members
@@ -279,7 +306,7 @@ class RingAnalysis:
         walking."""
         if (kind, WALK_BUDGET) in self.refused:
             raise WalkBudgetExceeded(self.refused[kind, WALK_BUDGET])
-        ring, close, absorb = self.ring, self.close, self.absorb
+        ring, close, absorb = self._ring(), self.close, self.absorb
         walk = sorted(range(ring.order), key=lambda x: (-absorb[x].bit_count(), x))
         family = "multiplicative-set" if kind == MS else f"{kind} hyperideal"
         budget = LookupBudget(f"{family} walk on {ring.name}")
@@ -310,13 +337,13 @@ class RingAnalysis:
     # -- the classical classification ---------------------------------------
 
     def _prime(self, bits: int) -> Verdict:
-        for tup, prod, _subs in self.ring.g_tuples:
+        for tup, prod, _subs in self._ring().g_tuples:
             if bits >> prod & 1 and not any(bits >> x & 1 for x in tup):
                 return Verdict(False, "prime", tup, "product lands in the ideal, no factor does")
         return PASS
 
     def _semiprime(self, bits: int) -> Verdict:
-        ring = self.ring
+        ring = self._ring()
         for p in range(ring.order):
             prod = ring.g_at((p,) * ring.n)
             if bits >> prod & 1 and not (bits >> p & 1):
@@ -325,8 +352,9 @@ class RingAnalysis:
 
     def _primary(self, bits: int, mode: str) -> Verdict:
         rad = self.radical(bits, mode)
-        n = self.ring.n
-        for tup, prod, subs in self.ring.g_tuples:
+        ring = self._ring()
+        n = ring.n
+        for tup, prod, subs in ring.g_tuples:
             if not (bits >> prod & 1):
                 continue
             if not any(bits >> tup[i] & 1 or rad >> subs[i] & 1 for i in range(n)):
@@ -335,7 +363,7 @@ class RingAnalysis:
         return PASS
 
     def _maximal(self, bits: int, mode: str) -> Verdict:
-        ring = self.ring
+        ring = self._ring()
         for other in self.ideals(mode):
             if other == bits or other == ring.full_bits:
                 continue
@@ -356,7 +384,7 @@ class RingAnalysis:
     def _radical(self, bits: int, mode: str) -> int:
         """Intersection of the primes containing the mask; the whole ring
         when none does."""
-        out = self.ring.full_bits
+        out = self._ring().full_bits
         for prime in self.primes(mode):
             if not (bits & ~prime):
                 out &= prime
@@ -365,7 +393,7 @@ class RingAnalysis:
     # -- multiplicative sets ----------------------------------------------
 
     def _ms(self, bits: int) -> Verdict:
-        ring = self.ring
+        ring = self._ring()
         g, order = ring.g_dense, ring.order
         for key in combinations_with_replacement(bit_members(bits), ring.n):
             k = 0
@@ -391,7 +419,7 @@ class RingAnalysis:
         their digits for x, every order-th, are the binary numeral of
         ``containing[x]``.  That is linear in the family, where an OR per
         (MS, member) copies an int as wide as the family."""
-        order, family = self.ring.order, self.ms_all
+        order, family = self._ring().order, self.ms_all
         width = f"0{order}b"
         # sized once: grown by +=, its reallocations raised the peak RSS of
         # perfbench large-rings rounds by 0.14-0.20 MB
@@ -402,7 +430,7 @@ class RingAnalysis:
 
     def _within(self, t_bits: int) -> int:
         """The MS inside the element mask: all but those meeting the rest."""
-        return ((1 << len(self.ms_all)) - 1) & ~self.meeting(self.ring.full_bits & ~t_bits)
+        return ((1 << len(self.ms_all)) - 1) & ~self.meeting(self._ring().full_bits & ~t_bits)
 
     def meeting(self, t_bits: int) -> int:
         """The MS that meet the element mask."""
@@ -424,7 +452,7 @@ class RingAnalysis:
         Against P itself this is the largest compatible MS S*(P) of T3: P is
         an S-hyperideal exactly when S lies in it, and an S_r-hyperideal when
         S lies in the set for the radical."""
-        outside, rows = bit_members(self.ring.full_bits & ~target), self.scalar_rows
+        outside, rows = bit_members(self._ring().full_bits & ~target), self.scalar_rows
         return sum(1 << x for x, row in enumerate(rows) if not any(p_bits & row[r] for r in outside))
 
     def classify_s(self, p_bits: int, s_bits: int, mode: str) -> SVerdict:
@@ -440,7 +468,7 @@ class RingAnalysis:
     def scan_s(self, p_bits: int, s_bits: int) -> Iterator[SWitness]:
         """Every failing (tuple, position) pair in lexicographic order: a
         product in P with a factor from S whose unit substitution leaves P."""
-        for tup, prod, subs in self.ring.g_tuples:
+        for tup, prod, subs in self._ring().g_tuples:
             if p_bits >> prod & 1:
                 for i, (x, sub) in enumerate(zip(tup, subs)):
                     if s_bits >> x & 1 and not p_bits >> sub & 1:
@@ -457,7 +485,7 @@ class RingAnalysis:
     def residual(self, p_bits: int, x_bits: int) -> int:
         """The intersection of (p : x) over x in X."""
         colons = self.colons(p_bits)
-        out = self.ring.full_bits
+        out = self._ring().full_bits
         for x in bit_members(x_bits):
             out &= colons[x]
         return out

@@ -97,30 +97,32 @@ class _Tally:
 # constructions over a ring, kept on its analysis
 
 
-def _transfer(ring: HyperRing, modulus_bits: int | None, mode: str) -> HyperRingHom | None:
-    """The projection onto the quotient by the modulus (the identity for
-    ``None``), built once per ring; ``None`` when the quotient is
-    ill-defined.  The mode only validates the modulus: a strict hyperideal is
-    a lenient one, and the quotient does not depend on the mode.  Both maps
-    are homomorphisms by construction, so they keep the g-law and the image
-    of every MS is an MS of the target."""
+def _transfer(ring: HyperRing, modulus_bits: int, mode: str) -> HyperRingHom | None:
+    """The projection onto the quotient by the modulus; ``None`` when the
+    quotient is ill-defined.  The quotient is built once per ring, and its
+    analysis keeps the target and the mapping, not the map, whose source is
+    the ring: each call wraps them in a new ``HyperRingHom``.  The mode only
+    validates the modulus: a strict hyperideal is a lenient one, and the
+    quotient does not depend on the mode.  The projection is a homomorphism
+    by construction, so it keeps the g-law and the image of every MS is an
+    MS of the target."""
     quotients = ring.analysis.quotients
     if modulus_bits not in quotients:
         try:
-            if modulus_bits is None:
-                hom = identity_hom(ring)
-            else:
-                hom = quotient_ring(ring, SubsetMask(ring, modulus_bits), mode).projection
+            proj = quotient_ring(ring, SubsetMask(ring, modulus_bits), mode).projection
+            quotients[modulus_bits] = proj.target, proj.mapping
         except (CosetsNotPartition, InducedOpIllDefined):
-            hom = None
-        quotients[modulus_bits] = hom
-    return quotients[modulus_bits]
+            quotients[modulus_bits] = None
+    kept = quotients[modulus_bits]
+    return None if kept is None else HyperRingHom(ring, *kept, True)
 
 
 def _transfers(ring: HyperRing, mode: str) -> list[HyperRingHom]:
-    """The identity, then the projection onto every well-defined quotient."""
-    moduli = (None, *ring.analysis.proper(mode))
-    return [hom for hom in (_transfer(ring, bits, mode) for bits in moduli) if hom is not None]
+    """The identity, then the projection onto every well-defined quotient;
+    each map is onto.  The identity is built per call: kept on the
+    analysis, it would hold the ring, its own target."""
+    homs = (_transfer(ring, bits, mode) for bits in ring.analysis.proper(mode))
+    return [identity_hom(ring), *(hom for hom in homs if hom is not None)]
 
 
 def _s_sets(a: RingAnalysis, bits: int, mode: str) -> int:

@@ -13,8 +13,9 @@ checking and computing, each table is expanded once into a dense list over
 every ordered tuple, indexed in mixed radix: ``(x_1, ..., x_k)`` sits at
 ``x_1*order**(k-1) + ... + x_(k-1)*order + x_k``, so ``f(a, b)`` is
 ``f_dense[a*order + b]`` when m=2.  ``f_dense`` holds bitmasks of element
-indices and ``g_dense`` element indices.  The verifier builds these lists,
-checks the axioms on them and hands the same lists to the ``HyperRing``.
+indices and ``g_dense`` element indices.  The verifier builds these lists
+(``_dense_tables``, with no sort per ordered tuple), checks the axioms on
+them and hands the same lists to the ``HyperRing``.
 The ring's views of g (``g_row``, ``scalar_row``) read ``g_dense`` in
 place; only ``g_tuples`` is built as a second structure.
 
@@ -564,10 +565,42 @@ def _index(args: Iterable[int], order: int) -> int:
 def _dense_tables(spec: HyperRingSpec) -> tuple[list[int], list[int]]:
     """``f`` as bitmasks and ``g`` as indices, over every ordered tuple."""
     full = range(spec.order)
-    f_bits = {key: sum(1 << v for v in value) for key, value in spec.f_table.items()}
-    f = [f_bits[tuple(sorted(t))] for t in product(full, repeat=spec.m)]
-    g = [spec.g_table[tuple(sorted(t))] for t in product(full, repeat=spec.n)]
-    return f, g
+    f_values = map(spec.f_table.__getitem__, combinations_with_replacement(full, spec.m))
+    f = [sum(map((1).__lshift__, value)) for value in f_values]
+    g = list(map(spec.g_table.__getitem__, combinations_with_replacement(full, spec.n)))
+    return _spread(f, spec.order, spec.m), _spread(g, spec.order, spec.n)
+
+
+def _spread(values: list[int], order: int, arity: int) -> list[int]:
+    """The dense list of a symmetric table, from its ``values`` by sorted
+    key in ``combinations_with_replacement`` order, with no sort per ordered
+    tuple.  First each sorted tuple takes its value: the sorted keys that
+    share their first arity - 1 arguments are one run of last arguments.
+    Then, for each adjacent pair of arguments in the reverse order of a
+    bubble-sort network, every tuple with that pair descending copies the
+    tuple with the pair swapped.  After the passes for the last j
+    comparators, every tuple that those comparators sort holds its value, so
+    at the end every tuple does.  Each copy moves a run of last arguments,
+    or a block of them, as one slice."""
+    out = [0] * order**arity
+    k = 0
+    for head in combinations_with_replacement(range(order), arity - 1):
+        low, start = head[-1], _index(head, order) * order
+        out[start + low : start + order] = values[k : k + order - low]
+        k += order - low
+    network = [i for top in range(arity - 1, 0, -1) for i in range(top)]
+    for i in reversed(network):
+        chunk = order ** (arity - i - 2)  # the span of one tuple of the arguments after the pair
+        for base in range(0, len(out), order * order * chunk):
+            for a in range(1, order):
+                row = base + a * order * chunk  # the tuples whose pair starts with a
+                if chunk == 1:  # the pair (a, b), b < a, from the column (b, a)
+                    out[row : row + a] = out[base + a : row : order]
+                    continue
+                for b in range(a):
+                    src = base + (b * order + a) * chunk
+                    out[row + b * chunk : row + (b + 1) * chunk] = out[src : src + chunk]
+    return out
 
 
 def _first_failure(failures: Iterable[tuple[tuple[int, ...], str]]) -> Verdict:

@@ -10,9 +10,11 @@ import pytest
 from conftest import relabel, seeded_perms, unordered_sets
 from hyperideal import (
     CATALOG,
+    HyperRing,
     DEFAULT_SUITE_FIXTURES,
     FIXTURE_NAMES,
     check_theorem,
+    cli,
     cyclic_ring,
     fixtures,
     parse_spec,
@@ -255,6 +257,40 @@ def test_ring_is_freed_with_its_analysis():
     del ring
     gc.collect()
     assert alive() is None
+
+
+def test_ring_and_analysis_die_without_the_cyclic_collector():
+    # TPROD builds a product and T9/TQUOT fill quotients: none refers back
+    gc.disable()
+    try:
+        ring = require_ring(parse_spec(serialize_spec(fixtures("z4").spec)))
+        run_suite([ring])
+        assert ring.analysis.quotients and ring.analysis.tprod_product is not None
+        alive = weakref.ref(ring), weakref.ref(ring.analysis)
+        del ring
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_theorems_call_leaves_no_ring_behind(tmp_path, capsys):
+    paths = []
+    for name in DEFAULT_SUITE_FIXTURES:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(serialize_spec(fixtures(name).spec), encoding="utf-8")
+    fixtures("z2-as-33")  # TPROD's companion for the (3,3) rings
+    gc.collect()
+    gc.disable()
+    try:
+        # the fixtures() cache and what other tests keep; type() is, not
+        # isinstance, so a proxy could neither pass nor raise
+        before = [o for o in gc.get_objects() if type(o) is HyperRing]
+        assert cli.run(["theorems", *map(str, paths)]) == 0
+        known = {id(o) for o in before}
+        assert [o for o in gc.get_objects() if type(o) is HyperRing and id(o) not in known] == []
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_repeated_parse_and_suite_retains_nothing():

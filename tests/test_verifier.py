@@ -29,9 +29,10 @@ from axiom_oracle import (
     spec_scans,
     z257_spec,
 )
-from conftest import order3_spec
+from conftest import lift, order3_spec, z2_ternary_spec
 
-from hyperideal import AxiomReport, Verdict, fixtures, kernel, product_ring, verify_axioms
+from hyperideal import AxiomReport, Verdict, cyclic_ring, fixtures, kernel, product_ring, verify_axioms
+from hyperideal.fixture_rings import FIXTURE_NAMES
 from hyperideal.analysis import bit_members
 from hyperideal.kernel import AXIOM_ORDER, HyperRing
 
@@ -190,6 +191,34 @@ def test_row_check_passes_every_ring_that_holds(monkeypatch):
         _set_bounds(monkeypatch, bounds)
         for ring in rings:
             assert isinstance(verify_axioms(ring.spec), HyperRing)
+
+
+def _sorted_lookup_tables(spec) -> tuple[list[int], list[int]]:
+    """The dense lists built the plain way: every ordered tuple sorted and
+    looked up in the spec."""
+    full = range(spec.order)
+    f_bits = {key: sum(1 << v for v in value) for key, value in spec.f_table.items()}
+    f = [f_bits[tuple(sorted(t))] for t in product(full, repeat=spec.m)]
+    g = [spec.g_table[tuple(sorted(t))] for t in product(full, repeat=spec.n)]
+    return f, g
+
+
+def test_dense_tables_match_the_sorted_lookup():
+    """``_dense_tables`` spreads each sorted key over its orderings; the
+    lists equal the sorted lookup's on every fixture, the (3,3) products,
+    z257, rings of mixed or higher arity and the order-3 census."""
+    z2_as_33, paper = fixtures("z2-as-33"), fixtures("paper-example")
+    specs = [fixtures(name).spec for name in FIXTURE_NAMES] + [
+        product_ring([z2_as_33, z2_as_33]).spec,
+        product_ring([paper, z2_as_33]).spec,
+        product_ring([paper, paper]).spec,
+        z257_spec({}),
+        z2_ternary_spec(),
+        *(lift(cyclic_ring(k).spec, m, n) for k, m, n in ((12, 2, 4), (8, 4, 2), (6, 2, 5), (4, 5, 3))),
+        *_census(),
+    ]
+    for spec in specs:
+        assert kernel._dense_tables(spec) == _sorted_lookup_tables(spec), spec.name
 
 
 def test_witness_is_the_least_column_over_every_grouping(monkeypatch):
