@@ -12,6 +12,8 @@ name their witnesses, over every sorted multiset in lexicographic order.
 They are the reference that the row passes of ``kernel._associativity``,
 ``kernel._distributivity`` and ``kernel._reversibility`` must match,
 verdict, witness and detail; ``spec_scans`` runs all four on a spec.
+``nary_route`` runs the verifier's n-ary passes on a spec's own tables, the
+route that ``verify_axioms`` skips where a spec's binary reducts decide.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from operator import itemgetter
 
 from hyperideal import Verdict, fixtures
 from hyperideal.analysis import PASS, bit_members
-from hyperideal.kernel import HyperRingSpec, _dense_tables, _first_failure, _index
+from hyperideal.kernel import HyperRingSpec, _dense_tables, _first_failure, _index, _verify_tables
 
 MUTATED_FIXTURES = ("paper-example", "z4", "z2-as-33")
 
@@ -63,6 +65,14 @@ def _strided(keys: list, values: range, own: dict, first: int, stride: int):
 def fixture_mutations():
     for name in MUTATED_FIXTURES:
         yield from single_entry_mutations(fixtures(name).spec)
+
+
+def nary_route(spec) -> tuple:
+    """The report and negation of ``verify_axioms``' row passes on
+    ``spec``'s own tables: the n-ary route, which past (2,2) runs only where
+    the binary reducts do not decide."""
+    f, g = _dense_tables(spec)
+    return _verify_tables(spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one))
 
 
 def negation_of(spec, f: list[int]) -> list[int] | None:

@@ -18,15 +18,21 @@ each projection without checking it, so the projection must equal both
 spec, like each ring's own spec, must get the same ``AxiomReport`` with
 ``kernel._BYTE_IDS`` at its default and at 0, where every pass composes
 lists, and its entries must equal the multiset scans of
-``tests/axiom_oracle.py``.  None of these quotients is refused as
+``tests/axiom_oracle.py``.  ``verify_axioms`` decides a passing spec past
+(2,2) on its binary reducts, so for each one (paper-example^2,
+paper-example^2xz2-as-33 and their quotients) the n-ary passes are also run
+on its own tables, composed by bytes and by lists, and must give the same
+report and negation.  None of these quotients is refused as
 representative-dependent, so every partition of z8 (4,140) also goes
 through ``_induced_tables`` and the scan, compared by tables or by error
-type and message.  Last, z257 and z257 with f(1,2) = {3,4}, past a byte,
+type and message.  paper-example^3 is verified by both routes, and both
+times are printed.  Last, z257 and z257 with f(1,2) = {3,4}, past a byte,
 are verified by the row passes alone: the first must pass, and each failing
 entry of the second must carry a witness that
 ``axiom_oracle.NaiveOracle`` confirms (the scans would take about 26 s).
 The script prints one line per ring and mode, then the partitions and
-their refusals, then the two z257 specs, and exits 1 on any difference, if
+their refusals, then paper-example^3, then the two z257 specs, and exits 1
+on any difference, if
 no partition is refused, or on a wrong z257 report.  It takes about 10 s
 on a 2-CPU host, most of it the scans of z64 and of
 paper-example^2xz2-as-33 and the two z257 verifications.
@@ -38,10 +44,11 @@ import sys
 import time
 from contextlib import contextmanager
 
-from axiom_oracle import NaiveOracle, spec_scans, z257_spec
+from axiom_oracle import NaiveOracle, nary_route, spec_scans, z257_spec
 from construction_oracle import homomorphism_scan, induced_outcomes, induced_tables_scan
 from hyperideal import (
     AxiomReport,
+    HyperRing,
     check_homomorphism,
     constructions,
     cyclic_ring,
@@ -70,15 +77,43 @@ def report(spec) -> AxiomReport:
     return result if isinstance(result, AxiomReport) else result.axiom_report
 
 
+def routes_agree(spec) -> bool:
+    """For a spec past (2,2) that verifies, whether the n-ary passes, in
+    both compositions, give the report and negation of ``verify_axioms``;
+    True for any other spec."""
+    ring = verify_axioms(spec)
+    if isinstance(ring, AxiomReport) or max(spec.m, spec.n) == 2:
+        return True
+    with patched(kernel, "_BYTE_IDS", 0):
+        by_lists = nary_route(spec)
+    return nary_route(spec) == by_lists == (ring.axiom_report, ring.negation)
+
+
 def reports_agree(spec) -> bool:
     """Whether the report composed by bytes equals the one composed by lists
-    and each of its entries the multiset scan."""
+    and each of its entries the multiset scan, and the n-ary passes agree
+    with the binary reducts on a passing spec past (2,2)."""
     by_bytes = report(spec)
     with patched(kernel, "_BYTE_IDS", 0):
         by_lists = report(spec)
-    return by_lists == by_bytes and all(
+    return by_lists == by_bytes and routes_agree(spec) and all(
         by_bytes.entries[family] == scan for family, scan in spec_scans(spec).items()
     )
+
+
+def both_routes(ring) -> bool:
+    """Verifies ``ring``'s spec by ``verify_axioms``, which decides it on
+    the binary reducts, and by the n-ary passes; prints both times and
+    returns whether it passes and ``routes_agree``."""
+    start = time.perf_counter()
+    passes = isinstance(verify_axioms(ring.spec), HyperRing)
+    by_reducts = time.perf_counter() - start
+    start = time.perf_counter()
+    nary_route(ring.spec)
+    nary = time.perf_counter() - start
+    equal = passes and routes_agree(ring.spec)
+    print(f"{ring.name}: reducts {by_reducts * 1000:.1f} ms, n-ary {nary * 1000:.1f} ms  {equal}", flush=True)
+    return equal
 
 
 def past_a_byte() -> int:
@@ -167,6 +202,8 @@ def main() -> int:
     refused = sum(outcome[0] == "InducedOpIllDefined" for outcome in by_rows)
     print(f"z8 partitions: {len(by_rows)}, refused as representative-dependent: {refused}, "
           f"{time.perf_counter() - start:.2f} s  {equal}")
+    pe = fixtures("paper-example")
+    differ += not both_routes(product_ring([pe, pe, pe], name="paper-example^3"))
     differ += past_a_byte()
     return 1 if differ or not equal or not refused else 0
 

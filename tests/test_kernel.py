@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -160,7 +161,7 @@ def test_documents_are_refused_while_resolving_keys(document, match):
         parse_spec(document)
 
 
-def test_every_accepted_spec_round_trips(all_fixture_rings, census_rings, large_rings):
+def _built_rings(all_fixture_rings, census_rings, large_rings) -> list:
     """The fixtures, the census rings, the products the tests build and the
     quotients of each fixture by each proper hyperideal, in both modes."""
     z2_as_33 = fixtures("z2-as-33")
@@ -179,8 +180,48 @@ def test_every_accepted_spec_round_trips(all_fixture_rings, census_rings, large_
                 except (CosetsNotPartition, InducedOpIllDefined):
                     pass
     assert len(rings) == 9 + 10 + 3 + 4 + 40
-    for ring in rings:
+    return rings
+
+
+def test_every_accepted_spec_round_trips(all_fixture_rings, census_rings, large_rings):
+    for ring in _built_rings(all_fixture_rings, census_rings, large_rings):
         assert parse_spec(serialize_spec(ring.spec)) == ring.spec, ring.name
+
+
+def _dumped(spec) -> str:
+    """The canonical document through ``json.dumps``, as it was first built."""
+    elements = spec.elements
+    full = range(spec.order)
+    doc = {
+        "name": spec.name, "m": spec.m, "n": spec.n, "elements": list(elements),
+        "zero": spec.zero, "one": spec.one,
+        "f": {",".join(elements[i] for i in key): [elements[i] for i in sorted(spec.f_table[key])]
+              for key in combinations_with_replacement(full, spec.m)},
+        "g": {",".join(elements[i] for i in key): elements[spec.g_table[key]]
+              for key in combinations_with_replacement(full, spec.n)},
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_serialize_spec_writes_what_json_dumps_writes(all_fixture_rings, census_rings, large_rings):
+    """``serialize_spec`` lays the document out itself; its text is
+    ``json.dumps(doc, indent=2)``'s on the built rings, on larger products
+    and on names that JSON must escape: a quote, a backslash, control
+    characters, non-ASCII text and a character past the Basic Multilingual
+    Plane."""
+    pe, z2_as_33 = fixtures("paper-example"), fixtures("z2-as-33")
+    specs = [ring.spec for ring in _built_rings(all_fixture_rings, census_rings, large_rings)]
+    specs += [product_ring([pe, pe, z2_as_33]).spec, cyclic_ring(48).spec]
+    names = ('"0"', "back\\slash", "tab\tnew\nline\x01\x1f\x7f", "é ü ß 中", "clef \U0001d11e")
+    escaped = [
+        replace(fixtures("z6").spec, name='ring "\\\n\U0001f600', elements=(*names, "six"),
+                zero=names[0], one=names[1]),
+        replace(pe.spec, name="\x00", elements=names[2:], zero=names[2], one=names[3]),
+    ]
+    for spec in specs + escaped:
+        assert serialize_spec(spec) == _dumped(spec), spec.name
+    for spec in escaped:
+        assert parse_spec(serialize_spec(spec)) == spec
 
 
 def test_require_ring_raises_axioms_failed(z2):

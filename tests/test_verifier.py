@@ -12,6 +12,12 @@ of ``axiom_oracle`` that once decided it, verdict, witness and detail.  The
 passes compose rows with ``bytes.translate`` where ids fit in a byte and as
 lists past that, so the tests run with ``kernel._BYTE_IDS`` at its default
 and at 0, where every ring takes the list composition.
+
+Past (2,2), ``verify_axioms`` first tries the binary reducts: when the
+tables are the lifts of the reducts and the reducts pass, the ring passes.
+Every failing spec is decided by the n-ary passes, so the pinned reports
+and the scans test that route; the passing rings past (2,2) are run
+through the n-ary passes directly, and both routes must agree on them.
 """
 
 import hashlib
@@ -22,6 +28,7 @@ import pytest
 from axiom_oracle import (
     NaiveOracle,
     fixture_mutations,
+    nary_route,
     negation_of,
     reversibility_scan,
     single_entry_mutations,
@@ -31,7 +38,9 @@ from axiom_oracle import (
 )
 from conftest import lift, order3_spec, z2_ternary_spec
 
-from hyperideal import AxiomReport, Verdict, cyclic_ring, fixtures, kernel, product_ring, verify_axioms
+from hyperideal import (
+    AxiomReport, Verdict, cyclic_ring, fixtures, kernel, product_ring, require_ring, verify_axioms,
+)
 from hyperideal.fixture_rings import FIXTURE_NAMES
 from hyperideal.analysis import bit_members
 from hyperideal.kernel import AXIOM_ORDER, HyperRing
@@ -176,9 +185,19 @@ def test_census_verdicts_match_the_oracle(monkeypatch):
     assert len(accepted) == 20  # the same 10 rings on each path
 
 
+def _reduct_route(spec):
+    """What the reduct route of ``verify_axioms`` gives on ``spec``: the
+    report and negation of the binary reducts, or None where it defers."""
+    f, g = kernel._dense_tables(spec)
+    return kernel._verify_reducts(
+        spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one))
+
+
 def test_row_check_passes_every_ring_that_holds(monkeypatch):
-    """On rings that satisfy every axiom, each pass decides alone in either
-    composition, and the scans agree."""
+    """On rings that satisfy every axiom, each n-ary pass decides alone in
+    either composition, and the scans agree.  The passes are called on each
+    ring's own tables, since ``verify_axioms`` decides a valid ring past
+    (2,2) on its binary reducts."""
     z2_as_33 = fixtures("z2-as-33")
     rings = [fixtures(name) for name in ("z2", "z2-as-33", "z6", "z8", "z12", "z2xz3")] + [
         product_ring([z2_as_33, z2_as_33]),
@@ -191,6 +210,78 @@ def test_row_check_passes_every_ring_that_holds(monkeypatch):
         _set_bounds(monkeypatch, bounds)
         for ring in rings:
             assert isinstance(verify_axioms(ring.spec), HyperRing)
+            report, negation = nary_route(ring.spec)
+            assert report.all_pass and negation == ring.negation, ring.name
+
+
+def _rings_past_2_2(lifted_rings) -> list:
+    """Every passing ring with m or n >= 3 that the tests build."""
+    paper, z2_as_33 = fixtures("paper-example"), fixtures("z2-as-33")
+    return [
+        paper, z2_as_33,
+        product_ring([z2_as_33, z2_as_33]),
+        product_ring([paper, z2_as_33]),
+        product_ring([paper, paper]),
+        product_ring([paper, paper, z2_as_33]),
+        *lifted_rings.values(),
+        require_ring(z2_ternary_spec()),
+        *(require_ring(lift(cyclic_ring(k).spec, m, n)) for k, m, n in ((6, 2, 5), (4, 5, 3))),
+    ]
+
+
+def test_both_routes_give_equal_reports_past_2_2(monkeypatch, lifted_rings):
+    """Every passing ring past (2,2) that the tests build is decided on its
+    binary reducts, and the n-ary passes on its own tables give the same
+    entries and negation, in either composition.  The reduct route's
+    report keeps one timing per axiom."""
+    rings = _rings_past_2_2(lifted_rings)
+    assert len(rings) == 13
+    for bounds in ({}, LISTS_ONLY):
+        _set_bounds(monkeypatch, bounds)
+        for ring in rings:
+            by_reducts = _reduct_route(ring.spec)
+            assert by_reducts is not None, ring.name
+            assert by_reducts == nary_route(ring.spec) == (ring.axiom_report, ring.negation), ring.name
+            assert len(by_reducts[0].timings_s) == len(AXIOM_ORDER)
+
+
+def test_census_lifts_verify_exactly_when_their_candidates_do():
+    """Each of the 1029 order-3 candidates, lifted to (3,3) by
+    ``conftest.lift``, which builds the lift on its own, verifies exactly
+    when the candidate does.  A failing lift's entries are the scans'."""
+    mismatched, differences, accepted = [], [], 0
+    for spec in _census():
+        lifted = lift(spec, 3, 3)
+        result = verify_axioms(lifted)
+        if isinstance(result, HyperRing) != isinstance(verify_axioms(spec), HyperRing):
+            mismatched.append(spec.name)
+        elif isinstance(result, HyperRing):
+            accepted += 1
+        else:
+            differences += [
+                (spec.name, family) for family, scan in spec_scans(lifted).items()
+                if result.entries[family] != scan
+            ]
+    assert (mismatched, differences, accepted) == ([], [], 10)
+
+
+def test_a_ring_whose_reducts_verify_but_is_no_lift_is_refused():
+    """paper-example with f(1,1,1) = {0,1} keeps its binary reducts, which
+    verify, but it is not their lift: the n-ary passes refuse it with the
+    scans' witnesses."""
+    paper = fixtures("paper-example").spec
+    spec = replace(paper, f_table={**paper.f_table, (1, 1, 1): frozenset({0, 1})})
+    f, g = kernel._dense_tables(spec)
+    reducts = kernel._reduct(f, 3, 3, 0), kernel._reduct(g, 3, 3, 1)
+    assert kernel._verify_tables(3, 2, 2, *reducts, 0, 1)[0].all_pass
+    assert _reduct_route(spec) is None
+    report = _report(spec)
+    assert report.failures() == ["f-associativity", "reversibility"]
+    assert report.entries["f-associativity"] == Verdict(
+        False, witness=(0, 0, 1, 1, 1), detail="grouping (0, 0, 1) gives [0, 1] but grouping (0, 1, 1) gives [1]")
+    assert report.entries["reversibility"] == Verdict(
+        False, witness=(1, 1, 1), detail="element 0 cannot be reversed at position 1")
+    assert all(report.entries[family] == scan for family, scan in spec_scans(spec).items())
 
 
 def _sorted_lookup_tables(spec) -> tuple[list[int], list[int]]:
