@@ -23,15 +23,16 @@ MS is an MS of the target: the transfer checkers read the whole family.
 Hyperideals of either mode and multiplicative sets are each closed under
 intersection, so each family is the set of closed sets of a closure operator,
 walked by ``closed_sets`` under ``WALK_BUDGET``, one lookup per row entry
-read.  Every closure reads binary rows, at every arity.  With
-a·b = g(a, b, 1^(n-2)), g(x_1, ..., x_n) = x_1·...·x_n, as 1 is a scalar
-identity and g is associative (Dörnte, 1929); likewise f(a, b, c, ...) =
-f(f(a, b, 0, ...), c, 0, ...) as sets.  So a set with 0 is closed under f
-when it is closed under the sums f(x, b, 0^(m-2)) (``sum_rows``), and it
-absorbs when it holds x·R (``absorb``) for each member x.  An MS need not
-hold 1: it is closed when S^n lies in S, so ``close`` carries its powers
-S^2, ..., S^(n-1).  ``_compatible`` and the colon ideals read ``scalar_rows``
-too, since g(x, r) = x·g(1, r).
+read.  Every closure reads binary rows, at every arity: the rows of the
+ring's reducts ``f2`` and ``g2``.  With a·b = g2(a, b) = g(a, b, 1^(n-2)),
+g(x_1, ..., x_n) = x_1·...·x_n, as 1 is a scalar identity and g is
+associative (Dörnte, 1929); likewise f(a, b, c, ...) = f(f(a, b, 0, ...),
+c, 0, ...) as sets.  So a set with 0 is closed under f when it is closed
+under the sums f2(x, b) (``sum_rows``), and it absorbs when it holds x·R
+(``absorb``) for each member x.  An MS need not hold 1: it is closed when
+S^n lies in S, so ``close`` carries its powers S^2, ..., S^(n-1).
+``_compatible`` and the colon ideals read ``scalar_rows`` too, since
+g(x, r) = x·g(1, r).
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ class RingAnalysis:
         cls = RingAnalysis
         self.hyperideal = memo(cls._hyperideal)
         self.prime = memo(cls._prime)
-        self.semiprime = memo(cls._semiprime)
         self.primary = memo(cls._primary)
         self.maximal = memo(cls._maximal)
         self.radical = memo(cls._radical)
@@ -222,17 +222,17 @@ class RingAnalysis:
 
     @cached_property
     def sum_rows(self) -> list[list[int]]:
-        """``sum_rows[x][b]``: the mask f(x, b, 0^(m-2))."""
+        """``sum_rows[x][b]``: the mask f2(x, b) = f(x, b, 0^(m-2))."""
         ring = self._ring()
-        step = ring.order ** (ring.m - 2)
-        start, width = ring.zero * (step - 1) // (ring.order - 1), ring.order * step  # start: 0^(m-2)
-        return [ring.f_dense[x * width + start:(x + 1) * width:step] for x in range(ring.order)]
+        f2, order = ring.f2, ring.order
+        return [f2[x * order:(x + 1) * order] for x in range(order)]
 
     @cached_property
     def scalar_rows(self) -> list[list[int]]:
-        """``scalar_rows[x][b]``: the mask of x·b = g(x, b, 1^(n-2))."""
+        """``scalar_rows[x][b]``: the mask of x·b = g2(x, b) = g(x, b, 1^(n-2))."""
         ring = self._ring()
-        return [[1 << p for p in ring.scalar_row(x)] for x in range(ring.order)]
+        g2, order = ring.g2, ring.order
+        return [[1 << p for p in g2[x * order:(x + 1) * order]] for x in range(order)]
 
     @cached_property
     def absorb(self) -> list[int]:
@@ -342,7 +342,7 @@ class RingAnalysis:
                 return Verdict(False, "prime", tup, "product lands in the ideal, no factor does")
         return PASS
 
-    def _semiprime(self, bits: int) -> Verdict:
+    def semiprime(self, bits: int) -> Verdict:
         ring = self._ring()
         for p in range(ring.order):
             prod = ring.g_at((p,) * ring.n)

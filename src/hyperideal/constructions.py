@@ -16,7 +16,9 @@ identity are homomorphisms by construction and are not checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement, product
+from operator import or_
 from typing import Iterator, Sequence
 
 from .analysis import Verdict
@@ -239,19 +241,17 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
 
 
 def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> QuotientRing:
-    """Quotient by a proper hyperideal via cosets f(x, P, 0^(m-2)), each
-    named by joining its members' names with '+' or, where those collide,
-    by its least member.
+    """Quotient by a proper hyperideal via cosets f2(x, P) = f(x, P, 0^(m-2)),
+    each named by joining its members' names with '+' or, where those
+    collide, by its least member.
 
     Raises CosetsNotPartition when two distinct cosets overlap and
     InducedOpIllDefined when an induced table entry depends on the chosen
     representatives.
     """
     require_proper_hyperideal(ring, modulus, mode)
-    zero_pad = (ring.zero,) * (ring.m - 2)
-    coset_bits = [
-        ring._hyperadd_bits(x, modulus, *zero_pad) for x in range(ring.order)
-    ]
+    f2, order = ring.f2, ring.order
+    coset_bits = [reduce(or_, (f2[x * order + y] for y in modulus)) for x in range(order)]
     # by least member; overlapping cosets that tie keep their first-seen order
     distinct = sorted(dict.fromkeys(coset_bits), key=lambda b: b & -b)
     for i, a in enumerate(distinct):

@@ -14,9 +14,10 @@ once, as masks of the multiplicative-set index on ``RingAnalysis`` (bit i for
 are named by walking the failure masks lowest bit first, in the order of the
 loops they replace, so reports are unchanged.  Only TPROD, whose S are pairs
 of MS from two rings, loops over them.  Several keep two independently
-computed sides: ``compatible`` against the colon ideals (T1.3, T4, T5), the
-base ring against the target ring (THOM-PRE, THOM-IMG, TQUOT), and the
-scalar rows against one n-tuple scan per ideal (T3, FW-SR).  A
+computed sides: the base ring against the target ring (THOM-PRE, THOM-IMG,
+TQUOT), and the scalar rows against one n-tuple scan per ideal (T3, FW-SR).
+T1.3, T4 and T5 compare ``compatible`` with the colon ideals, but both read
+the scalar rows of ``g2``, so those sides share their table reads.  A
 target-side verdict is pulled back along the map: img(S) lies in C exactly
 when S lies in the preimage of C.
 """
@@ -525,10 +526,7 @@ def _check_t9_fwd(ring: HyperRing, mode: str, tally: _Tally) -> None:
     is the only S-hyperideal."""
     a = ring.analysis
     tally.instances += 1
-    domain = all(
-        prod != ring.zero or ring.zero in tup for tup, prod, _ in ring.g_tuples
-    )
-    if not domain:
+    if not a.prime(1 << ring.zero).ok:  # {0} is prime: no zero divisors
         return
     s = ring.full_bits & ~(1 << ring.zero)
     if not a.ms(s).ok:
@@ -551,14 +549,12 @@ def _check_t10(ring: HyperRing, mode: str, tally: _Tally) -> None:
     image of Q; inside the Jacobson-style radical, Q sits in every maximal
     S-hyperideal.  Q must be negation closed for the shift argument."""
     a = ring.analysis
-    zero_pad = (ring.zero,) * (ring.m - 2)
     jac = special_sets(ring, mode).jacobson.bits
     for q in a.proper("strict"):
         tally.instances += 1
         s = 0
-        for x in range(ring.order):
-            if q >> x & 1:
-                s |= ring.f_bits((x, ring.one, *zero_pad))
+        for x in bit_members(q):
+            s |= ring.f2[x * ring.order + ring.one]
         if not a.ms(s).ok:
             tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
                        clause="shifted image is not multiplicatively closed")

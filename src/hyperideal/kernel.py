@@ -15,9 +15,12 @@ every ordered tuple, indexed in mixed radix: ``(x_1, ..., x_k)`` sits at
 ``f_dense[a*order + b]`` when m=2.  ``f_dense`` holds bitmasks of element
 indices and ``g_dense`` element indices.  The verifier builds these lists
 (``_dense_tables``, with no sort per ordered tuple), checks the axioms on
-them and hands the same lists to the ``HyperRing``.
-The ring's views of g (``g_row``, ``scalar_row``) read ``g_dense`` in
-place; only ``g_tuples`` is built as a second structure.
+them and hands the same lists to the ``HyperRing``.  The ring also keeps
+its binary reducts ``f2`` and ``g2``, stated once by ``_reduct``:
+every binary read, such as ``scalar_multiply``, ``power`` and the sum and
+scalar rows of the analysis, goes through them.  At (2,2) they are the
+dense lists themselves.  ``g_row`` reads ``g_dense`` in place; only
+``g_tuples`` is built as a second structure.
 
 Associativity, reversibility and distributivity, the costly axioms, are
 decided a whole row of the last argument c at a time, by one pass each
@@ -447,6 +450,10 @@ class HyperRing:
         self.full_bits = (1 << self.order) - 1
         self.f_dense = f_dense
         self.g_dense = g_dense
+        # f2(a, b) = f(a, b, 0^(m-2)) and g2(a, b) = g(a, b, 1^(n-2)), of
+        # which f_dense and g_dense are the lifts (see verify_axioms)
+        self.f2 = _reduct(f_dense, self.order, self.m, self.zero)
+        self.g2 = _reduct(g_dense, self.order, self.n, self.one)
 
     # -- naming ---------------------------------------------------------
 
@@ -494,11 +501,6 @@ class HyperRing:
         lead = self.order ** (self.n - 1)
         return self.g_dense[x * lead : (x + 1) * lead]
 
-    def scalar_row(self, a: int) -> list[int]:
-        """g(a, b, 1^(n-2)) for every b: every order**(n-2)-th of ``g_row(a)``."""
-        pad = _index((self.one,) * (self.n - 2), self.order)
-        return self.g_row(a)[pad :: self.order ** (self.n - 2)]
-
     # -- operations (arguments are checked against the carrier) ----------
 
     def hyperadd(self, *args: ElementsOrSubsets) -> SubsetMask:
@@ -540,29 +542,16 @@ class HyperRing:
 
     def scalar_multiply(self, a: int, b: int) -> int:
         """The induced binary product g(a, b, 1^(n-2))."""
-        return self.g_at((self._element(a), self._element(b), *(self.one,) * (self.n - 2)))
+        return self.g2[self._element(a) * self.order + self._element(b)]
 
     def power(self, p: int, w: int) -> int:
-        """w-fold product of p, padding with the scalar identity.
-
-        For w <= n a single application suffices; longer powers fold the
-        operation over blocks of n-1 once the length is padded up to the
-        nearest admissible value l*(n-1)+1.
-        """
+        """w-fold product of p: g is the left fold of g2, so p^w folds g2."""
         if w < 1:
             raise ValueError("power exponent must be >= 1")
-        self._element(p)
-        n, one, order, g = self.n, self.one, self.order, self.g_dense
-        if w <= n:
-            return g[_index((p,) * w + (one,) * (n - w), order)]
-        blocks = -(-(w - 1) // (n - 1))
-        length = blocks * (n - 1) + 1
-        seq = [p] * w + [one] * (length - w)
-        acc = g[_index(seq[:n], order)]
-        idx = n
-        while idx < length:
-            acc = g[_index([acc] + seq[idx : idx + n - 1], order)]
-            idx += n - 1
+        acc = self._element(p)
+        g2, row = self.g2, p * self.order
+        for _ in range(w - 1):
+            acc = g2[row + acc]
         return acc
 
     def negate(self, x: int) -> int:
@@ -1019,7 +1008,10 @@ def _verify_reducts(
 
 def _reduct(dense: list[int], order: int, arity: int, pad: int) -> list[int]:
     """The binary reduct t(a, b, pad^(arity-2)) of a dense table, as one
-    strided slice."""
+    strided slice: the one statement of the reduct.  At arity 2 it is the
+    table itself, not a copy."""
+    if arity == 2:
+        return dense
     return dense[_index((pad,) * (arity - 2), order) :: order ** (arity - 2)]
 
 

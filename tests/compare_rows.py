@@ -22,10 +22,12 @@ lists, and its entries must equal the multiset scans of
 (2,2) on its binary reducts, so for each one (paper-example^2,
 paper-example^2xz2-as-33 and their quotients) the n-ary passes are also run
 on its own tables, composed by bytes and by lists, and must give the same
-report and negation.  None of these quotients is refused as
-representative-dependent, so every partition of z8 (4,140) also goes
-through ``_induced_tables`` and the scan, compared by tables or by error
-type and message.  paper-example^3 is verified by both routes, and both
+report and negation.  Every ring and built quotient, and paper-example^3,
+must keep as ``f2`` and ``g2`` the binary reducts read off its spec's
+multiset tables (``conftest.reduct_tables``).  None of these quotients is
+refused as representative-dependent, so every partition of z8 (4,140) also
+goes through ``_induced_tables`` and the scan, compared by tables or by
+error type and message.  paper-example^3 is verified by both routes, and both
 times are printed.  Last, z257 and z257 with f(1,2) = {3,4}, past a byte,
 are verified by the row passes alone: the first must pass, and each failing
 entry of the second must carry a witness that
@@ -45,6 +47,7 @@ import time
 from contextlib import contextmanager
 
 from axiom_oracle import NaiveOracle, nary_route, spec_scans, z257_spec
+from conftest import reduct_tables
 from construction_oracle import homomorphism_scan, induced_outcomes, induced_tables_scan
 from hyperideal import (
     AxiomReport,
@@ -101,17 +104,22 @@ def reports_agree(spec) -> bool:
     )
 
 
+def reducts_agree(ring) -> bool:
+    """Whether the ring's ``f2`` and ``g2`` are the reducts read off its spec."""
+    return (ring.f2, ring.g2) == reduct_tables(ring.spec)
+
+
 def both_routes(ring) -> bool:
     """Verifies ``ring``'s spec by ``verify_axioms``, which decides it on
     the binary reducts, and by the n-ary passes; prints both times and
-    returns whether it passes and ``routes_agree``."""
+    returns whether it passes, ``routes_agree`` and ``reducts_agree``."""
     start = time.perf_counter()
     passes = isinstance(verify_axioms(ring.spec), HyperRing)
     by_reducts = time.perf_counter() - start
     start = time.perf_counter()
     nary_route(ring.spec)
     nary = time.perf_counter() - start
-    equal = passes and routes_agree(ring.spec)
+    equal = passes and routes_agree(ring.spec) and reducts_agree(ring)
     print(f"{ring.name}: reducts {by_reducts * 1000:.1f} ms, n-ary {nary * 1000:.1f} ms  {equal}", flush=True)
     return equal
 
@@ -174,6 +182,7 @@ def compare(ring, mode: str, scanned: dict) -> tuple[int, int, int]:
         mapping = q.projection.mapping
         hom = check_homomorphism(ring, q.quotient, mapping)
         differ += hom != q.projection or homomorphism_scan(ring, q.quotient, mapping) != hom
+        differ += not reducts_agree(q.quotient)
         if ideal.bits not in scanned:
             scanned[ideal.bits] = reports_agree(q.quotient.spec)
         differ += not scanned[ideal.bits]
@@ -185,7 +194,7 @@ def main() -> int:
     print(f"{'ring':<25} {'mode':<8} {'quotients':>9} {'refused':>7} {'s':>6}  equal")
     for name, ring in rings().items():
         start = time.perf_counter()
-        equal = reports_agree(ring.spec)
+        equal = reports_agree(ring.spec) and reducts_agree(ring)
         differ += not equal
         print(f"{name:<25} {'(axioms)':<8} {'':>9} {'':>7} {time.perf_counter() - start:>6.2f}  {equal}",
               flush=True)

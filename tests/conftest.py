@@ -100,6 +100,34 @@ def lift(spec, m, n):
     )
 
 
+def reduct_spec(spec):
+    """The binary reducts of a spec as a (2,2) spec, read off its multiset
+    tables: f2(a, b) = f(a, b, 0^(m-2)) and g2(a, b) = g(a, b, 1^(n-2))."""
+    from itertools import combinations_with_replacement
+
+    from hyperideal import HyperRingSpec
+
+    zeros = (spec.index(spec.zero),) * (spec.m - 2)
+    ones = (spec.index(spec.one),) * (spec.n - 2)
+    pairs = list(combinations_with_replacement(range(spec.order), 2))
+    return HyperRingSpec(
+        name=f"{spec.name}-reduct", m=2, n=2, elements=spec.elements, zero=spec.zero, one=spec.one,
+        f_table={k: spec.f_table[tuple(sorted(k + zeros))] for k in pairs},
+        g_table={k: spec.g_table[tuple(sorted(k + ones))] for k in pairs},
+    )
+
+
+def reduct_tables(spec):
+    """The reducts of ``reduct_spec`` as lists over ordered pairs, (a, b) at
+    a*order + b: f2 as bitmasks and g2 as element indices."""
+    from itertools import product
+
+    reducts = reduct_spec(spec)
+    keys = [tuple(sorted(k)) for k in product(range(spec.order), repeat=2)]
+    f2 = [sum(1 << x for x in reducts.f_table[k]) for k in keys]
+    return f2, [reducts.g_table[k] for k in keys]
+
+
 @pytest.fixture(scope="session")
 def lifted_rings():
     """The lifts of cyclic rings past (2,2) that the oracles compare, by name."""
@@ -109,6 +137,26 @@ def lifted_rings():
         f"z{k}-as-{m}{n}": require_ring(lift(cyclic_ring(k).spec, m, n))
         for k, m, n in ((8, 3, 3), (12, 3, 3), (12, 2, 4), (8, 4, 2))
     }
+
+
+@pytest.fixture(scope="session")
+def rings_past_2_2(lifted_rings):
+    """Every passing ring with m or n >= 3 that the tests build, but for the
+    quotients: the (3,3) fixtures, their products, ``lifted_rings``, z2-23
+    and the lifts of Z6 to (2,5) and Z4 to (5,3)."""
+    from hyperideal import cyclic_ring, product_ring, require_ring
+
+    paper, z2_as_33 = fixtures("paper-example"), fixtures("z2-as-33")
+    return [
+        paper, z2_as_33,
+        product_ring([z2_as_33, z2_as_33]),
+        product_ring([paper, z2_as_33]),
+        product_ring([paper, paper]),
+        product_ring([paper, paper, z2_as_33]),
+        *lifted_rings.values(),
+        require_ring(z2_ternary_spec()),
+        *(require_ring(lift(cyclic_ring(k).spec, m, n)) for k, m, n in ((6, 2, 5), (4, 5, 3))),
+    ]
 
 
 @pytest.fixture(scope="session")

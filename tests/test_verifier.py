@@ -39,7 +39,7 @@ from axiom_oracle import (
 from conftest import lift, order3_spec, z2_ternary_spec
 
 from hyperideal import (
-    AxiomReport, Verdict, cyclic_ring, fixtures, kernel, product_ring, require_ring, verify_axioms,
+    AxiomReport, Verdict, cyclic_ring, fixtures, kernel, product_ring, verify_axioms,
 )
 from hyperideal.fixture_rings import FIXTURE_NAMES
 from hyperideal.analysis import bit_members
@@ -214,31 +214,15 @@ def test_row_check_passes_every_ring_that_holds(monkeypatch):
             assert report.all_pass and negation == ring.negation, ring.name
 
 
-def _rings_past_2_2(lifted_rings) -> list:
-    """Every passing ring with m or n >= 3 that the tests build."""
-    paper, z2_as_33 = fixtures("paper-example"), fixtures("z2-as-33")
-    return [
-        paper, z2_as_33,
-        product_ring([z2_as_33, z2_as_33]),
-        product_ring([paper, z2_as_33]),
-        product_ring([paper, paper]),
-        product_ring([paper, paper, z2_as_33]),
-        *lifted_rings.values(),
-        require_ring(z2_ternary_spec()),
-        *(require_ring(lift(cyclic_ring(k).spec, m, n)) for k, m, n in ((6, 2, 5), (4, 5, 3))),
-    ]
-
-
-def test_both_routes_give_equal_reports_past_2_2(monkeypatch, lifted_rings):
+def test_both_routes_give_equal_reports_past_2_2(monkeypatch, rings_past_2_2):
     """Every passing ring past (2,2) that the tests build is decided on its
     binary reducts, and the n-ary passes on its own tables give the same
     entries and negation, in either composition.  The reduct route's
     report keeps one timing per axiom."""
-    rings = _rings_past_2_2(lifted_rings)
-    assert len(rings) == 13
+    assert len(rings_past_2_2) == 13
     for bounds in ({}, LISTS_ONLY):
         _set_bounds(monkeypatch, bounds)
-        for ring in rings:
+        for ring in rings_past_2_2:
             by_reducts = _reduct_route(ring.spec)
             assert by_reducts is not None, ring.name
             assert by_reducts == nary_route(ring.spec) == (ring.axiom_report, ring.negation), ring.name
