@@ -42,11 +42,12 @@ from .multiplicative import (
     saturation,
 )
 
-# Largest order verified without a warning, by max(m, n); both cost about 0.06 s
-# of verification on a 2-CPU host.  Higher arities fall back to the smallest limit.
-# The warning is the same past 256 elements, where the row passes compose lists
-# instead of bytes: on that host `verify` takes about 0.9 s on z256 and 2.6 s
-# on z257.
+# Largest order verified without a warning, by max(m, n).  On a 2-CPU host z112
+# verifies in about 0.03 s, and an order-18 (3,3) spec in about 0.06 s where the
+# n-ary passes decide it (0.005 s where its binary reducts do).  Higher arities
+# fall back to the smallest limit.  The warning is the same past 256 elements,
+# where the plane passes compose lists instead of bytes: on that host `verify`
+# takes about 0.4 s on z256 and 1.7 s on z257.
 VERIFY_WARN_LIMITS = {2: 112, 3: 18}
 
 

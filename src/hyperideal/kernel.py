@@ -23,19 +23,15 @@ dense lists themselves.  ``g_row`` reads ``g_dense`` in place; only
 ``g_tuples`` is built as a second structure.
 
 Associativity, reversibility and distributivity, the costly axioms, are
-decided a whole row of the last argument c at a time, by one pass each
-that also names the witness.  Values get ids (an element is its own id, an
-f value its place among f's distinct masks).  Reversibility compares the
-row f(-R, .) with the transpose of the row f(R, .).  In associativity, for
-each sorted multiset of the other arguments, every grouping with c in the
-inner group must give the same row; in distributivity the two sides must
-give equal rows or rows whose ids pass the containment test.  These two
-passes build every lift table or image first, so the id width is known
-before any row is composed: rows are composed with ``bytes.translate``
-where every id fits in a byte (``_BYTE_IDS``), and by itemgetters over
-lists past that.  Each pass keeps its least failure, the lexicographically
-first witness, until no later row can show a lesser one.  On a 2-CPU host
-z256 verifies in about 0.5 s and z257 in 1.6-2.0 s.
+decided by one pass each that also names the lexicographically first
+witness.  Values get ids (an element is its own id, an f value its place
+among f's distinct masks).  Reversibility compares the row f(-R, .) with
+the transpose of the row f(R, .).  Associativity and distributivity compose
+a whole plane per C call, the rows over the last argument c of every
+multiset that shares all but one more argument, once its lift tables or
+images settle the id width: by ``bytes.translate`` where every id fits in
+a byte (``_BYTE_IDS``), by itemgetters over lists past that.  On a 2-CPU
+host z256 verifies in about 0.2 s and z257 in 1.2-1.6 s.
 
 A spec with m > 2 or n > 2 is first decided on its binary reducts
 f2(a, b) = f(a, b, 0^(m-2)) and g2(a, b) = g(a, b, 1^(n-2)), each one
@@ -64,11 +60,11 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
-from itertools import chain, combinations, combinations_with_replacement, product
+from functools import cache, cached_property, partial, reduce
+from itertools import chain, combinations, combinations_with_replacement, count, product
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import itemgetter, or_, sub
+from operator import add, itemgetter, or_, sub
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -315,19 +311,17 @@ def serialize_spec(spec: HyperRingSpec) -> str:
 
     The text is ``json.dumps(doc, indent=2) + "\\n"`` of the document, written
     line by line: with an indent, ``json.dumps`` takes its pure-Python
-    encoder, so each name is quoted once here instead."""
+    encoder, so each name, key and distinct f value is rendered once here."""
     quoted = list(map(encode_basestring_ascii, spec.elements))
     bare = [name[1:-1] for name in quoted]  # a key joins names unquoted
     full = range(spec.order)
-    f_items = [
-        f'"{",".join(map(bare.__getitem__, key))}": '
-        + _json_block("[]", map(quoted.__getitem__, sorted(spec.f_table[key])), 6)
-        for key in combinations_with_replacement(full, spec.m)
-    ]
-    g_items = [
-        f'"{",".join(map(bare.__getitem__, key))}": {quoted[spec.g_table[key]]}'
-        for key in combinations_with_replacement(full, spec.n)
-    ]
+    keys = {  # each key's text up to its value, by arity
+        arity: [f'"{",".join(map(bare.__getitem__, key))}": ' for key in combinations_with_replacement(full, arity)]
+        for arity in {spec.m, spec.n}
+    }
+    f_values = _by_f_value(spec, lambda value: _json_block("[]", map(quoted.__getitem__, sorted(value)), 6))
+    g_values = map(quoted.__getitem__, map(spec.g_table.__getitem__, combinations_with_replacement(full, spec.n)))
+    f_items, g_items = map(add, keys[spec.m], f_values), map(add, keys[spec.n], g_values)
     return _json_block("{}", [
         f'"name": {encode_basestring_ascii(spec.name)}',
         f'"m": {json.dumps(spec.m)}',
@@ -338,6 +332,15 @@ def serialize_spec(spec: HyperRingSpec) -> str:
         f'"f": {_json_block("{}", f_items, 4)}',
         f'"g": {_json_block("{}", g_items, 4)}',
     ], 2) + "\n"
+
+
+def _by_f_value(spec: HyperRingSpec, render) -> list:
+    """``render(value)`` for the f value of each sorted key in order, once
+    per distinct value (a set value is taken as its frozenset)."""
+    keys = combinations_with_replacement(range(spec.order), spec.m)
+    values = list(map(frozenset, map(spec.f_table.__getitem__, keys)))
+    rendered = {value: render(value) for value in set(values)}
+    return list(map(rendered.__getitem__, values))
 
 
 def _json_block(brackets: str, items: Iterable[str], indent: int) -> str:
@@ -591,10 +594,8 @@ def _index(args: Iterable[int], order: int) -> int:
 
 def _dense_tables(spec: HyperRingSpec) -> tuple[list[int], list[int]]:
     """``f`` as bitmasks and ``g`` as indices, over every ordered tuple."""
-    full = range(spec.order)
-    f_values = map(spec.f_table.__getitem__, combinations_with_replacement(full, spec.m))
-    f = [sum(map((1).__lshift__, value)) for value in f_values]
-    g = list(map(spec.g_table.__getitem__, combinations_with_replacement(full, spec.n)))
+    f = _by_f_value(spec, lambda value: sum(map((1).__lshift__, value)))
+    g = list(map(spec.g_table.__getitem__, combinations_with_replacement(range(spec.order), spec.n)))
     return _spread(f, spec.order, spec.m), _spread(g, spec.order, spec.n)
 
 
@@ -609,6 +610,8 @@ def _spread(values: list[int], order: int, arity: int) -> list[int]:
     comparators, every tuple that those comparators sort holds its value, so
     at the end every tuple does.  Each copy moves a run of last arguments,
     or a block of them, as one slice."""
+    if arity == 1:
+        return values
     out = [0] * order**arity
     k = 0
     for head in combinations_with_replacement(range(order), arity - 1):
@@ -636,42 +639,47 @@ def _first_failure(failures: Iterable[tuple[tuple[int, ...], str]]) -> Verdict:
     return PASS
 
 
-# The row passes compose rows with ``bytes.translate`` where a pass has at
-# most this many ids, each fitting in a byte, and by itemgetters over lists
-# past that.
+# The plane passes compose with ``bytes.translate`` where a pass has at most
+# this many ids, each fitting in a byte, and by itemgetters over lists past
+# that.
 _BYTE_IDS = 256
 
 
-def _picker(positions: tuple[int, ...]) -> itemgetter:
-    """Takes the entries at the non-empty ``positions`` of a sequence, as a
-    tuple (as a slice when there is one position)."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    (i,) = positions
-    return itemgetter(slice(i, i + 1))
-
-
 @cache
-def _row_splits(arity: int) -> tuple:
-    """The splits (A, M - A) of a sorted (2*arity-2)-multiset M into an
-    (arity-1)-submultiset and the rest, as pickers of positions."""
-    size = 2 * arity - 2
-    return tuple(
-        (_picker(inner), _picker(tuple(i for i in range(size) if i not in inner)))
-        for inner in combinations(range(size), arity - 1)
-    )
+def _plane_splits(arity: int) -> tuple:
+    """Each split (A, M - A) of a sorted (2*arity-2)-multiset M, as whether A
+    holds M's last member l, and itemgetters of A and of M - A, as tuples,
+    from M's prefix, reading l as the prefix's last member: a run's first."""
+    last, splits = 2 * arity - 3, []
+    for inner in combinations(range(last + 1), arity - 1):
+        rest = [i for i in range(last + 1) if i not in inner]
+        places = [[min(i, last - 1) for i in part] for part in (inner, rest)]
+        getters = (itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1)) for p in places)
+        splits.append((last in inner, *getters))
+    return tuple(splits)
 
 
-def _composer(row: Sequence[int], byte_ids: bool):
-    """The function sending a table t to the row of the t[v], v in ``row``:
-    the row's ``bytes.translate`` where ids fit in a byte, else an
-    itemgetter (a row has order >= 2 entries, so it gives a tuple)."""
-    return bytes(row).translate if byte_ids else itemgetter(*row)
+def _compose(rows: Sequence, tables: Iterable, byte_ids: bool):
+    """The plane of the t[v], for each table t of ``tables``, row of ``rows``
+    and v in it: one ``translate`` per table, joined, where ids fit in a
+    byte, else a list of tuples."""
+    if byte_ids:
+        return b"".join(map(b"".join(rows).translate, tables))
+    return [row(table) for table in tables for row in rows]
+
+
+def _plane_rows(plane, order: int) -> Sequence:
+    """The rows of a plane from ``_compose``."""
+    return [plane[i : i + order] for i in range(0, len(plane), order)] if type(plane) is bytes else plane
+
+
+def _row(values: Sequence[int], byte_ids: bool):
+    """A row of ids for ``_compose``: bytes, or past a byte an itemgetter of its order >= 2 ids."""
+    return bytes(values) if byte_ids else itemgetter(*values)
 
 
 def _table(values: Sequence[int], byte_ids: bool):
-    """``values`` as a table for ``_composer``: a translate table where ids
-    fit in a byte."""
+    """``values`` as a table for ``_compose``: a translate table where ids fit in a byte."""
     return bytes(values).ljust(256, b"\0") if byte_ids else values
 
 
@@ -684,66 +692,69 @@ def _rows(dense: Sequence[int], order: int, arity: int) -> dict:
     return rows
 
 
-def _lift(column: Sequence[int], f_members: list, ids: dict) -> list[int]:
-    """For each f value, the id in ``ids`` of the union of ``column`` over
-    its members, interned."""
-    out = []
+def _lifts(blocks: list, f_members: list, ids: dict) -> list:
+    """For each place r of the rows ``blocks[z]`` of ids in ``ids``, one per
+    element z, the ids over the f values v of the union of the ``blocks[z][r]``
+    for z in v, as a tuple; new unions are interned."""
+    values, rows = list(ids), []
     for zs in f_members:
-        bits = 0
-        for z in zs:
-            bits |= column[z]
-        out.append(ids.setdefault(bits, len(ids)))
-    return out
+        rows.append(blocks[zs[0]] if len(zs) == 1 else [ids.setdefault(bits, len(ids)) for bits in reduce(
+            partial(map, or_), (map(values.__getitem__, blocks[z]) for z in zs))])
+    return list(zip(*rows))
 
 
-def _associativity(order: int, arity: int, rows: dict, lifts: dict, byte_ids: bool, show) -> Verdict:
-    """Associativity, decided a whole row of the free last argument c at a time.
+def _associativity(order: int, arity: int, rows: list, lifts: list, byte_ids: bool, show) -> Verdict:
+    """Associativity, decided a whole plane at a time (see the README).
 
-    ``rows[A]``, for each sorted (arity-1)-multiset A, holds the value ids
-    of the row over c of A, and ``lifts[rest]`` sends a value id v to the id
-    of v regrouped with ``rest``.  For each sorted (2*arity-2)-multiset M
-    and each (arity-1)-submultiset A, the inner group A + c gives the row of
-    the ``lifts[M - A][v]``, v in ``rows[A]``, and these rows must agree.
-
-    The groupings with c outside the inner group need no rows of their own.
-    Take a (2*arity-1)-multiset X and two inner groups B and B'; pick x in B
-    and x' in B'.  Some inner group holds both x and x' (arity >= 2), and the
-    rows with c = x and with c = x' compare it with B and with B'.  So X
-    fails exactly when some row M = X - c differs at c.  The witness is the
-    least such sorted M + c, the first failing multiset in lexicographic
-    order; in each M only the least differing c can give it.  No M + c is
-    below (0, *M), so the pass stops at the first M past the witness so
-    far with 0 removed.  ``show`` renders a lifted id in the detail.
+    ``rows[a]`` holds the value ids of the row over c of the a-th sorted
+    (arity-1)-multiset A, and ``lifts[r]`` sends a value id v to the id of
+    v regrouped with the r-th, both in ``combinations_with_replacement``
+    order.  For a sorted (2*arity-2)-multiset M, each inner group A + c
+    gives the lift of M - A read at the row of A; X fails exactly when some
+    row M = X - c differs at c.  A plane holds these rows for every
+    M = prefix + (l,), l from the prefix's last member up.  The witness is
+    the least sorted M + c; no M + c is below (0, *M), so the pass stops at
+    the first plane past the witness so far less its 0.
     """
-    composers = {a: _composer(row, byte_ids) for a, row in rows.items()}
-    tables = {rest: _table(lift, byte_ids) for rest, lift in lifts.items()}
-    (inner0, rest0), *splits = _row_splits(arity)
+    composers, tables = [_row(row, byte_ids) for row in rows], [_table(lift, byte_ids) for lift in lifts]
+    place = dict(zip(combinations_with_replacement(range(order), arity - 1), count()))
+    last = 2 * arity - 3  # the place of l in M
     # the least failure so far (none: past every multiset), and the M past
     # which no failure is less
     witness = bound = (order,)
-    for ms in combinations_with_replacement(range(order), 2 * arity - 2):
-        if ms > bound:
+    for prefix in combinations_with_replacement(range(order), last):
+        low = prefix[-1]
+        if (*prefix, low) > bound:
             break
-        first = composers[inner0(ms)](tables[rest0(ms)])
-        c = order
-        for inner, rest in splits:
-            row = composers[inner(ms)](tables[rest(ms)])
-            if row != first:
-                c = min(c, next(i for i, (x, y) in enumerate(zip(row, first)) if x != y))
-        if c < order and (failure := tuple(sorted((*ms, c)))) < witness:
-            witness = failure
-            if not witness[0]:
-                bound = witness[1:]
+        planes = {}  # by whether l is in A, and the places of A and of M - A
+        for block, inner, rest in _plane_splits(arity):
+            key = block, a, r = block, place[inner(prefix)], place[rest(prefix)]
+            if key in planes:
+                continue
+            if block:  # the rows of A less l, with each l, through the lift of M - A
+                planes[key] = _compose(composers[a : a + order - low], tables[r : r + 1], byte_ids)
+            else:  # the row of A through the lifts of M - A less l, with each l
+                planes[key] = _compose(composers[a : a + 1], tables[r : r + order - low], byte_ids)
+        first, *others = planes.values()
+        if all(plane == first for plane in others):
+            continue
+        first, *others = (_plane_rows(plane, order) for plane in planes.values())
+        for l, row in enumerate(first, low):
+            cs = [next(i for i, (x, y) in enumerate(zip(other[l - low], row)) if x != y)
+                  for other in others if other[l - low] != row]
+            if cs and (failure := tuple(sorted((*prefix, l, min(cs))))) < witness:
+                witness = failure
+                if not witness[0]:
+                    bound = witness[1:]
     if witness == (order,):
         return PASS
     # the detail: the first grouping of the witness in position order, and
     # the first that differs from it
-    size = 2 * arity - 1
     groupings = []
-    for positions in combinations(range(size), arity):
+    for positions in combinations(range(last + 2), arity):
         inner = tuple(witness[i] for i in positions)
-        rest = tuple(witness[i] for i in range(size) if i not in positions)
-        groupings.append((inner, lifts[rest][rows[inner[:-1]][inner[-1]]]))
+        rest = tuple(witness[i] for i in range(last + 2) if i not in positions)
+        groupings.append((inner, tables[place[rest]][rows[place[inner[:-1]]][inner[-1]]]))
     (inner0, first), *others = groupings
     inner, value = next(grouping for grouping in others if grouping[1] != first)
     return Verdict(
@@ -754,49 +765,48 @@ def _associativity(order: int, arity: int, rows: dict, lifts: dict, byte_ids: bo
 
 
 def _distributivity(
-    order: int, m: int, f_rows: dict, f_values: list[int], f_members: list, ps: list, columns: list,
+    order: int, m: int, f_rows: dict, ids: dict, f_members: list, ps: list, columns: list,
 ) -> Verdict:
-    """Distributivity as containment, decided a whole row of the last
-    hyperaddition argument c at a time.
+    """Distributivity as containment, one plane per (n-1)-multiset p: the
+    rows over the last hyperaddition argument c of every sorted
+    (m-1)-multiset Q (see the README).
 
-    For the column ``col`` = g(., p) of an (n-1)-multiset p and a sorted
-    (m-1)-multiset Q, the summed side f(col(Q), col(c)) over c is the f row
-    of col(Q) read at col, and the image side is the f row of Q sent through
-    the id of each f value's image under g(., p).  Images are interned among
-    the f values, so equal rows mean the containment holds; where the rows
-    differ, they are tested id by id for the least failing c, and a pair
-    that holds is not tested again.  Whether an m-multiset q fails at p does
-    not depend on which of its members is c, so the witness is the least
-    (sorted(Q + c), p), the first failing (q, p) in lexicographic order.
-    Inserting c into Q lowers no place of Q, so a failure shown at a Q before
-    q less its largest member is below every (q, p): the least failure shows
-    at the first Q that shows one, and the pass stops there.
+    For ``col`` = g(., p), the summed side f(col(Q), col(c)) is the f row of
+    col(Q) read at col, and the image side the f row of Q through the id, in
+    ``ids`` after the f values, of each f value's image under g(., p).
+    Equal rows hold; differing rows are tested id by id for the least
+    failing c, and a pair that holds is not tested again.  The witness is
+    the least (sorted(Q + c), p); it shows at the first Q that shows any
+    failure, and no plane goes past that Q.
     """
-    ids = {bits: i for i, bits in enumerate(f_values)}
-    images = [_lift([1 << x for x in column], f_members, ids) for column in columns]
+    single = [ids.setdefault(1 << x, len(ids)) for x in range(order)]  # the id of each {x}
+    images = _lifts([itemgetter(*row)(single) for row in zip(*columns)], f_members, ids)
     id_bits = list(ids)
-    byte_ids = max(order, len(ids)) <= _BYTE_IDS
-    tables = {q: _table(row, byte_ids) for q, row in f_rows.items()}
-    cols = [
-        (p, _composer(column, byte_ids), _table(image, byte_ids), tuple(column))
-        for p, column, image in zip(ps, columns, images)
-    ]
-    many = m > 2
+    byte_ids = len(ids) <= _BYTE_IDS
+    qs = list(f_rows)
+    rows = [_row(row, byte_ids) for row in f_rows.values()]
+    tables = _spread([_table(row, byte_ids) for row in f_rows.values()], order, m - 1)
+    places = list(zip(*qs))  # each place of every Q
     contained = set()
-    failures = []
-    for q, row in f_rows.items():
-        pick, held_of = _picker(q), _composer(row, byte_ids)
-        for p, col, image, values in cols:
-            key = pick(values)  # a one-entry key is a sorted slice already
-            summed = col(tables[tuple(sorted(key)) if many else key])
-            held = held_of(image)
-            if summed != held and (summed, held) not in contained:
-                c = next((c for c, (a, b) in enumerate(zip(summed, held)) if id_bits[a] & ~id_bits[b]), None)
-                if c is None:
-                    contained.add((summed, held))
-                else:
-                    failures.append((tuple(sorted((*q, c))), p))
-        if failures:
+    first, failures = len(qs) - 1, []  # the last Q that can show the least failure, and its failures
+    for p, column, image in zip(ps, columns, images):
+        keys = map(column.__getitem__, places[0][: first + 1])  # the dense index of each col(Q)
+        for place in places[1:]:
+            keys = map(add, map(order.__mul__, keys), map(column.__getitem__, place[: first + 1]))
+        summed = _compose([_row(column, byte_ids)], map(tables.__getitem__, keys), byte_ids)
+        held = _compose(rows[: first + 1], (_table(image, byte_ids),), byte_ids)
+        if summed == held:
+            continue
+        for j, pair in enumerate(zip(_plane_rows(summed, order), _plane_rows(held, order))):
+            if pair[0] == pair[1] or pair in contained:
+                continue
+            c = next((c for c, (a, b) in enumerate(zip(*pair)) if id_bits[a] & ~id_bits[b]), None)
+            if c is None:
+                contained.add(pair)
+                continue
+            if j < first or not failures:
+                first, failures = j, []
+            failures.append((tuple(sorted((*qs[j], c))), p))
             break
     if not failures:
         return PASS
@@ -891,27 +901,28 @@ def _verify_tables(
 ) -> tuple[AxiomReport, tuple[int, ...]]:
     """The report on dense tables ``f`` and ``g`` of arities m and n, and
     the negation it read (meaningful where inverses are unique)."""
-    f_lead, g_lead = order ** (m - 1), order ** (n - 1)  # weight of argument 1
     report = AxiomReport()
     entries = report.entries
     # the clock after each entry, which is computed in AXIOM_ORDER
     clock = [perf_counter()]
     tick = clock.append
 
-    # Ids for the row passes: an element names itself, an f value its place
-    # among f's distinct masks.
+    # Ids for the plane passes: an element names itself, an f value its
+    # place among f's distinct masks.
     f_values = list(dict.fromkeys(f))
     f_id = {bits: i for i, bits in enumerate(f_values)}
     f_members = [bit_members(bits) for bits in f_values]
-    f_rows = _rows([f_id[bits] for bits in f], order, m)
+    f_ids = list(map(f_id.__getitem__, f))
+    f_rows = _rows(f_ids, order, m)
 
     # f-associativity: the lift of rest sends an f value v to the id of
-    # f(v, rest), the union of the column f(., rest) over v.
-    lifted: dict[int, int] = {}
-    f_lifts = {rest: _lift(f[_index(rest, order) :: f_lead], f_members, lifted) for rest in f_rows}
+    # f(v, rest), the union of f(z, rest) over z in v; by symmetry these
+    # f(z, rest) are the z-th entries of the rows of f.
+    lifted = dict(f_id)
+    f_lifts = _lifts(list(zip(*f_rows.values())), f_members, lifted)
     lifted_values = list(lifted)
     entries["f-associativity"] = _associativity(
-        order, m, f_rows, f_lifts, max(len(f_values), len(lifted)) <= _BYTE_IDS,
+        order, m, list(f_rows.values()), f_lifts, len(lifted) <= _BYTE_IDS,
         lambda i: bit_members(lifted_values[i]),
     )
     tick(perf_counter())
@@ -951,18 +962,15 @@ def _verify_tables(
     entries["g-commutativity"] = Verdict(True, detail="by table construction")
     tick(perf_counter())
 
-    # g-associativity: lifting v with rest is g(v, rest), the column of g at
-    # rest, which distributivity takes once per (n-1)-multiset p as well.
+    # g-associativity: lifting v with rest is g(v, rest), by symmetry the
+    # row of g at rest, which distributivity takes as the column g(., p).
     g_rows = _rows(g, order, n)
-    ps = list(g_rows)
-    columns = [g[_index(p, order) :: g_lead] for p in ps]
-    entries["g-associativity"] = _associativity(
-        order, n, g_rows, dict(zip(ps, columns)), order <= _BYTE_IDS, int,
-    )
+    ps, columns = list(g_rows), list(g_rows.values())
+    entries["g-associativity"] = _associativity(order, n, columns, columns, order <= _BYTE_IDS, int)
     tick(perf_counter())
 
     # distributivity over one slot (commutativity covers the others)
-    entries["distributivity"] = _distributivity(order, m, f_rows, f_values, f_members, ps, columns)
+    entries["distributivity"] = _distributivity(order, m, f_rows, dict(f_id), f_members, ps, columns)
     tick(perf_counter())
 
     entries["zero-absorption"] = _first_failure(
@@ -1019,15 +1027,7 @@ def _union_rows(f2: list[int], order: int):
     """The function sending an f value (a mask) to the row of its members'
     f2 rows, unioned entry by entry; memoised by mask."""
     rows = list(_rows(f2, order, 2).values())  # by x, the row f2(x, .)
-    unions: dict[int, list[int]] = {}
-
-    def union(bits: int) -> list[int]:
-        row = unions.get(bits)
-        if row is None:
-            row = unions[bits] = [reduce(or_, column) for column in zip(*map(rows.__getitem__, bit_members(bits)))]
-        return row
-
-    return union
+    return cache(lambda bits: [reduce(or_, column) for column in zip(*map(rows.__getitem__, bit_members(bits)))])
 
 
 def _fold(table2: list[int], order: int, arity: int, row_at) -> list[int]:

@@ -9,7 +9,7 @@ table, so it shares no scan logic with ``verify_axioms``.
 ``associativity_scan``, ``distributivity_scan`` and ``reversibility_scan``
 are the scans that ``verify_axioms`` once ran to decide those axioms and
 name their witnesses, over every sorted multiset in lexicographic order.
-They are the reference that the row passes of ``kernel._associativity``,
+They are the reference that the passes of ``kernel._associativity``,
 ``kernel._distributivity`` and ``kernel._reversibility`` must match,
 verdict, witness and detail; ``spec_scans`` runs all four on a spec.
 ``nary_route`` runs the verifier's n-ary passes on a spec's own tables, the
@@ -68,7 +68,7 @@ def fixture_mutations():
 
 
 def nary_route(spec) -> tuple:
-    """The report and negation of ``verify_axioms``' row passes on
+    """The report and negation of ``verify_axioms``' passes on
     ``spec``'s own tables: the n-ary route, which past (2,2) runs only where
     the binary reducts do not decide."""
     f, g = _dense_tables(spec)

@@ -7,7 +7,7 @@ benchmark builds and past a byte.  CI runs it.
 ``quotient_ring`` decides the independence of representatives by rows, as
 ``check_homomorphism`` decides its clauses (``constructions._differences``),
 and ``verify_axioms`` decides associativity, reversibility and
-distributivity by row passes that name their own witnesses.  For z64, z2^5,
+distributivity by plane passes that name their own witnesses.  For z64, z2^5,
 z4xz8, paper-example^2 and paper-example^2xz2-as-33, in both modes, the
 quotient by every proper hyperideal is built twice: as it is, and with
 ``_induced_tables`` replaced by the key-by-key scan of
@@ -29,9 +29,10 @@ refused as representative-dependent, so every partition of z8 (4,140) also
 goes through ``_induced_tables`` and the scan, compared by tables or by
 error type and message.  paper-example^3 is verified by both routes, and both
 times are printed.  Last, z257 and z257 with f(1,2) = {3,4}, past a byte,
-are verified by the row passes alone: the first must pass, and each failing
-entry of the second must carry a witness that
+are verified by the plane passes alone, composed by lists: the first must
+pass, and each failing entry of the second must carry a witness that
 ``axiom_oracle.NaiveOracle`` confirms (the scans would take about 26 s).
+Each z257 line gives the total time and each entry's ``timings_s``.
 The script prints one line per ring and mode, then the partitions and
 their refusals, then paper-example^3, then the two z257 specs, and exits 1
 on any difference, if
@@ -63,6 +64,7 @@ from hyperideal import (
     verify_axioms,
 )
 from hyperideal.errors import HyperIdealError
+from hyperideal.kernel import AXIOM_ORDER
 
 
 @contextmanager
@@ -139,7 +141,8 @@ def past_a_byte() -> int:
             oracle.witness_violates(family, verified.entries[family].witness) for family in failures
         )
         differ += not right
-        print(f"{label}: {took:.2f} s, failing {', '.join(failures) or 'none'}  {right}", flush=True)
+        entries = ", ".join(f"{family} {s:.3f}" for family, s in zip(AXIOM_ORDER, verified.timings_s))
+        print(f"{label}: {took:.2f} s ({entries}), failing {', '.join(failures) or 'none'}  {right}", flush=True)
     return differ
 
 

@@ -367,8 +367,8 @@ def test_verify_warns_only_above_the_limit(tmp_path, capsys):
 
 
 def test_warning_is_the_same_past_a_byte(capsys):
-    # spec-like stand-ins: past 256 elements the row passes compose lists,
-    # about 3 times slower than bytes, and no longer hand over to a scan
+    # spec-like stand-ins: past 256 elements the plane passes compose lists,
+    # so `verify` takes about 4 times as long; they hand over to no scan
     from types import SimpleNamespace
 
     from hyperideal import cli

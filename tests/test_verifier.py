@@ -7,11 +7,12 @@ detail fails here, and each family's verdict is checked against
 ``axiom_oracle.NaiveOracle``.
 
 ``verify_axioms`` decides associativity, reversibility and distributivity by
-row passes that name their own witnesses.  Each entry is held to the scan
-of ``axiom_oracle`` that once decided it, verdict, witness and detail.  The
-passes compose rows with ``bytes.translate`` where ids fit in a byte and as
-lists past that, so the tests run with ``kernel._BYTE_IDS`` at its default
-and at 0, where every ring takes the list composition.
+passes that name their own witnesses.  Each entry is held to the scan of
+``axiom_oracle`` that once decided it, verdict, witness and detail.  The
+associativity and distributivity passes compose planes with
+``bytes.translate`` where ids fit in a byte and as lists past that, so the
+tests run with ``kernel._BYTE_IDS`` at its default and at 0, where every
+ring takes the list composition.
 
 Past (2,2), ``verify_axioms`` first tries the binary reducts: when the
 tables are the lifts of the reducts and the reducts pass, the ring passes.
@@ -126,6 +127,34 @@ def test_row_check_agrees_with_scan_on_g_mutations(monkeypatch, make_spec, count
     assert [_report(spec) for spec in specs] == by_bytes
 
 
+def _arity_4_mutations(lifted_rings) -> list:
+    """Strided single-entry mutations of the tables of arity 4 and 2 of the
+    lift of Z8 to (4,2), 16 and 4, and of the table of arity 4 of the lift
+    of Z12 to (2,4), 5: the f mutations of the latter would each pay for a
+    passing g-associativity scan at arity 4."""
+    z8_as_42, z12_as_24 = lifted_rings["z8-as-42"].spec, lifted_rings["z12-as-24"].spec
+    return [
+        *single_entry_mutations(z8_as_42, tables="f", stride=5239),
+        *single_entry_mutations(z8_as_42, tables="g", stride=63),
+        *single_entry_mutations(z12_as_24, tables="g", stride=3003),
+    ]
+
+
+def test_arity_4_mutations_get_the_scans_entries(monkeypatch, lifted_rings):
+    """No fixture mutation has m or n = 4.  Strided mutations of the (4,2)
+    and (2,4) lifts run the n-ary passes at arity 4, where each prefix has
+    20 splits and a repeated member makes some of them equal; every spec
+    fails, and in both compositions each entry equals the scans'."""
+    specs = _arity_4_mutations(lifted_rings)
+    assert len(specs) == 25
+    scans = [spec_scans(spec) for spec in specs]
+    for bounds in ({}, LISTS_ONLY):
+        _set_bounds(monkeypatch, bounds)
+        reports = [_report(spec) for spec in specs]
+        assert not any(report.all_pass for report in reports)
+        assert [{family: report.entries[family] for family in scan} for report, scan in zip(reports, scans)] == scans
+
+
 def test_ids_past_a_byte_take_the_list_composition(monkeypatch):
     """With the byte bound at its 8 distinct f values, paper-example x
     z2-as-33 has more images for distributivity than a byte would name; that
@@ -136,12 +165,12 @@ def test_ids_past_a_byte_take_the_list_composition(monkeypatch):
     expected = [_report(spec) for spec in specs]
     widths = []
 
-    def recording_composer(row, byte_ids):
+    def recording_compose(rows, tables, byte_ids):
         widths.append(byte_ids)
-        return composer(row, byte_ids)
+        return compose(rows, tables, byte_ids)
 
-    composer = kernel._composer
-    _set_bounds(monkeypatch, {"_BYTE_IDS": 8, "_composer": recording_composer})
+    compose = kernel._compose
+    _set_bounds(monkeypatch, {"_BYTE_IDS": 8, "_compose": recording_compose})
     assert [_report(spec) for spec in specs] == expected
     assert set(widths) == {False, True}
     assert _scan_differences(specs) == []
