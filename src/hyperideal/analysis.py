@@ -1,15 +1,17 @@
 """The per-ring owner of derived data: hyperideal, prime and multiplicative
 set lists and the verdict memos, keyed by element bitmasks and freed with the
 ring (``ring.analysis``).  The public functions in ``ideals`` and
-``multiplicative`` add argument checks on top.
+``multiplicative`` add argument checks on top.  The proper hyperideals are
+not kept apart: ``proper(mode)`` is ``ideals(mode)`` less its last member,
+the whole ring.
 
 No memo is keyed by an MS or by an (ideal, set) pair.  The S-condition is
 checked one element of S at a time, so it is fixed by one set per ideal:
 ``compatible(P, P)`` is the largest compatible MS S*(P), and P is an
-S-hyperideal exactly when S lies in it (an S_r-hyperideal when S lies in
-``compatible(P, radical(P))``).  Residuals and saturations are intersections
-and unions of the colon ideals ``colons(Q)``.  Only the witness scans, such as
-``scan_s``, and the second routes of the harness walk n-tuples.
+S-hyperideal exactly when S lies in it (``is_s``; an S_r-hyperideal when S
+lies in ``compatible(P, radical(P))``).  Residuals and saturations are
+intersections and unions of the colon ideals ``colons(Q)``.  Only the witness
+scans, such as ``scan_s``, and the second routes of the harness walk n-tuples.
 
 The multiplicative-set index names a family of MS by one int, bit i for
 ``ms_all[i]``: ``containing[x]`` holds the MS with x, ``within(T)`` those
@@ -145,10 +147,11 @@ def _memo(owner: weakref.ref, function: Callable) -> Callable:
 class RingAnalysis:
     """Derived lists and verdict memos of one ring.
 
-    Each memo is a per-instance ``lru_cache`` held in an instance attribute,
-    so a hit costs one attribute lookup and one C call, with no wrapper
-    frame; only a miss runs ``_memo``'s function.  A class-level descriptor
-    of the same name would make CPython skip specialising that lookup.
+    Each of its 12 memos is a per-instance ``lru_cache`` held in an
+    instance attribute, so a hit costs one attribute lookup and one C call,
+    with no wrapper frame; only a miss runs ``_memo``'s function.  A
+    class-level descriptor of the same name would make CPython skip
+    specialising that lookup.
     ``quotients`` holds, by modulus, the target and mapping of each
     projection the harness builds (None for an ill-defined quotient),
     ``tprod_product`` its product ring, and ``refused`` the message of each
@@ -175,7 +178,6 @@ class RingAnalysis:
         self.colons = memo(cls._colons)
         self.within = memo(cls._within)
         self.ideals = memo(cls.closed_sets)
-        self.proper = memo(cls._proper)
         self.primes = memo(cls._primes)
         self.min_primes = memo(cls._min_primes)
         self.quotients: dict[int, tuple[HyperRing, tuple[int, ...]] | None] = {}
@@ -214,9 +216,9 @@ class RingAnalysis:
                     return Verdict(False, "negation-closure", (x,), detail)
         return PASS
 
-    def _proper(self, mode: str) -> tuple[int, ...]:
-        full = self._ring().full_bits
-        return tuple(b for b in self.ideals(mode) if b != full)
+    def proper(self, mode: str) -> tuple[int, ...]:
+        """``ideals`` less its last member, the whole ring."""
+        return self.ideals(mode)[:-1]
 
     # -- closed sets ---------------------------------------------------------
 
@@ -345,8 +347,7 @@ class RingAnalysis:
     def semiprime(self, bits: int) -> Verdict:
         ring = self._ring()
         for p in range(ring.order):
-            prod = ring.g_at((p,) * ring.n)
-            if bits >> prod & 1 and not (bits >> p & 1):
+            if bits >> ring.power(p, ring.n) & 1 and not (bits >> p & 1):
                 return Verdict(False, "semiprime", (p,), "n-th power lands in the ideal")
         return PASS
 
@@ -363,9 +364,8 @@ class RingAnalysis:
         return PASS
 
     def _maximal(self, bits: int, mode: str) -> Verdict:
-        ring = self._ring()
-        for other in self.ideals(mode):
-            if other == bits or other == ring.full_bits:
+        for other in self.proper(mode):
+            if other == bits:
                 continue
             if not (bits & ~other):
                 detail = "a proper hyperideal lies strictly above"
@@ -456,7 +456,7 @@ class RingAnalysis:
         return sum(1 << x for x, row in enumerate(rows) if not any(p_bits & row[r] for r in outside))
 
     def classify_s(self, p_bits: int, s_bits: int, mode: str) -> SVerdict:
-        if not s_bits & ~self.compatible(p_bits, p_bits):
+        if self.is_s(p_bits, s_bits):
             return SVerdict.S_HYPERIDEAL
         if not s_bits & ~self.compatible(p_bits, self.radical(p_bits, mode)):
             return SVerdict.SR_ONLY

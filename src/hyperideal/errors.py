@@ -53,8 +53,7 @@ class AxiomsFailed(HyperIdealError):
 
     def __init__(self, report):
         self.report = report
-        failed = ", ".join(name for name, st in report.entries.items() if not st.ok)
-        super().__init__(f"axiom verification failed: {failed}")
+        super().__init__(f"axiom verification failed: {', '.join(report.failures())}")
 
 
 class RingMismatch(HyperIdealError):

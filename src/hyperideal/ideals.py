@@ -102,7 +102,7 @@ def enumerate_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMa
 
 
 def proper_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
-    return [s for s in enumerate_hyperideals(ring, mode) if not s.is_full]
+    return [SubsetMask(ring, bits) for bits in ring.analysis.proper(check_mode(mode))]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
     analysis = ring.analysis
     # units: 1 in p·R; regulars: p in p^n·R (``absorb[x]`` is x·R)
     units = sum(1 << p for p in range(ring.order) if analysis.absorb[p] >> ring.one & 1)
-    regulars = sum(1 << p for p in range(ring.order) if analysis.absorb[ring.g_at((p,) * ring.n)] >> p & 1)
+    regulars = sum(1 << p for p in range(ring.order) if analysis.absorb[ring.power(p, ring.n)] >> p & 1)
     jacobson = ring.full_bits
     for bits in analysis.proper(mode):
         if analysis.maximal(bits, mode).ok:

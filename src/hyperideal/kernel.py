@@ -20,7 +20,9 @@ its binary reducts ``f2`` and ``g2``, stated once by ``_reduct``:
 every binary read, such as ``scalar_multiply``, ``power`` and the sum and
 scalar rows of the analysis, goes through them.  At (2,2) they are the
 dense lists themselves.  ``g_row`` reads ``g_dense`` in place; only
-``g_tuples`` is built as a second structure.
+``g_tuples`` is built as a second structure.  A table is mapped once per
+distinct value by one memo, ``_Memo``: the f values of ``serialize_spec`` and
+``_dense_tables``, the f2 row unions of ``_fold``, and in ``constructions``.
 
 Associativity, reversibility and distributivity, the costly axioms, are
 decided by one pass each that also names the lexicographically first
@@ -253,7 +255,7 @@ def parse_spec(document: str) -> HyperRingSpec:
     """
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too deep, or too many digits
         raise SpecFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SpecFormatError("document root must be an object")
@@ -334,13 +336,25 @@ def serialize_spec(spec: HyperRingSpec) -> str:
     ], 2) + "\n"
 
 
+class _Memo(dict):
+    """A dict that builds a missing value with ``build(key)`` and keeps it:
+    the one way a table is mapped once per distinct value."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def _by_f_value(spec: HyperRingSpec, render) -> list:
     """``render(value)`` for the f value of each sorted key in order, once
     per distinct value (a set value is taken as its frozenset)."""
     keys = combinations_with_replacement(range(spec.order), spec.m)
-    values = list(map(frozenset, map(spec.f_table.__getitem__, keys)))
-    rendered = {value: render(value) for value in set(values)}
-    return list(map(rendered.__getitem__, values))
+    return list(map(_Memo(render).__getitem__, map(frozenset, map(spec.f_table.__getitem__, keys))))
 
 
 def _json_block(brackets: str, items: Iterable[str], indent: int) -> str:
@@ -420,10 +434,10 @@ class SubsetMask:
         return tuple(self)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self.ring.elements[i] for i in self)
+        return self.ring.names_of_bits(self.bits)
 
     def __repr__(self) -> str:
-        return "{" + ",".join(self.names()) + "}"
+        return self.ring.render_bits(self.bits)
 
 
 ElementsOrSubsets = Union[int, SubsetMask, Iterable[int]]
@@ -486,7 +500,7 @@ class HyperRing:
         return SubsetMask(self, self.full_bits)
 
     def names_of_bits(self, bits: int) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in range(self.order) if bits >> i & 1)
+        return tuple(map(self.elements.__getitem__, bit_members(bits & self.full_bits)))
 
     def render_bits(self, bits: int) -> str:
         return "{" + ",".join(self.names_of_bits(bits)) + "}"
@@ -510,7 +524,7 @@ class HyperRing:
         """m-ary hyperaddition, extended to subsets by union over choices."""
         if len(args) != self.m:
             raise ArityMismatch(self.m, len(args))
-        return SubsetMask(self, self._hyperadd_bits(*args))
+        return SubsetMask(self, reduce(or_, map(self.f_dense.__getitem__, self._choice_indices(args)), 0))
 
     def _choice_indices(self, args: Sequence[ElementsOrSubsets]) -> list[int]:
         """Dense indices of every tuple that picks one member per argument;
@@ -523,13 +537,6 @@ class HyperRing:
             members = [self._element(x) for x in ((arg,) if isinstance(arg, int) else arg)]
             indices = [i * order + x for i in indices for x in members]
         return indices
-
-    def _hyperadd_bits(self, *args: ElementsOrSubsets) -> int:
-        f = self.f_dense
-        bits = 0
-        for i in self._choice_indices(args):
-            bits |= f[i]
-        return bits
 
     def multiply(self, *args: ElementsOrSubsets) -> int | SubsetMask:
         """n-ary multiplication; with subset arguments, the set of outcomes."""
@@ -1027,7 +1034,8 @@ def _union_rows(f2: list[int], order: int):
     """The function sending an f value (a mask) to the row of its members'
     f2 rows, unioned entry by entry; memoised by mask."""
     rows = list(_rows(f2, order, 2).values())  # by x, the row f2(x, .)
-    return cache(lambda bits: [reduce(or_, column) for column in zip(*map(rows.__getitem__, bit_members(bits)))])
+    return _Memo(lambda bits: [reduce(or_, column)
+                               for column in zip(*map(rows.__getitem__, bit_members(bits)))]).__getitem__
 
 
 def _fold(table2: list[int], order: int, arity: int, row_at) -> list[int]:

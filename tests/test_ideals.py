@@ -111,6 +111,16 @@ def test_enumerate_z12_matches_divisor_oracle(z12):
     assert got == expected
 
 
+@pytest.mark.parametrize("mode", ["lenient", "strict"])
+def test_the_whole_ring_is_the_last_hyperideal(all_fixture_rings, large_rings, rings_past_2_2, mode):
+    """``RingAnalysis.proper`` is ``ideals`` less its last member: the list
+    ascends and the whole ring is the greatest hyperideal of either mode."""
+    for ring in [*all_fixture_rings, *large_rings.values(), *rings_past_2_2]:
+        assert ring.analysis.ideals(mode)[-1] == ring.full_bits, ring.name
+        every = enumerate_hyperideals(ring, mode)
+        assert proper_hyperideals(ring, mode) == [s for s in every if not s.is_full], ring.name
+
+
 # ---------------------------------------------------------------------------
 # classification
 

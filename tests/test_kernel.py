@@ -445,6 +445,15 @@ def test_mask_ring_mismatch_rejected(paper, z6):
         paper.subset([0]) | z6.subset([0])
 
 
+def test_mask_names_read_only_the_carrier_bits(z6):
+    """A mask's names and repr are the ring's ``names_of_bits`` and
+    ``render_bits`` of its bits; those two ignore bits past the carrier."""
+    mask = z6.subset([0, 2, 4])
+    assert mask.names() == z6.names_of_bits(mask.bits) == ("0", "2", "4")
+    assert repr(mask) == z6.render_bits(mask.bits) == "{0,2,4}"
+    assert z6.names_of_bits(1 << 6 | 1 << 2) == ("2",)
+
+
 def test_operations_refuse_a_mask_of_another_ring(z2, z4):
     # bit 1 of z2's mask would read as z4's element 1
     foreign = z2.subset([1])

@@ -81,6 +81,19 @@ def test_lone_surrogate_name_exits_2(doc_path):
     assert verify_exit_code(doc_path, data) == 2
 
 
+def test_deeply_nested_document_exits_2(doc_path):
+    """1,000 nested arrays pass the JSON decoder's recursion limit, which
+    raises RecursionError, not a JSONDecodeError."""
+    assert verify_exit_code(doc_path, b"[" * 1000 + b"]" * 1000) == 2
+
+
+def test_integer_past_the_digit_limit_exits_2(doc_path):
+    """An int literal of 4,301 digits passes the interpreter's limit on
+    integer-string conversion, which raises a plain ValueError; where there
+    is no such limit, the document is refused later, for its missing fields."""
+    assert verify_exit_code(doc_path, b'{"m": ' + b"9" * 4301 + b"}") == 2
+
+
 edits = st.lists(
     st.tuples(
         st.sampled_from(["replace", "delete", "insert"]),
