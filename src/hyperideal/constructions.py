@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement, product
-from operator import or_
+from operator import add, or_
 from typing import Iterator, Sequence
 
 from .analysis import Verdict
@@ -199,14 +199,27 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
     if len(set(names)) < total:  # a factor's element name holds '|'
         names = tuple("|".join(map(str, t)) for t in tuples)
 
-    f_table: dict[tuple[int, ...], frozenset[int]] = {}
-    for key in combinations_with_replacement(range(total), m):
-        pools = [bit_members(r.f_bits([tuples[i][j] for i in key])) for j, r in enumerate(rings)]
-        f_table[key] = frozenset(index_of[c] for c in product(*pools))
-    g_table: dict[tuple[int, ...], int] = {}
-    for key in combinations_with_replacement(range(total), n):
-        value = tuple(r.g_at(tuple(tuples[i][j] for i in key)) for j, r in enumerate(rings))
-        g_table[key] = index_of[value]
+    parts = list(zip(*tuples))  # each factor's component of every element
+
+    def at(tables: list, keys: list) -> Iterator[tuple]:
+        """Each key's entries in the factors' dense ``tables``, as one tuple;
+        the dense index of its components in each factor is built a whole
+        column of keys at a time."""
+        columns = list(zip(*keys))
+        per_factor = []
+        for table, r, part in zip(tables, rings, parts):
+            index = map(part.__getitem__, columns[0])
+            for column in columns[1:]:
+                index = map(add, map(r.order.__mul__, index), map(part.__getitem__, column))
+            per_factor.append(map(table.__getitem__, index))
+        return zip(*per_factor)
+
+    # each tuple of factor masks names one frozenset of product elements
+    f_value = _Memo(lambda masks: frozenset(map(index_of.__getitem__, product(*map(bit_members, masks)))))
+    f_keys = list(combinations_with_replacement(range(total), m))
+    f_table = dict(zip(f_keys, map(f_value.__getitem__, at([r.f_dense for r in rings], f_keys))))
+    g_keys = list(combinations_with_replacement(range(total), n))
+    g_table = dict(zip(g_keys, map(index_of.__getitem__, at([r.g_dense for r in rings], g_keys))))
 
     spec = HyperRingSpec(
         name=name or "x".join(r.name for r in rings),

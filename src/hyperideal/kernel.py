@@ -7,6 +7,10 @@ checks every remaining axiom exhaustively and only hands out ``HyperRing``
 objects for specs that pass.  It first calls ``validate_spec``, the one
 statement of the spec rules, whose every accepted spec round-trips through
 its document; ``parse_spec`` checks only what resolving names and keys needs.
+Both resolve and check a table whole, once per distinct value: one split of
+the joined keys, one shared frozenset per distinct f value list, one type
+check per distinct f value object.  Where that refuses, a walk over the
+entries only names the first error.
 
 The multiset-keyed dicts of ``HyperRingSpec`` are the document form.  For
 checking and computing, each table is expanded once into a dense list over
@@ -21,8 +25,11 @@ every binary read, such as ``scalar_multiply``, ``power`` and the sum and
 scalar rows of the analysis, goes through them.  At (2,2) they are the
 dense lists themselves.  ``g_row`` reads ``g_dense`` in place; only
 ``g_tuples`` is built as a second structure.  A table is mapped once per
-distinct value by one memo, ``_Memo``: the f values of ``serialize_spec`` and
-``_dense_tables``, the f2 row unions of ``_fold``, and in ``constructions``.
+distinct value by one memo, ``_Memo``: the f values of ``parse_spec``,
+``serialize_spec`` and ``_dense_tables``, the f2 row unions of ``_fold``,
+and in ``constructions``.  ``_dense_tables`` also gives f as ids, the
+places of its distinct masks (``_interned``), which the verifier's passes
+read.
 
 Associativity, reversibility and distributivity, the costly axioms, are
 decided by one pass each that also names the lexicographically first
@@ -63,12 +70,11 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce
-from itertools import chain, combinations, combinations_with_replacement, count, product
+from itertools import chain, combinations, combinations_with_replacement, count, product, repeat
 from json.encoder import encode_basestring_ascii
-from math import comb
-from operator import add, itemgetter, or_, sub
+from operator import add, itemgetter, le, or_, sub
 from time import perf_counter
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
 from .analysis import PASS, RingAnalysis, Verdict, bit_members
 from .errors import (
@@ -209,42 +215,118 @@ def validate_spec(spec: HyperRingSpec) -> None:
         raise UnknownElement(spec.one, "one")
     if spec.zero == spec.one:
         raise SpecFormatError("zero and one must be distinct elements")
+    for table in ("f", "g"):
+        _check_table(spec, table)
+
+
+_SETS = frozenset({set, frozenset})
+
+
+def _check_table(spec: HyperRingSpec, table: str) -> None:
+    """Check one table of ``spec`` whole: its keys are the sorted multisets,
+    each distinct f value object (by identity: True == 1) is a non-empty set
+    of exact ints in range, and the g values, as one list, are exact ints in
+    range.  Where it refuses, ``_refuse_spec_table`` names the error."""
+    mapping, arity = (spec.f_table, spec.m) if table == "f" else (spec.g_table, spec.n)
+    order = spec.order
+    keys = list(combinations_with_replacement(range(order), arity))
+    if list(mapping) == keys:  # in sorted key order, as documents and constructions build them
+        values = list(mapping.values())
+    elif len(mapping) == len(keys) and all(map(mapping.__contains__, keys)):
+        values = list(map(mapping.__getitem__, keys))
+    else:
+        _refuse_spec_table(spec, table, mapping, keys)
+    if table == "g":
+        holds = _INT.issuperset(map(type, values)) and 0 <= min(values) and max(values) < order
+    else:
+        distinct = dict(zip(map(id, values), values)).values()
+        holds = (_SETS.issuperset(map(type, distinct)) and all(distinct)
+                 and _INT.issuperset(map(type, chain.from_iterable(distinct)))
+                 and frozenset(range(order)).issuperset(chain.from_iterable(distinct)))
+    if not holds:
+        _refuse_spec_table(spec, table, mapping, keys)
+
+
+def _refuse_spec_table(spec: HyperRingSpec, table: str, mapping: Mapping, keys: list) -> NoReturn:
+    """Raise the first error of a table that ``_check_table`` refused, in
+    ``combinations_with_replacement`` order: the per-entry walk, which only
+    names the error.  Past the last key, all that is left is surplus keys."""
     order = spec.order
     carrier = frozenset(range(order))
-    for key in combinations_with_replacement(range(order), spec.m):
-        if key not in spec.f_table:
-            raise MissingEntry("f", tuple(spec.elements[i] for i in key))
-        value = spec.f_table[key]
-        if type(value) not in (set, frozenset) or not _INT.issuperset(map(type, value)):
+    for key in keys:
+        if key not in mapping:
+            raise MissingEntry(table, tuple(spec.elements[i] for i in key))
+        value = mapping[key]
+        if table == "g":
+            if type(value) is not int:
+                raise SpecFormatError(f"g value at {key} is not an element index")
+            if value < 0 or value >= order:
+                raise SpecFormatError(f"g value out of range at {key}")
+            continue
+        if type(value) not in _SETS or not _INT.issuperset(map(type, value)):
             raise SpecFormatError(f"f value at {key} is not a set of element indices")
         if not value:
             raise EmptyHyperValue(tuple(spec.elements[i] for i in key))
         if not value <= carrier:
             raise SpecFormatError(f"f value out of range at {key}")
-    if len(spec.f_table) != comb(order + spec.m - 1, spec.m):
-        raise SpecFormatError("f table has surplus keys")
-    for key in combinations_with_replacement(range(order), spec.n):
-        if key not in spec.g_table:
-            raise MissingEntry("g", tuple(spec.elements[i] for i in key))
-        value = spec.g_table[key]
-        if type(value) is not int:
-            raise SpecFormatError(f"g value at {key} is not an element index")
-        if value < 0 or value >= order:
-            raise SpecFormatError(f"g value out of range at {key}")
-    if len(spec.g_table) != comb(order + spec.n - 1, spec.n):
-        raise SpecFormatError("g table has surplus keys")
+    raise SpecFormatError(f"{table} table has surplus keys")
 
 
-def _parse_key(raw: str, name_to_index: Mapping[str, int], arity: int, table: str) -> tuple[int, ...]:
-    parts = raw.split(",")
-    if len(parts) != arity:
-        raise SpecFormatError(f"key {raw!r} in table {table!r} has {len(parts)} entries, expected {arity}")
-    indices = []
-    for part in parts:
-        if part not in name_to_index:
-            raise UnknownElement(part, f"table {table!r} key {raw!r}")
-        indices.append(name_to_index[part])
-    return tuple(sorted(indices))
+def _resolve_table(raw: dict, name_to_index: dict, arity: int, table: str) -> dict:
+    """The spec table of a document table, resolved whole: the keys, once
+    each has arity - 1 commas, by one split of their joined text (each
+    sorted, unless all are), and each distinct f value list once, into one
+    shared frozenset.  An unknown name or an unhashable member fails its
+    lookup, and a duplicate multiset gives a shorter dict; where it
+    refuses, ``_refuse_document_table`` names the error."""
+    if not raw:
+        return {}
+    try:
+        if {*map(str.count, raw, repeat(","))} == {arity - 1} and (
+                table == "g" or {*map(type, raw.values())} == {list}):
+            names = list(map(name_to_index.__getitem__, ",".join(raw).split(",")))
+            places = [names[i::arity] for i in range(arity)]  # each key's i-th name, for every i
+            keys = zip(*places)
+            if not all(map(all, map(map, repeat(le), places, places[1:]))):  # some key is not sorted
+                keys = map(tuple, map(sorted, keys))
+            if table == "g":
+                values = map(name_to_index.__getitem__, raw.values())
+            else:
+                members = _Memo(lambda value: frozenset(map(name_to_index.__getitem__, value)))
+                values = map(members.__getitem__, map(tuple, raw.values()))
+            resolved = dict(zip(keys, values))
+            if len(resolved) == len(raw):
+                return resolved
+    except (KeyError, TypeError):
+        pass
+    _refuse_document_table(raw, name_to_index, arity, table)
+
+
+def _refuse_document_table(raw: dict, name_to_index: dict, arity: int, table: str) -> NoReturn:
+    """Raise the first error of a table that ``_resolve_table`` refused, in
+    document order: the per-entry walk, which only names the error."""
+    seen = set()
+    for raw_key, raw_value in raw.items():
+        parts = raw_key.split(",")
+        if len(parts) != arity:
+            raise SpecFormatError(f"key {raw_key!r} in table {table!r} has {len(parts)} entries, expected {arity}")
+        for part in parts:
+            if part not in name_to_index:
+                raise UnknownElement(part, f"table {table!r} key {raw_key!r}")
+        key = tuple(sorted(map(name_to_index.__getitem__, parts)))
+        if key in seen:
+            raise SpecFormatError(f"duplicate {table} entry for multiset {raw_key!r}")
+        seen.add(key)
+        if table == "g":
+            if not isinstance(raw_value, str) or raw_value not in name_to_index:
+                raise UnknownElement(str(raw_value), f"g value for {raw_key!r}")
+            continue
+        if not isinstance(raw_value, list):
+            raise SpecFormatError(f"f value for {raw_key!r} must be an array")
+        for member in raw_value:
+            if not isinstance(member, str) or member not in name_to_index:
+                raise UnknownElement(str(member), f"f value for {raw_key!r}")
+    raise AssertionError(f"table {table!r} was refused with no entry at fault")
 
 
 def parse_spec(document: str) -> HyperRingSpec:
@@ -272,28 +354,8 @@ def parse_spec(document: str) -> HyperRingSpec:
         if not isinstance(data[table], dict):
             raise SpecFormatError(f"table {table!r} must be an object")
 
-    f_table: dict[tuple[int, ...], frozenset[int]] = {}
-    for raw_key, raw_value in data["f"].items():
-        key = _parse_key(raw_key, name_to_index, m, "f")
-        if key in f_table:
-            raise SpecFormatError(f"duplicate f entry for multiset {raw_key!r}")
-        if not isinstance(raw_value, list):
-            raise SpecFormatError(f"f value for {raw_key!r} must be an array")
-        members = set()
-        for member in raw_value:
-            if not isinstance(member, str) or member not in name_to_index:
-                raise UnknownElement(str(member), f"f value for {raw_key!r}")
-            members.add(name_to_index[member])
-        f_table[key] = frozenset(members)
-    g_table: dict[tuple[int, ...], int] = {}
-    for raw_key, raw_value in data["g"].items():
-        key = _parse_key(raw_key, name_to_index, n, "g")
-        if key in g_table:
-            raise SpecFormatError(f"duplicate g entry for multiset {raw_key!r}")
-        if not isinstance(raw_value, str) or raw_value not in name_to_index:
-            raise UnknownElement(str(raw_value), f"g value for {raw_key!r}")
-        g_table[key] = name_to_index[raw_value]
-
+    f_table = _resolve_table(data["f"], name_to_index, m, "f")
+    g_table = _resolve_table(data["g"], name_to_index, n, "g")
     spec = HyperRingSpec(
         name=data["name"],
         m=m,
@@ -321,7 +383,8 @@ def serialize_spec(spec: HyperRingSpec) -> str:
         arity: [f'"{",".join(map(bare.__getitem__, key))}": ' for key in combinations_with_replacement(full, arity)]
         for arity in {spec.m, spec.n}
     }
-    f_values = _by_f_value(spec, lambda value: _json_block("[]", map(quoted.__getitem__, sorted(value)), 6))
+    f_ids, f_blocks = _by_f_value(spec, lambda value: _json_block("[]", map(quoted.__getitem__, sorted(value)), 6))
+    f_values = map(f_blocks.__getitem__, f_ids)
     g_values = map(quoted.__getitem__, map(spec.g_table.__getitem__, combinations_with_replacement(full, spec.n)))
     f_items, g_items = map(add, keys[spec.m], f_values), map(add, keys[spec.n], g_values)
     return _json_block("{}", [
@@ -350,11 +413,20 @@ class _Memo(dict):
         return value
 
 
-def _by_f_value(spec: HyperRingSpec, render) -> list:
-    """``render(value)`` for the f value of each sorted key in order, once
-    per distinct value (a set value is taken as its frozenset)."""
+def _interned(values: Iterable) -> tuple[list[int], list]:
+    """The id of each of ``values``, its place among the distinct values by
+    first appearance, and those distinct values in id order."""
+    ids = _Memo(lambda value: len(ids))  # a new value takes the next id
+    return list(map(ids.__getitem__, values)), list(ids)
+
+
+def _by_f_value(spec: HyperRingSpec, render) -> tuple[list[int], list]:
+    """The id of the f value of each sorted key in order (``_interned``; a
+    set value is taken as its frozenset), and ``render(value)`` of each
+    distinct value in id order: each is rendered once."""
     keys = combinations_with_replacement(range(spec.order), spec.m)
-    return list(map(_Memo(render).__getitem__, map(frozenset, map(spec.f_table.__getitem__, keys))))
+    ids, values = _interned(map(frozenset, map(spec.f_table.__getitem__, keys)))
+    return ids, list(map(render, values))
 
 
 def _json_block(brackets: str, items: Iterable[str], indent: int) -> str:
@@ -599,11 +671,16 @@ def _index(args: Iterable[int], order: int) -> int:
     return i
 
 
-def _dense_tables(spec: HyperRingSpec) -> tuple[list[int], list[int]]:
-    """``f`` as bitmasks and ``g`` as indices, over every ordered tuple."""
-    f = _by_f_value(spec, lambda value: sum(map((1).__lshift__, value)))
+def _dense_tables(spec: HyperRingSpec) -> tuple[list[int], list[int], list[int], list[int]]:
+    """``f`` as bitmasks and ``g`` as indices, over every ordered tuple, and
+    ``f`` as ids with the distinct masks they name.  The ids number the
+    values by first appearance in dense order, as they do in sorted key
+    order: a value first shows at a sorted tuple."""
+    ids, masks = _by_f_value(spec, lambda value: sum(map((1).__lshift__, value)))
+    f = list(map(masks.__getitem__, ids))
     g = list(map(spec.g_table.__getitem__, combinations_with_replacement(range(spec.order), spec.n)))
-    return _spread(f, spec.order, spec.m), _spread(g, spec.order, spec.n)
+    order, m = spec.order, spec.m
+    return _spread(f, order, m), _spread(g, order, spec.n), _spread(ids, order, m), masks
 
 
 def _spread(values: list[int], order: int, arity: int) -> list[int]:
@@ -895,9 +972,9 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     check_table_size(order, m, n)
     zero = spec.index(spec.zero)
     one = spec.index(spec.one)
-    f, g = _dense_tables(spec)
-    verified = _verify_reducts(order, m, n, f, g, zero, one) if max(m, n) > 2 else None
-    report, negation = verified or _verify_tables(order, m, n, f, g, zero, one)
+    f, g, f_ids, f_values = _dense_tables(spec)
+    verified = _verify_reducts(order, m, n, f, g, zero, one, f_ids, f_values) if max(m, n) > 2 else None
+    report, negation = verified or _verify_tables(order, m, n, f, g, zero, one, f_ids, f_values)
     if not report.all_pass:
         return report
     return HyperRing(spec, report, negation, f, g)
@@ -905,9 +982,11 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
 
 def _verify_tables(
     order: int, m: int, n: int, f: list[int], g: list[int], zero: int, one: int,
+    f_ids: list[int], f_values: list[int],
 ) -> tuple[AxiomReport, tuple[int, ...]]:
     """The report on dense tables ``f`` and ``g`` of arities m and n, and
-    the negation it read (meaningful where inverses are unique)."""
+    the negation it read (meaningful where inverses are unique).  ``f_ids``
+    is ``f`` as ids, ``f_values[i]`` the mask of id i (``_dense_tables``)."""
     report = AxiomReport()
     entries = report.entries
     # the clock after each entry, which is computed in AXIOM_ORDER
@@ -916,10 +995,8 @@ def _verify_tables(
 
     # Ids for the plane passes: an element names itself, an f value its
     # place among f's distinct masks.
-    f_values = list(dict.fromkeys(f))
-    f_id = {bits: i for i, bits in enumerate(f_values)}
+    f_id = dict(zip(f_values, count()))
     f_members = [bit_members(bits) for bits in f_values]
-    f_ids = list(map(f_id.__getitem__, f))
     f_rows = _rows(f_ids, order, m)
 
     # f-associativity: the lift of rest sends an f value v to the id of
@@ -998,6 +1075,7 @@ def _verify_tables(
 
 def _verify_reducts(
     order: int, m: int, n: int, f: list[int], g: list[int], zero: int, one: int,
+    f_ids: list[int], f_values: list[int],
 ) -> tuple[AxiomReport, tuple[int, ...]] | None:
     """The report of ``_verify_tables`` on the binary reducts of an (m,n)
     ring, when ``f`` and ``g`` are their lifts and the reducts pass every
@@ -1013,7 +1091,9 @@ def _verify_reducts(
     if _fold(g2, order, n, list(_rows(g2, order, 2).values()).__getitem__) != g:
         return None
     g_lift_s = perf_counter() - start
-    report, negation = _verify_tables(order, 2, 2, f2, g2, zero, one)
+    # f2's ids: f's ids at the reduct, renumbered among f2's own values
+    f2_ids, used = _interned(_reduct(f_ids, order, m, zero))
+    report, negation = _verify_tables(order, 2, 2, f2, g2, zero, one, f2_ids, list(map(f_values.__getitem__, used)))
     if not report.all_pass:
         return None
     report.timings_s[AXIOM_ORDER.index("f-associativity")] += f_lift_s

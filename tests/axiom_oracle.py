@@ -71,8 +71,9 @@ def nary_route(spec) -> tuple:
     """The report and negation of ``verify_axioms``' passes on
     ``spec``'s own tables: the n-ary route, which past (2,2) runs only where
     the binary reducts do not decide."""
-    f, g = _dense_tables(spec)
-    return _verify_tables(spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one))
+    f, g, f_ids, f_values = _dense_tables(spec)
+    return _verify_tables(spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one),
+                          f_ids, f_values)
 
 
 def negation_of(spec, f: list[int]) -> list[int] | None:
@@ -196,7 +197,7 @@ def distributivity_scan(order: int, m: int, n: int, f: list[int], g: list[int]) 
 def spec_reversibility_scan(spec) -> Verdict | None:
     """``reversibility_scan`` on ``spec``, or None when its inverses are not
     unique (the verifier then reports reversibility as not checkable)."""
-    f, _ = _dense_tables(spec)
+    f = _dense_tables(spec)[0]
     negation = negation_of(spec, f)
     return None if negation is None else reversibility_scan(spec.order, spec.m, f, negation)
 
@@ -205,7 +206,7 @@ def spec_scans(spec) -> dict[str, Verdict]:
     """The scans' verdicts on ``spec``, by family; reversibility is left out
     when inverses are not unique."""
     order, m, n = spec.order, spec.m, spec.n
-    f, g = _dense_tables(spec)
+    f, g = _dense_tables(spec)[:2]
     scans = {
         "f-associativity": f_associativity_scan(order, m, f),
         "g-associativity": g_associativity_scan(order, n, g),

@@ -138,6 +138,12 @@ Z2_G = {(0, 0): 0, (0, 1): 0, (1, 1): 1}
     ({"g_table": None}, SpecFormatError, "field 'g_table' must be a mapping"),
     ({"f_table": list(Z2_F.values())}, SpecFormatError, "field 'f_table' must be a mapping"),
     ({"g_table": list(Z2_G.values())}, SpecFormatError, "field 'g_table' must be a mapping"),
+    # True == 1 and frozenset({True}) == frozenset({1}): each value is
+    # type-checked, not merged with an equal one met before it
+    ({"g_table": {**Z2_G, (0, 1): 1, (1, 1): True}}, SpecFormatError,
+     r"g value at \(1, 1\) is not an element index"),
+    ({"f_table": {**Z2_F, (1, 1): frozenset({True})}}, SpecFormatError,
+     r"f value at \(1, 1\) is not a set of element indices"),
 ])
 def test_specs_built_in_code_are_validated(z2, edit, error, match):
     assert z2.spec.f_table == Z2_F and z2.spec.g_table == Z2_G

@@ -40,7 +40,7 @@ from axiom_oracle import (
 from conftest import lift, order3_spec, z2_ternary_spec
 
 from hyperideal import (
-    AxiomReport, Verdict, cyclic_ring, fixtures, kernel, product_ring, verify_axioms,
+    AxiomReport, Verdict, cyclic_ring, fixtures, kernel, product_ring, ring_from_ring_table, verify_axioms,
 )
 from hyperideal.fixture_rings import FIXTURE_NAMES
 from hyperideal.analysis import bit_members
@@ -217,9 +217,9 @@ def test_census_verdicts_match_the_oracle(monkeypatch):
 def _reduct_route(spec):
     """What the reduct route of ``verify_axioms`` gives on ``spec``: the
     report and negation of the binary reducts, or None where it defers."""
-    f, g = kernel._dense_tables(spec)
+    f, g, f_ids, f_values = kernel._dense_tables(spec)
     return kernel._verify_reducts(
-        spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one))
+        spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one), f_ids, f_values)
 
 
 def test_row_check_passes_every_ring_that_holds(monkeypatch):
@@ -284,9 +284,9 @@ def test_a_ring_whose_reducts_verify_but_is_no_lift_is_refused():
     scans' witnesses."""
     paper = fixtures("paper-example").spec
     spec = replace(paper, f_table={**paper.f_table, (1, 1, 1): frozenset({0, 1})})
-    f, g = kernel._dense_tables(spec)
+    f, g = kernel._dense_tables(spec)[:2]
     reducts = kernel._reduct(f, 3, 3, 0), kernel._reduct(g, 3, 3, 1)
-    assert kernel._verify_tables(3, 2, 2, *reducts, 0, 1)[0].all_pass
+    assert kernel._verify_tables(3, 2, 2, *reducts, 0, 1, *kernel._interned(reducts[0]))[0].all_pass
     assert _reduct_route(spec) is None
     report = _report(spec)
     assert report.failures() == ["f-associativity", "reversibility"]
@@ -322,7 +322,35 @@ def test_dense_tables_match_the_sorted_lookup():
         *_census(),
     ]
     for spec in specs:
-        assert kernel._dense_tables(spec) == _sorted_lookup_tables(spec), spec.name
+        f, g, f_ids, f_values = kernel._dense_tables(spec)
+        assert (f, g) == _sorted_lookup_tables(spec), spec.name
+        # the ids number the masks by first appearance in dense order
+        assert (f_ids, f_values) == kernel._interned(f), spec.name
+
+
+def test_the_passes_take_f_ids_from_the_dense_build(monkeypatch):
+    """``_dense_tables`` numbers f's distinct masks once; on the (2,2) route
+    its ids reach ``_verify_tables`` as they are, and on the reduct route
+    they are renumbered among f2's own masks.  Either way they are the ids
+    of interning the f that the passes read."""
+    z2_as_33, paper = fixtures("z2-as-33"), fixtures("paper-example")
+    # Z_6 with each residue r at index r - 1, so that 0 is the last element:
+    # the reduct f(., ., 0) then meets its values in another order than f
+    shifted = [[(((a + 1) + (b + 1)) % 6 - 1) % 6 for b in range(6)] for a in range(6)]
+    times = [[(((a + 1) * (b + 1)) % 6 - 1) % 6 for b in range(6)] for a in range(6)]
+    z6_shifted = lift(ring_from_ring_table(shifted, times, 5, 0, "z6-shifted"), 3, 3)
+    specs = [fixtures("z6").spec, paper.spec, product_ring([paper, z2_as_33]).spec, z6_shifted, cyclic_ring(48).spec]
+    calls = []
+    verify_tables = kernel._verify_tables
+
+    def recorded(order, m, n, f, g, zero, one, f_ids, f_values):
+        calls.append((f_ids, f_values) == kernel._interned(f))
+        return verify_tables(order, m, n, f, g, zero, one, f_ids, f_values)
+
+    monkeypatch.setattr(kernel, "_verify_tables", recorded)
+    for spec in specs:  # one call each, on the (2,2) route or the reduct route
+        assert isinstance(verify_axioms(spec), HyperRing)
+    assert calls == [True] * 5
 
 
 def test_witness_is_the_least_column_over_every_grouping(monkeypatch):
@@ -372,7 +400,7 @@ def test_reversibility_past_a_byte(f_change, expected):
     """At order 257, past a byte, the reversibility pass takes its ids as a
     list and names the scan's witness."""
     spec = z257_spec(f_change)
-    f, _ = kernel._dense_tables(spec)
+    f = kernel._dense_tables(spec)[0]
     values = list(dict.fromkeys(f))
     ids = {bits: i for i, bits in enumerate(values)}
     negation = negation_of(spec, f)
