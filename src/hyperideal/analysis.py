@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import WalkBudgetExceeded
 
@@ -66,6 +66,11 @@ class Verdict:
 
 
 PASS = Verdict(True)
+
+
+def render_tuple(elements: Sequence[str], indices: Iterable[int] | None) -> str:
+    """The names of a witness tuple's elements, comma-joined; empty for none."""
+    return ",".join(elements[i] for i in indices or ())
 
 
 class SVerdict(Enum):

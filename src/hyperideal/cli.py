@@ -1,5 +1,7 @@
 """Command-line surface: load ring documents, verify, classify, construct,
-and run the theorem suite with deterministic text or JSON reports.
+and run the theorem suite with deterministic text or JSON reports.  Each
+command returns its report text and exit code; ``run`` writes the report to
+stdout or to ``--out``.
 
 Exit codes: 0 success/holds, 1 counterexample or a failed --expect assertion,
 2 invalid input or axiom failure.
@@ -13,6 +15,7 @@ from functools import cache
 from pathlib import Path
 
 from . import fixture_rings, harness
+from .analysis import SVerdict, SWitness, render_tuple
 from .constructions import product_ring, quotient_ring
 from .errors import HyperIdealError
 from .ideals import (
@@ -35,7 +38,6 @@ from .kernel import (
     verify_axioms,
 )
 from .multiplicative import (
-    SVerdict,
     classify_s,
     multiplicative_set,
     residual,
@@ -90,14 +92,17 @@ def _parse_subset(ring: HyperRing, raw: str, option: str) -> SubsetMask:
     return ring.subset_from_names(raw.split(","))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+# The four verdicts of an ``IdealProfile``, in report order.
+_PROFILE = ("prime", "primary", "semiprime", "maximal")
+
+_S_VERDICT_TEXT = {
+    SVerdict.S_HYPERIDEAL: "S-hyperideal",
+    SVerdict.SR_ONLY: "not an S-hyperideal, but an S_r-hyperideal",
+    SVerdict.NEITHER: "not an S-hyperideal (and not an S_r-hyperideal)",
+}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     spec = _read_spec(args.ring)
     result = verify_axioms(spec)
     failed = isinstance(result, AxiomReport)
@@ -108,100 +113,79 @@ def _cmd_verify(args) -> int:
         lines += [
             f"{name}: {seconds * 1000:.3f} ms" for name, seconds in zip(AXIOM_ORDER, report.timings_s)
         ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 2 if failed else 0
+    return "\n".join(lines) + "\n", 2 if failed else 0
 
 
-def _cmd_ideals(args) -> int:
+def _cmd_ideals(args) -> tuple[str, int]:
     ring = _load_ring(args.ring)
-    rows = []
+    lines = [f"ring: {ring.name} mode: {args.mode}"]
     for subset in enumerate_hyperideals(ring, args.mode):
         if subset.is_full:
-            rows.append(f"{subset!r} improper (whole ring)")
+            lines.append(f"{subset!r} improper (whole ring)")
             continue
         profile = classify_ideal(ring, subset, args.mode)
-        flags = [name for name, verdict in (
-            ("prime", profile.prime), ("primary", profile.primary),
-            ("semiprime", profile.semiprime), ("maximal", profile.maximal),
-        ) if verdict.ok]
-        rows.append(f"{subset!r} proper " + (" ".join(flags) if flags else "-"))
+        flags = [name for name in _PROFILE if getattr(profile, name).ok]
+        lines.append(f"{subset!r} proper " + (" ".join(flags) if flags else "-"))
     sets = special_sets(ring, args.mode)
-    rows.append(f"units {sets.units!r}")
-    rows.append(f"jacobson {sets.jacobson!r}")
-    rows.append(f"minimal-primes " + ",".join(repr(q) for q in sets.min_primes))
-    header = f"ring: {ring.name} mode: {args.mode}"
-    _emit("\n".join([header] + rows) + "\n", args.out)
-    return 0
+    lines.append(f"units {sets.units!r}")
+    lines.append(f"jacobson {sets.jacobson!r}")
+    lines.append(f"minimal-primes " + ",".join(repr(q) for q in sets.min_primes))
+    return "\n".join(lines) + "\n", 0
 
 
-def _witness_text(ring: HyperRing, cl) -> str:
-    w = cl.witness
-    tup = ",".join(ring.elements[i] for i in w.tuple_)
-    prod = ring.elements[w.product]
+def _witness_text(ring: HyperRing, w: SWitness) -> str:
     sub_args = list(w.tuple_)
     sub_args[w.position - 1] = ring.one
-    sub_tup = ",".join(ring.elements[i] for i in sub_args)
-    sub = ring.elements[w.substituted]
+    tup = render_tuple(ring.elements, w.tuple_)
     return (
         f"witness: tuple ({tup}), position {w.position}, "
-        f"product g({tup})={prod} in P, substitution g({sub_tup})={sub} not in P"
+        f"product g({tup})={ring.elements[w.product]} in P, "
+        f"substitution g({render_tuple(ring.elements, sub_args)})={ring.elements[w.substituted]} not in P"
     )
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, int]:
     if args.expect is not None and args.s is None:
         raise _CliError("--expect needs --s: it asserts the S-classification verdict")
     ring = _load_ring(args.ring)
     ideal = _parse_subset(ring, args.ideal, "--ideal")
     verdict = is_hyperideal(ring, ideal, args.mode)
     lines = [f"ring: {ring.name} mode: {args.mode}", f"ideal {ideal!r}"]
-    if not verdict.ok:
-        witness = ",".join(ring.elements[i] for i in verdict.witness or ())
-        lines.append(f"not a hyperideal: {verdict.clause} fails at ({witness}) -- {verdict.detail}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 2
-    if ideal.is_full:
-        lines.append("improper (whole ring); classification needs a proper hyperideal")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 2
     exit_code = 0
-    if args.s is None:
+    if not verdict.ok:
+        lines.append(
+            f"not a hyperideal: {verdict.clause} fails at "
+            f"({render_tuple(ring.elements, verdict.witness)}) -- {verdict.detail}"
+        )
+        exit_code = 2
+    elif ideal.is_full:
+        lines.append("improper (whole ring); classification needs a proper hyperideal")
+        exit_code = 2
+    elif args.s is None:
         profile = classify_ideal(ring, ideal, args.mode)
-        for name, v in (("prime", profile.prime), ("primary", profile.primary),
-                        ("semiprime", profile.semiprime), ("maximal", profile.maximal)):
-            if v.ok:
-                lines.append(f"{name}: yes")
-            else:
-                witness = ",".join(ring.elements[i] for i in v.witness or ())
-                lines.append(f"{name}: no (witness {witness})")
+        for name in _PROFILE:
+            v = getattr(profile, name)
+            witness = render_tuple(ring.elements, v.witness)
+            lines.append(f"{name}: yes" if v.ok else f"{name}: no (witness {witness})")
     else:
         s_mask = _parse_subset(ring, args.s, "--s")
-        mul = multiplicative_set(ring, s_mask)
-        cl = classify_s(ring, ideal, mul, args.mode)
-        if cl.verdict is SVerdict.S_HYPERIDEAL:
-            lines.append(f"S {s_mask!r}: S-hyperideal")
-        elif cl.verdict is SVerdict.SR_ONLY:
-            lines.append(f"S {s_mask!r}: not an S-hyperideal, but an S_r-hyperideal")
-            lines.append(_witness_text(ring, cl))
-        else:
-            lines.append(f"S {s_mask!r}: not an S-hyperideal (and not an S_r-hyperideal)")
-            lines.append(_witness_text(ring, cl))
+        cl = classify_s(ring, ideal, multiplicative_set(ring, s_mask), args.mode)
+        lines.append(f"S {s_mask!r}: {_S_VERDICT_TEXT[cl.verdict]}")
+        if cl.witness is not None:
+            lines.append(_witness_text(ring, cl.witness))
         if args.expect is not None and args.expect != cl.verdict.value:
             lines.append(f"expected {args.expect}, got {cl.verdict.value}")
             exit_code = 1
-    _emit("\n".join(lines) + "\n", args.out)
-    return exit_code
+    return "\n".join(lines) + "\n", exit_code
 
 
-def _cmd_radical(args) -> int:
+def _cmd_radical(args) -> tuple[str, int]:
     ring = _load_ring(args.ring)
     ideal = _parse_subset(ring, args.ideal, "--ideal")
-    result = radical(ring, ideal, args.mode)
-    _emit(f"radical {ideal!r} -> {result!r}\n", args.out)
-    return 0
+    return f"radical {ideal!r} -> {radical(ring, ideal, args.mode)!r}\n", 0
 
 
-def _cmd_saturate(args) -> int:
+def _cmd_saturate(args) -> tuple[str, int]:
     ring = _load_ring(args.ring)
     ideal = _parse_subset(ring, args.ideal, "--ideal")
     mul = multiplicative_set(ring, _parse_subset(ring, args.s, "--s"))
@@ -211,64 +195,65 @@ def _cmd_saturate(args) -> int:
         lines.append("note: hypothesis 1 in S not met; least-S-hyperideal claim unsupported")
     if not result.proper:
         lines.append("note: saturation is the whole ring (vacuous)")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_residual(args) -> int:
+def _cmd_residual(args) -> tuple[str, int]:
     ring = _load_ring(args.ring)
     ideal = _parse_subset(ring, args.ideal, "--ideal")
     by = _parse_subset(ring, args.s, "--s")
-    result = residual(ring, ideal, by, args.mode)
-    _emit(f"residual {ideal!r} by {by!r} -> {result!r}\n", args.out)
-    return 0
+    return f"residual {ideal!r} by {by!r} -> {residual(ring, ideal, by, args.mode)!r}\n", 0
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args) -> tuple[str, int]:
     ring = _load_ring(args.ring)
     ideal = _parse_subset(ring, args.ideal, "--ideal")
-    q = quotient_ring(ring, ideal, args.mode)
-    _emit(serialize_spec(q.quotient.spec), args.out)
-    return 0
+    return serialize_spec(quotient_ring(ring, ideal, args.mode).quotient.spec), 0
 
 
-def _cmd_product(args) -> int:
-    rings = [_load_ring(path) for path in args.rings]
-    prod = product_ring(rings)
-    _emit(serialize_spec(prod.spec), args.out)
-    return 0
+def _cmd_product(args) -> tuple[str, int]:
+    return serialize_spec(product_ring([_load_ring(path) for path in args.rings]).spec), 0
 
 
-def _cmd_theorems(args) -> int:
+def _cmd_theorems(args) -> tuple[str, int]:
     rings = [_load_ring(path) for path in args.rings]
     only = args.only.split(",") if args.only is not None else None
     result = harness.run_suite(rings, args.mode, only)
+    exit_code = 1 if result.aggregate == "counterexample" else 0
     if args.format == "json":
-        _emit(result.to_json(include_timings=args.timings), args.out)
-    else:
-        lines = []
-        for ring_name, report in result.entries:
-            line = (
-                f"{ring_name:14s} {report.id:12s} {report.status:22s} "
-                f"instances={report.instances_checked} hypothesis={report.hypothesis_met}"
-            )
-            if report.truncated:
-                line += " truncated"
-            lines.append(line)
-            for cx in report.counterexamples:
-                lines.append("    counterexample: " + " ".join(f"{k}={v}" for k, v in cx.items()))
-        lines.append(f"aggregate: {result.aggregate}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 1 if result.aggregate == "counterexample" else 0
+        return result.to_json(include_timings=args.timings), exit_code
+    lines = []
+    for ring_name, report in result.entries:
+        line = (
+            f"{ring_name:14s} {report.id:12s} {report.status:22s} "
+            f"instances={report.instances_checked} hypothesis={report.hypothesis_met}"
+        )
+        if report.truncated:
+            line += " truncated"
+        lines.append(line)
+        for cx in report.counterexamples:
+            lines.append("    counterexample: " + " ".join(f"{k}={v}" for k, v in cx.items()))
+    lines.append(f"aggregate: {result.aggregate}")
+    return "\n".join(lines) + "\n", exit_code
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(args) -> tuple[str, int]:
     if args.name is None:
-        _emit("\n".join(fixture_rings.FIXTURE_NAMES) + "\n", args.out)
-        return 0
-    ring = fixture_rings.fixtures(args.name)
-    _emit(serialize_spec(ring.spec), args.out)
-    return 0
+        return "\n".join(fixture_rings.FIXTURE_NAMES) + "\n", 0
+    return serialize_spec(fixture_rings.fixtures(args.name).spec), 0
+
+
+def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
+    """The arguments of one ``add_argument`` call."""
+    return flags, kwargs
+
+
+# The arguments of more than one command, each stated once.
+_RING = _arg("ring")
+_RINGS = _arg("rings", nargs="+")
+_IDEAL = _arg("--ideal", required=True)
+_MODE = _arg("--mode", choices=MODES, default=LENIENT)
+_OUT = _arg("--out", help="write the report to this path")
 
 
 # Built once: a parser sits in reference cycles with its actions and help
@@ -281,78 +266,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite Krasner (m,n)-hyperring engine and theorem-checking harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_mode=True):
-        if with_mode:
-            p.add_argument("--mode", choices=MODES, default=LENIENT)
-        p.add_argument("--out", default=None, help="write the report to this path")
-
-    p = sub.add_parser("verify", help="check every axiom of a ring document")
-    p.add_argument("ring")
-    p.add_argument("--timings", action="store_true",
-                   help="add one line per axiom with its runtime (non-deterministic)")
-    add_common(p, with_mode=False)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("ideals", help="enumerate and classify all hyperideals")
-    p.add_argument("ring")
-    add_common(p)
-    p.set_defaults(func=_cmd_ideals)
-
-    p = sub.add_parser("classify", help="classify one subset, optionally against an MS")
-    p.add_argument("ring")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--s", default=None)
-    p.add_argument("--expect", default=None,
-                   choices=tuple(v.value for v in SVerdict),
-                   help="assert the S-classification verdict (exit 1 on mismatch)")
-    add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("radical", help="intersection of the primes over an ideal")
-    p.add_argument("ring")
-    p.add_argument("--ideal", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_radical)
-
-    p = sub.add_parser("saturate", help="least S-hyperideal containing an ideal")
-    p.add_argument("ring")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--s", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_saturate)
-
-    p = sub.add_parser("residual", help="divide an ideal by a subset")
-    p.add_argument("ring")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--s", required=True, help="the dividing subset")
-    add_common(p)
-    p.set_defaults(func=_cmd_residual)
-
-    p = sub.add_parser("quotient", help="quotient ring document by a proper hyperideal")
-    p.add_argument("ring")
-    p.add_argument("--ideal", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_quotient)
-
-    p = sub.add_parser("product", help="componentwise product ring document")
-    p.add_argument("rings", nargs="+")
-    add_common(p, with_mode=False)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("theorems", help="run the theorem catalog on ring documents")
-    p.add_argument("rings", nargs="+")
-    p.add_argument("--only", default=None, help="comma-joined theorem ids")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--timings", action="store_true", help="include runtimes (non-deterministic)")
-    add_common(p)
-    p.set_defaults(func=_cmd_theorems)
-
-    p = sub.add_parser("fixtures", help="list registry fixtures or emit one as a document")
-    p.add_argument("name", nargs="?", default=None)
-    add_common(p, with_mode=False)
-    p.set_defaults(func=_cmd_fixtures)
-
+    # each command's arguments in the order its usage and --help list them
+    for name, help_, func, *arguments in (
+        ("verify", "check every axiom of a ring document", _cmd_verify, _RING,
+         _arg("--timings", action="store_true",
+              help="add one line per axiom with its runtime (non-deterministic)"), _OUT),
+        ("ideals", "enumerate and classify all hyperideals", _cmd_ideals, _RING, _MODE, _OUT),
+        ("classify", "classify one subset, optionally against an MS", _cmd_classify, _RING, _IDEAL,
+         _arg("--s"),
+         _arg("--expect", choices=tuple(v.value for v in SVerdict),
+              help="assert the S-classification verdict (exit 1 on mismatch)"), _MODE, _OUT),
+        ("radical", "intersection of the primes over an ideal", _cmd_radical, _RING, _IDEAL, _MODE, _OUT),
+        ("saturate", "least S-hyperideal containing an ideal", _cmd_saturate, _RING, _IDEAL,
+         _arg("--s", required=True), _MODE, _OUT),
+        ("residual", "divide an ideal by a subset", _cmd_residual, _RING, _IDEAL,
+         _arg("--s", required=True, help="the dividing subset"), _MODE, _OUT),
+        ("quotient", "quotient ring document by a proper hyperideal", _cmd_quotient, _RING, _IDEAL, _MODE, _OUT),
+        ("product", "componentwise product ring document", _cmd_product, _RINGS, _OUT),
+        ("theorems", "run the theorem catalog on ring documents", _cmd_theorems, _RINGS,
+         _arg("--only", help="comma-joined theorem ids"),
+         _arg("--format", choices=("text", "json"), default="text"),
+         _arg("--timings", action="store_true", help="include runtimes (non-deterministic)"), _MODE, _OUT),
+        ("fixtures", "list registry fixtures or emit one as a document", _cmd_fixtures,
+         _arg("name", nargs="?"), _OUT),
+    ):
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -363,7 +304,12 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        text, exit_code = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text, encoding="utf-8")
+        return exit_code
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return 2

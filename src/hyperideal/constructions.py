@@ -364,9 +364,12 @@ def _ring_from_tables(
         raise NotARing(f"{len(element_names)} element names given for {order} elements")
     f_table: dict[tuple[int, ...], frozenset[int]] = {}
     g_table: dict[tuple[int, ...], int] = {}
+    # one f value per distinct sum, keyed by its type too, since True == 1
+    singleton = _Memo(lambda typed: frozenset(typed[1:]))
     for key in combinations_with_replacement(range(order), 2):
         a, b = key
-        f_table[key] = frozenset({add_table[a][b]})
+        total = add_table[a][b]
+        f_table[key] = singleton[type(total), total]
         g_table[key] = mul_table[a][b]
         if add_table[a][b] != add_table[b][a] or mul_table[a][b] != mul_table[b][a]:
             raise NotARing("tables are not commutative")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import PASS, Verdict
+from .analysis import PASS, Verdict, render_tuple
 from .errors import EmptySubset, ImproperIdeal, NotAHyperideal, RingMismatch
 from .kernel import LENIENT, HyperRing, SubsetMask, check_mode
 
@@ -70,8 +70,7 @@ def require_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str) -> None:
     verdict = is_hyperideal(ring, subset, mode)
     if not verdict:
         raise NotAHyperideal(
-            f"{subset!r} fails {verdict.clause} at "
-            f"({','.join(ring.elements[i] for i in verdict.witness or ())})"
+            f"{subset!r} fails {verdict.clause} at ({render_tuple(ring.elements, verdict.witness)})"
         )
 
 

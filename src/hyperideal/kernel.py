@@ -76,7 +76,7 @@ from operator import add, itemgetter, le, or_, sub
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
-from .analysis import PASS, RingAnalysis, Verdict, bit_members
+from .analysis import PASS, RingAnalysis, Verdict, bit_members, render_tuple
 from .errors import (
     ArityMismatch,
     ArityOutOfRange,
@@ -141,8 +141,7 @@ class AxiomReport:
             if st.ok:
                 out.append(f"{name}: pass")
             else:
-                witness = ",".join(elements[i] for i in st.witness or ())
-                msg = f"{name}: FAIL witness ({witness})"
+                msg = f"{name}: FAIL witness ({render_tuple(elements, st.witness)})"
                 if st.detail:
                     msg += f" -- {st.detail}"
                 out.append(msg)
@@ -973,7 +972,7 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     zero = spec.index(spec.zero)
     one = spec.index(spec.one)
     f, g, f_ids, f_values = _dense_tables(spec)
-    verified = _verify_reducts(order, m, n, f, g, zero, one, f_ids, f_values) if max(m, n) > 2 else None
+    verified = _verify_reducts(order, m, n, f, g, zero, one) if max(m, n) > 2 else None
     report, negation = verified or _verify_tables(order, m, n, f, g, zero, one, f_ids, f_values)
     if not report.all_pass:
         return report
@@ -1075,7 +1074,6 @@ def _verify_tables(
 
 def _verify_reducts(
     order: int, m: int, n: int, f: list[int], g: list[int], zero: int, one: int,
-    f_ids: list[int], f_values: list[int],
 ) -> tuple[AxiomReport, tuple[int, ...]] | None:
     """The report of ``_verify_tables`` on the binary reducts of an (m,n)
     ring, when ``f`` and ``g`` are their lifts and the reducts pass every
@@ -1091,9 +1089,7 @@ def _verify_reducts(
     if _fold(g2, order, n, list(_rows(g2, order, 2).values()).__getitem__) != g:
         return None
     g_lift_s = perf_counter() - start
-    # f2's ids: f's ids at the reduct, renumbered among f2's own values
-    f2_ids, used = _interned(_reduct(f_ids, order, m, zero))
-    report, negation = _verify_tables(order, 2, 2, f2, g2, zero, one, f2_ids, list(map(f_values.__getitem__, used)))
+    report, negation = _verify_tables(order, 2, 2, f2, g2, zero, one, *_interned(f2))
     if not report.all_pass:
         return None
     report.timings_s[AXIOM_ORDER.index("f-associativity")] += f_lift_s

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import SClassification, SVerdict, SWitness, Verdict
+from .analysis import SClassification, SVerdict, SWitness, Verdict, render_tuple
 from .errors import (
     EmptySubset,
     HypothesisViolation,
@@ -55,8 +55,7 @@ def multiplicative_set(ring: HyperRing, subset: SubsetMask) -> MulSet:
     verdict = is_multiplicative_set(ring, subset)
     if not verdict:
         raise NotMultiplicative(
-            f"{subset!r} is not closed: product of "
-            f"({','.join(ring.elements[i] for i in verdict.witness or ())}) escapes"
+            f"{subset!r} is not closed: product of ({render_tuple(ring.elements, verdict.witness)}) escapes"
         )
     return MulSet(subset=subset, contains_one=ring.one in subset)
 
@@ -78,6 +77,14 @@ def _require_ms(ring: HyperRing, s: SubsetMask | MulSet) -> SubsetMask:
     return s
 
 
+def _require_s_pair(
+    ring: HyperRing, ideal: SubsetMask, s: SubsetMask | MulSet, mode: str
+) -> tuple[int, int]:
+    """The masks of a proper hyperideal and an MS, checked in that order."""
+    require_proper_hyperideal(ring, ideal, mode)
+    return ideal.bits, _require_ms(ring, s).bits
+
+
 def classify_s(
     ring: HyperRing,
     ideal: SubsetMask,
@@ -91,8 +98,7 @@ def classify_s(
     The witness is the first failing (tuple, position) pair in lexicographic
     order; for ``NEITHER``, the first whose substitution leaves the radical.
     """
-    require_proper_hyperideal(ring, ideal, mode)
-    p_bits, s_bits = ideal.bits, _require_ms(ring, s).bits
+    p_bits, s_bits = _require_s_pair(ring, ideal, s, mode)
     a = ring.analysis
     verdict = a.classify_s(p_bits, s_bits, mode)
     witnesses = tuple(a.scan_s(p_bits, s_bits)) if all_witnesses else ()
@@ -110,15 +116,17 @@ def classify_s(
 def is_s_hyperideal(
     ring: HyperRing, ideal: SubsetMask, s: SubsetMask | MulSet, mode: str = LENIENT
 ) -> bool:
-    """Whether the substitution property holds against the ideal itself."""
-    return classify_s(ring, ideal, s, mode).verdict is SVerdict.S_HYPERIDEAL
+    """Whether the substitution property holds against the ideal itself:
+    ``classify_s``'s checks and verdict, without its witness scan."""
+    return ring.analysis.is_s(*_require_s_pair(ring, ideal, s, mode))
 
 
 def is_sr_hyperideal(
     ring: HyperRing, ideal: SubsetMask, s: SubsetMask | MulSet, mode: str = LENIENT
 ) -> bool:
-    """Whether the substitution property holds against the radical."""
-    return classify_s(ring, ideal, s, mode).verdict is not SVerdict.NEITHER
+    """Whether the substitution property holds against the radical:
+    ``classify_s``'s checks and verdict, without its witness scan."""
+    return ring.analysis.classify_s(*_require_s_pair(ring, ideal, s, mode), mode) is not SVerdict.NEITHER
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +175,7 @@ def maximal_ms_for(ring: HyperRing, ideal: SubsetMask, mode: str = LENIENT) -> M
     if not verdict:
         raise InternalContradiction(
             f"candidate {ring.render_bits(bits)} is not multiplicatively closed at "
-            f"({','.join(ring.elements[i] for i in verdict.witness or ())})"
+            f"({render_tuple(ring.elements, verdict.witness)})"
         )
     return MulSet(subset=SubsetMask(ring, bits), contains_one=bool(bits >> ring.one & 1))
 

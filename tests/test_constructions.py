@@ -42,6 +42,7 @@ from hyperideal.errors import (
     InducedOpIllDefined,
     NotARing,
     RingMismatch,
+    SpecFormatError,
 )
 from hyperideal.kernel import _index
 
@@ -109,6 +110,20 @@ def test_ring_from_tables_rejects_malformed_tables(add, mul, zero, one, names, m
     # unchecked, these raise IndexError, or (one=-1) silently take the last element
     with pytest.raises(NotARing, match=message):
         ring_from_ring_table(add, mul, zero, one, element_names=names)
+
+
+def test_tables_share_one_f_value_per_sum():
+    # 2,080 keys, one frozenset object per distinct sum
+    assert len({id(value) for value in cyclic_ring(64).spec.f_table.values()}) == 64
+
+
+def test_a_true_sum_is_not_merged_with_an_equal_int():
+    # 0 + 1 = 1 comes first; a memo keyed by value alone would hand (2, 2)
+    # the same frozenset({1}), since True == 1, and the spec would pass
+    add = [row[:] for row in _Z3_ADD]
+    add[2][2] = True
+    with pytest.raises(SpecFormatError, match=re.escape("f value at (2, 2) is not a set of element indices")):
+        ring_from_ring_table(add, _Z3_MUL, 0, 1)
 
 
 @pytest.mark.parametrize("build, message", [

@@ -21,6 +21,9 @@ from hyperideal import (
     enumerate_hyperideals,
     enumerate_multiplicative_sets,
     fixtures,
+    is_s_hyperideal,
+    is_sr_hyperideal,
+    proper_hyperideals,
     radical,
     require_ring,
     residual,
@@ -137,3 +140,24 @@ def test_suite_never_scans_per_pair(monkeypatch, mode):
     monkeypatch.setattr(RingAnalysis, "scan_s", refuse)
     fresh = [require_ring(fixtures(name).spec) for name in DEFAULT_SUITE_FIXTURES]
     assert run_suite(fresh, mode).to_json() == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_s_questions_never_scan(monkeypatch, mode):
+    """``is_s_hyperideal`` and ``is_sr_hyperideal`` answer from the verdict
+    of ``classify_s``, without its witness scan."""
+    pairs = []
+    for name in DEFAULT_SUITE_FIXTURES:
+        ring = fixtures(name)
+        for p in proper_hyperideals(ring, mode):
+            for s in enumerate_multiplicative_sets(ring):
+                pairs.append((ring, p, s, classify_s(ring, p, s, mode).verdict))
+    assert {SVerdict.S_HYPERIDEAL, SVerdict.NEITHER} <= {verdict for *_, verdict in pairs}
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an S-question called the witness scan")
+
+    monkeypatch.setattr(RingAnalysis, "scan_s", refuse)
+    for ring, p, s, verdict in pairs:
+        assert is_s_hyperideal(ring, p, s, mode) is (verdict is SVerdict.S_HYPERIDEAL)
+        assert is_sr_hyperideal(ring, p, s, mode) is (verdict is not SVerdict.NEITHER)

@@ -219,7 +219,7 @@ def _reduct_route(spec):
     report and negation of the binary reducts, or None where it defers."""
     f, g, f_ids, f_values = kernel._dense_tables(spec)
     return kernel._verify_reducts(
-        spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one), f_ids, f_values)
+        spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one))
 
 
 def test_row_check_passes_every_ring_that_holds(monkeypatch):
