@@ -152,15 +152,14 @@ def _memo(owner: weakref.ref, function: Callable) -> Callable:
 class RingAnalysis:
     """Derived lists and verdict memos of one ring.
 
-    Each of its 12 memos is a per-instance ``lru_cache`` held in an
+    Each of its 11 memos is a per-instance ``lru_cache`` held in an
     instance attribute, so a hit costs one attribute lookup and one C call,
     with no wrapper frame; only a miss runs ``_memo``'s function.  A
     class-level descriptor of the same name would make CPython skip
     specialising that lookup.
     ``quotients`` holds, by modulus, the target and mapping of each
-    projection the harness builds (None for an ill-defined quotient),
-    ``tprod_product`` its product ring, and ``refused`` the message of each
-    refused walk, by kind and budget.
+    projection the harness builds (None for an ill-defined quotient), and
+    ``refused`` the message of each refused walk, by kind and budget.
 
     The ring owns its analysis (``HyperRing.analysis``), which reaches the
     ring through a weak reference (``ring``), and nothing the analysis keeps
@@ -176,7 +175,6 @@ class RingAnalysis:
         self.hyperideal = memo(cls._hyperideal)
         self.prime = memo(cls._prime)
         self.primary = memo(cls._primary)
-        self.maximal = memo(cls._maximal)
         self.radical = memo(cls._radical)
         self.ms = memo(cls._ms)
         self.compatible = memo(cls._compatible)
@@ -186,7 +184,6 @@ class RingAnalysis:
         self.primes = memo(cls._primes)
         self.min_primes = memo(cls._min_primes)
         self.quotients: dict[int, tuple[HyperRing, tuple[int, ...]] | None] = {}
-        self.tprod_product: HyperRing | None = None
         self.refused: dict[tuple[str, int], str] = {}
 
     @property
@@ -368,7 +365,7 @@ class RingAnalysis:
                 return Verdict(False, "primary", tup, detail)
         return PASS
 
-    def _maximal(self, bits: int, mode: str) -> Verdict:
+    def maximal(self, bits: int, mode: str) -> Verdict:
         for other in self.proper(mode):
             if other == bits:
                 continue

@@ -89,9 +89,31 @@ class _Tally:
     truncated: bool = False
     counterexamples: list[dict] = field(default_factory=list)
 
+    def count(self, instances: int, hypothesis: int | None = None) -> None:
+        """Add checked instances and those meeting the hypothesis (by
+        default, all of them)."""
+        self.instances += instances
+        self.hypothesis += instances if hypothesis is None else hypothesis
+
     def fail(self, **payload: str) -> None:
         if len(self.counterexamples) < MAX_COUNTEREXAMPLES:
             self.counterexamples.append(dict(payload))
+
+    def name_failures(self, failing: list[tuple[object, int]], fail) -> None:
+        """Report failures in the loop order of the checkers: MS ascending,
+        then the items in the given order.  ``failing`` pairs each item with
+        the MS that fail at it, and ``fail(i, item)`` reports one failure of
+        ms_all[i]; naming stops once the report is full."""
+        union = 0
+        for _, mask in failing:
+            union |= mask
+        while union and len(self.counterexamples) < MAX_COUNTEREXAMPLES:
+            low = union & -union
+            union ^= low
+            i = low.bit_length() - 1
+            for item, mask in failing:
+                if mask >> i & 1:
+                    fail(i, item)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +191,13 @@ def _sr_elements(ring: HyperRing, p_bits: int, rad: int) -> int:
     return ring.full_bits & ~escapes
 
 
-def _name_failures(tally: _Tally, failing: list[tuple[object, int]], fail) -> None:
-    """Report failures in the loop order of the checkers: MS ascending, then
-    the items in the given order.  ``failing`` pairs each item with the MS
-    that fail at it, and ``fail(i, item)`` reports one failure of ms_all[i];
-    naming stops once the report is full."""
+def _avoiding(ring: HyperRing, primes) -> int:
+    """The elements outside every prime of the family.  It holds 1: a proper
+    hyperideal with 1 would absorb g(1, r, 1^(n-2)) = r for every r."""
     union = 0
-    for _, mask in failing:
-        union |= mask
-    while union and len(tally.counterexamples) < MAX_COUNTEREXAMPLES:
-        low = union & -union
-        union ^= low
-        i = low.bit_length() - 1
-        for item, mask in failing:
-            if mask >> i & 1:
-                fail(i, item)
+    for q in primes:
+        union |= q
+    return ring.full_bits & ~union
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +209,9 @@ def _check_t1_1(ring: HyperRing, mode: str, tally: _Tally) -> None:
     a = ring.analysis
     ms_all = a.ms_all
     for p in a.proper(mode):
-        tally.instances += len(ms_all)
         hyp = a.admissible(p)
-        tally.hypothesis += hyp.bit_count()
-        _name_failures(tally, [(p, hyp & a.meeting(p))], lambda i, p: tally.fail(
+        tally.count(len(ms_all), hyp.bit_count())
+        tally.name_failures([(p, hyp & a.meeting(p))], lambda i, p: tally.fail(
             P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
             overlap=ring.render_bits(p & ms_all[i])))
 
@@ -214,7 +227,7 @@ def _check_t1_2(ring: HyperRing, mode: str, tally: _Tally) -> None:
             continue  # statement presumes a proper radical
         hyp = a.admissible(p)
         tally.hypothesis += hyp.bit_count()
-        _name_failures(tally, [(p, hyp & ~_s_sets(a, rad, mode))], lambda i, p: tally.fail(
+        tally.name_failures([(p, hyp & ~_s_sets(a, rad, mode))], lambda i, p: tally.fail(
             P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
             radical=ring.render_bits(rad)))
 
@@ -234,9 +247,7 @@ def _check_t1_3(ring: HyperRing, mode: str, tally: _Tally) -> None:
         hyp = a.admissible(p)
         comp = ring.full_bits & ~p
         singles = {q: a.residual(p, 1 << q) for q in bit_members(comp)}
-        count = hyp.bit_count() * ((1 << len(singles)) - 1)
-        tally.instances += count
-        tally.hypothesis += count
+        tally.count(hyp.bit_count() * ((1 << len(singles)) - 1))
         residuals: set[int] = set()
         for r in singles.values():
             residuals |= {m & r for m in residuals}
@@ -287,9 +298,8 @@ def _check_p2(ring: HyperRing, mode: str, tally: _Tally) -> None:
                 fam &= ~cover
         failing.append(({"clause": "prime-extension", "Q": ring.render_bits(q)}, fam))
     for bits in [*covers, *disjoint]:  # each prime, then each proper Q
-        tally.instances += disjoint[bits].bit_count()
-        tally.hypothesis += disjoint[bits].bit_count()
-    _name_failures(tally, failing, lambda i, head: tally.fail(**head, S=ring.render_bits(ms_all[i])))
+        tally.count(disjoint[bits].bit_count())
+    tally.name_failures(failing, lambda i, head: tally.fail(**head, S=ring.render_bits(ms_all[i])))
 
 
 def _check_t7(ring: HyperRing, mode: str, tally: _Tally) -> None:
@@ -303,11 +313,10 @@ def _check_t7(ring: HyperRing, mode: str, tally: _Tally) -> None:
         for r in proper:
             if r != p and not p & ~r:
                 maximal &= ~a.admissible(r)
-        tally.instances += maximal.bit_count()
-        tally.hypothesis += maximal.bit_count()
+        tally.count(maximal.bit_count())
         if not a.prime(p).ok:
             failing.append((p, maximal))
-    _name_failures(tally, failing, lambda i, p: tally.fail(
+    tally.name_failures(failing, lambda i, p: tally.fail(
         P=ring.render_bits(p), S=ring.render_bits(ms_all[i])))
 
 
@@ -320,10 +329,9 @@ def _check_t6(ring: HyperRing, mode: str, tally: _Tally) -> None:
     for p in a.proper(mode):
         fam = ones & a.admissible(p)
         for q in a.minimal_primes_over(p, mode):
-            tally.instances += fam.bit_count()
-            tally.hypothesis += fam.bit_count()
+            tally.count(fam.bit_count())
             failing.append(((p, q), fam & ~a.admissible(q)))
-    _name_failures(tally, failing, lambda i, pq: tally.fail(
+    tally.name_failures(failing, lambda i, pq: tally.fail(
         P=ring.render_bits(pq[0]), S=ring.render_bits(ms_all[i]), Q=ring.render_bits(pq[1])))
 
 
@@ -391,7 +399,7 @@ def _check_t4(ring: HyperRing, mode: str, tally: _Tally) -> None:
             extra = {key: ring.render_bits(bits)} if key else {}
             tally.fail(Q=ring.render_bits(q), S=ring.render_bits(ms_all[i]), **extra, clause=clause)
 
-        _name_failures(tally, failing, fail)
+        tally.name_failures(failing, fail)
 
 
 def _check_t5(ring: HyperRing, mode: str, tally: _Tally) -> None:
@@ -400,15 +408,14 @@ def _check_t5(ring: HyperRing, mode: str, tally: _Tally) -> None:
     a = ring.analysis
     ms_all = a.ms_all
     for p in a.proper(mode):
-        tally.instances += len(ms_all)
-        tally.hypothesis += len(ms_all)
+        tally.count(len(ms_all))
         colons = a.colons(p)
         direct = a.admissible(p)
         # (P : t) = P for every t in S
         residual_fixed = a.within(sum(1 << t for t, c in enumerate(colons) if c == p))
         saturation_fixed = _saturation_fixed(a, p)
         failing = (direct ^ residual_fixed) | (direct ^ saturation_fixed)
-        _name_failures(tally, [(p, failing)], lambda i, p: tally.fail(
+        tally.name_failures([(p, failing)], lambda i, p: tally.fail(
             P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
             direct=str(bool(direct >> i & 1)), residual=str(bool(residual_fixed >> i & 1)),
             saturation=str(bool(saturation_fixed >> i & 1))))
@@ -419,15 +426,14 @@ def _check_tprimary_eq(ring: HyperRing, mode: str, tally: _Tally) -> None:
     with that radical are the same thing."""
     a = ring.analysis
     for q in a.min_primes(mode):
-        s = ring.full_bits & ~q
-        if not s or not a.ms(s).ok:
+        s = _avoiding(ring, [q])
+        if not a.ms(s).ok:
             tally.instances += 1
             tally.fail(anomaly="complement of a minimal prime is not an MS",
                        Q=ring.render_bits(q))
             continue
         for p in a.proper(mode):
-            tally.instances += 1
-            tally.hypothesis += 1
+            tally.count(1)
             lhs = a.is_s(p, s)
             rhs = (
                 a.primary(p, mode).ok
@@ -446,11 +452,8 @@ def _check_tdecomp(ring: HyperRing, mode: str, tally: _Tally) -> None:
     minp = a.min_primes(mode)
     for k in range(1, len(minp) + 1):
         for combo in combinations(minp, k):
-            union = 0
-            for q in combo:
-                union |= q
-            s = ring.full_bits & ~union
-            if not s or not a.ms(s).ok:
+            s = _avoiding(ring, combo)
+            if not a.ms(s).ok:
                 tally.instances += 1
                 tally.fail(anomaly="complement of the union is not an MS",
                            primes=",".join(ring.render_bits(q) for q in combo))
@@ -494,13 +497,12 @@ def _check_pint(ring: HyperRing, mode: str, tally: _Tally) -> None:
             triples += [((proper[j], proper[k], r), family & a.admissible(r)) for r in proper[k + 1:]]
     failing: list[tuple[object, int]] = []
     for combo, family in pairs + triples:
-        tally.instances += family.bit_count()
-        tally.hypothesis += family.bit_count()
+        tally.count(family.bit_count())
         inter = ring.full_bits
         for p in combo:
             inter &= p
         failing.append(((combo, inter), family & ~_s_sets(a, inter, mode)))
-    _name_failures(tally, failing, lambda i, item: tally.fail(
+    tally.name_failures(failing, lambda i, item: tally.fail(
         S=ring.render_bits(ms_all[i]), members=",".join(ring.render_bits(p) for p in item[0]),
         intersection=ring.render_bits(item[1])))
 
@@ -514,9 +516,8 @@ def _check_p8(ring: HyperRing, mode: str, tally: _Tally) -> None:
     for p in a.proper(mode):
         every &= a.admissible(p)
     units = ones & a.within(special_sets(ring, mode).units.bits)
-    tally.instances += ones.bit_count()
-    tally.hypothesis += ones.bit_count()
-    _name_failures(tally, [(None, every ^ units)], lambda i, _: tally.fail(
+    tally.count(ones.bit_count())
+    tally.name_failures([(None, every ^ units)], lambda i, _: tally.fail(
         S=ring.render_bits(ms_all[i]), all_ideals=str(bool(every >> i & 1)),
         inside_units=str(bool(units >> i & 1))))
 
@@ -580,11 +581,8 @@ def _check_t12(ring: HyperRing, mode: str, tally: _Tally) -> None:
     S avoiding every minimal prime."""
     a = ring.analysis
     minp = a.min_primes(mode)
-    union = 0
-    for q in minp:
-        union |= q
-    s = ring.full_bits & ~union
-    if not s or not a.ms(s).ok:
+    s = _avoiding(ring, minp)
+    if not a.ms(s).ok:
         tally.instances += 1
         tally.fail(anomaly="complement of the minimal primes is not an MS",
                    S=ring.render_bits(s))
@@ -626,11 +624,10 @@ def _check_tavoid(ring: HyperRing, mode: str, tally: _Tally) -> None:
                     hyp &= meets[b]
                 # covered by the n slots, but not without slot t
                 covered = [p for p in pool if p & ~rest and not p & ~(rest | pt)]
-                tally.instances += len(covered) * ones.bit_count()
-                tally.hypothesis += len(covered) * hyp.bit_count()
+                tally.count(len(covered) * ones.bit_count(), len(covered) * hyp.bit_count())
                 for p in covered:
                     if p & ~pt:
-                        _name_failures(tally, [(p, hyp)], lambda i, p: tally.fail(
+                        tally.name_failures([(p, hyp)], lambda i, p: tally.fail(
                             P=ring.render_bits(p), S=ring.render_bits(a.ms_all[i]),
                             slot=ring.render_bits(pt),
                             cover=",".join(ring.render_bits(b) for b in combo)))
@@ -645,15 +642,12 @@ def _check_thom_pre(ring: HyperRing, mode: str, tally: _Tally) -> None:
     ms_all = a.ms_all
     for hom in _transfers(ring, mode):
         target = hom.target
-        ta = target.analysis
-        targets = ta.proper(mode)
-        tally.instances += len(ms_all) * len(targets)
         failing: list[tuple[object, int]] = []
-        for q in targets:
-            hyp = a.within(hom.preimage_bits(ta.compatible(q, q)))
-            tally.hypothesis += hyp.bit_count()
+        for q in target.analysis.proper(mode):
+            hyp = _image_s_sets(a, hom, q, mode)
+            tally.count(len(ms_all), hyp.bit_count())
             failing.append((q, hyp & ~_s_sets(a, hom.preimage_bits(q), mode)))
-        _name_failures(tally, failing, lambda i, q: tally.fail(
+        tally.name_failures(failing, lambda i, q: tally.fail(
             hom=target.name, Q=target.render_bits(q), S=ring.render_bits(ms_all[i]),
             preimage=ring.render_bits(hom.preimage_bits(q))))
 
@@ -665,7 +659,7 @@ def _check_thom_img(ring: HyperRing, mode: str, tally: _Tally) -> None:
     ms_all = a.ms_all
     for hom in _transfers(ring, mode):
         target = hom.target
-        ker = hom.preimage_bits(1 << target.zero)
+        ker = hom.kernel.bits
         tally.instances += len(ms_all) * len(a.proper(mode))
         failing: list[tuple[object, int]] = []
         for p in a.proper(mode):
@@ -674,7 +668,7 @@ def _check_thom_img(ring: HyperRing, mode: str, tally: _Tally) -> None:
             hyp = a.admissible(p)
             tally.hypothesis += hyp.bit_count()
             failing.append((p, hyp & ~_image_s_sets(a, hom, hom.image_bits(p), mode)))
-        _name_failures(tally, failing, lambda i, p: tally.fail(
+        tally.name_failures(failing, lambda i, p: tally.fail(
             hom=target.name, P=ring.render_bits(p), S=ring.render_bits(ms_all[i]),
             image=target.render_bits(hom.image_bits(p))))
 
@@ -689,8 +683,7 @@ def _check_tquot(ring: HyperRing, mode: str, tally: _Tally) -> None:
         if proj is None:
             continue
         uppers = [upper for upper in a.proper(mode) if not modulus & ~upper]
-        tally.instances += len(ms_all) * len(uppers)
-        tally.hypothesis += len(ms_all) * len(uppers)
+        tally.count(len(ms_all) * len(uppers))
         base = {upper: a.admissible(upper) for upper in uppers}
         failing = [
             (upper, base[upper] ^ _image_s_sets(a, proj, proj.image_bits(upper), mode))
@@ -702,7 +695,7 @@ def _check_tquot(ring: HyperRing, mode: str, tally: _Tally) -> None:
             tally.fail(modulus=ring.render_bits(modulus), Q=ring.render_bits(upper),
                        S=ring.render_bits(ms_all[i]), base=str(lhs), quotient=str(not lhs))
 
-        _name_failures(tally, failing, fail)
+        tally.name_failures(failing, fail)
 
 
 TPROD_COMPANIONS = {(2, 2): "z2", (3, 3): "z2-as-33"}  # fixture per arity pair
@@ -715,9 +708,7 @@ def _check_tprod(ring: HyperRing, mode: str, tally: _Tally) -> None:
         return
     companion = fixtures(TPROD_COMPANIONS[ring.m, ring.n])
     a = ring.analysis
-    if a.tprod_product is None:
-        a.tprod_product = product_ring([ring, companion], name=f"{ring.name}x{companion.name}")
-    prod = a.tprod_product
+    prod = product_ring([ring, companion], name=f"{ring.name}x{companion.name}")  # pa reaches it weakly
     pa = prod.analysis
     ca = companion.analysis
     o2 = companion.order
@@ -735,8 +726,7 @@ def _check_tprod(ring: HyperRing, mode: str, tally: _Tally) -> None:
         for p2 in ca.proper(mode):
             pb = product_bits(p1, p2)
             for s1, s2, sb in sets:
-                tally.instances += 1
-                tally.hypothesis += 1
+                tally.count(1)
                 lhs = pa.hyperideal(pb, mode).ok and pa.is_s(pb, sb)  # pb is proper
                 rhs = a.is_s(p1, s1) and ca.is_s(p2, s2)
                 if lhs != rhs:
@@ -771,7 +761,7 @@ def _check_fw_sr(ring: HyperRing, mode: str, tally: _Tally) -> None:
                        clause="classifier disagrees with the direct scan",
                        verdict=verdict.value, direct=str(bool(direct >> i & 1)))
 
-        _name_failures(tally, [("variant", s_ideal & ~direct), ("classifier", s_r ^ direct)], fail)
+        tally.name_failures([("variant", s_ideal & ~direct), ("classifier", s_r ^ direct)], fail)
 
 
 CATALOG: dict[str, tuple[str, object]] = {
@@ -859,12 +849,8 @@ def run_suite(
             entries.append((ring.name, check_theorem(ring, ident, mode)))
     if any(r.status == "counterexample" for _, r in entries):
         aggregate = "counterexample"
+    elif {r.id for _, r in entries if r.hypothesis_met} != set(idents):
+        aggregate = "hypothesis-gap"
     else:
-        exercised = {ident: 0 for ident in idents}
-        for _, r in entries:
-            exercised[r.id] += r.hypothesis_met
-        if any(v == 0 for v in exercised.values()):
-            aggregate = "hypothesis-gap"
-        else:
-            aggregate = "truncated" if any(r.truncated for _, r in entries) else "pass"
+        aggregate = "truncated" if any(r.truncated for _, r in entries) else "pass"
     return SuiteResult(entries=entries, aggregate=aggregate)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import PASS, Verdict, render_tuple
+from .analysis import PASS, Verdict, extremal, render_tuple
 from .errors import EmptySubset, ImproperIdeal, NotAHyperideal, RingMismatch
 from .kernel import LENIENT, HyperRing, SubsetMask, check_mode
 
@@ -184,9 +184,8 @@ def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
     units = sum(1 << p for p in range(ring.order) if analysis.absorb[p] >> ring.one & 1)
     regulars = sum(1 << p for p in range(ring.order) if analysis.absorb[ring.power(p, ring.n)] >> p & 1)
     jacobson = ring.full_bits
-    for bits in analysis.proper(mode):
-        if analysis.maximal(bits, mode).ok:
-            jacobson &= bits
+    for bits in extremal(analysis.proper(mode), maximal=True):
+        jacobson &= bits
     return SpecialSets(
         units=SubsetMask(ring, units),
         regulars=SubsetMask(ring, regulars),

@@ -17,6 +17,7 @@ from construction_oracle import (
 )
 from hyperideal import (
     FIXTURE_NAMES,
+    AxiomReport,
     HyperRingHom,
     check_homomorphism,
     classify_s,
@@ -40,6 +41,7 @@ from hyperideal.errors import (
     CosetsNotPartition,
     HypothesisViolation,
     InducedOpIllDefined,
+    InternalContradiction,
     NotARing,
     RingMismatch,
     SpecFormatError,
@@ -213,6 +215,27 @@ def test_z12_quotients_match_cyclic(z12):
     q = quotient_ring(z12, z12.subset([0, 4, 8]))
     assert q.quotient.order == 4
     assert len(enumerate_hyperideals(q.quotient)) == len(enumerate_hyperideals(cyclic_ring(4)))
+
+
+def _failing_verifier(monkeypatch):
+    """Make the constructions' verifier fail every spec at distributivity."""
+    report = AxiomReport({"distributivity": Verdict(False, "distributivity", (0, 0, 0), "")})
+    monkeypatch.setattr(constructions, "verify_axioms", lambda spec: report)
+
+
+def test_a_product_that_fails_verification_is_a_contradiction(monkeypatch, z2, z6):
+    _failing_verifier(monkeypatch)
+    with pytest.raises(InternalContradiction, match="^product of valid rings failed axiom verification$"):
+        product_ring([z2, z6])
+
+
+def test_a_quotient_that_fails_verification_is_ill_defined(monkeypatch, z6):
+    _failing_verifier(monkeypatch)
+    with pytest.raises(InducedOpIllDefined) as info:
+        quotient_ring(z6, z6.subset([0, 3]))
+    assert str(info.value) == (
+        "quotient tables are representative-independent but fail axiom verification: distributivity"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,22 @@ def test_checker_reports_injected_saturation_drift(monkeypatch):
     assert report.status == "counterexample"
 
 
+@pytest.mark.parametrize("ident", ["THOM-IMG", "TQUOT"])
+def test_a_target_mask_that_is_no_hyperideal_admits_no_s(monkeypatch, ident):
+    from hyperideal import Verdict, harness, require_ring
+
+    ring = require_ring(fixtures("z4").spec)
+    assert harness.check_theorem(ring, ident).status == "holds"
+    # every target, the ring itself (the identity) and its quotients, now
+    # calls each mask no hyperideal
+    targets = [hom.target for hom in harness._transfers(ring, "lenient")]
+    for target in targets:
+        monkeypatch.setattr(target.analysis, "hyperideal", lambda bits, mode: Verdict(False, "zero-membership"))
+    report = harness.check_theorem(ring, ident)
+    assert report.status == "counterexample"
+    assert report.hypothesis_met > 0
+
+
 def test_default_suite_fixture_list():
     assert DEFAULT_SUITE_FIXTURES == (
         "paper-example", "z2", "z4", "z6", "z8", "z12", "z2xz3", "z6-mod-3",
@@ -250,7 +266,7 @@ def test_default_suite_fixture_list():
 
 
 def test_ring_is_freed_with_its_analysis():
-    # z4 is small enough for TPROD, so its analysis also holds a product ring
+    # z4 is small enough for TPROD, which builds a product ring of it
     ring = require_ring(parse_spec(serialize_spec(fixtures("z4").spec)))
     run_suite([ring])
     alive = weakref.ref(ring)
@@ -265,7 +281,7 @@ def test_ring_and_analysis_die_without_the_cyclic_collector():
     try:
         ring = require_ring(parse_spec(serialize_spec(fixtures("z4").spec)))
         run_suite([ring])
-        assert ring.analysis.quotients and ring.analysis.tprod_product is not None
+        assert ring.analysis.quotients
         alive = weakref.ref(ring), weakref.ref(ring.analysis)
         del ring
         assert [ref() for ref in alive] == [None, None]

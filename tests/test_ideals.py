@@ -290,6 +290,24 @@ def test_jacobson_contains_small_ideals(all_fixture_rings):
                 assert p.issubset(sets.jacobson)
 
 
+@pytest.mark.parametrize("mode", ["lenient", "strict"])
+def test_no_proper_hyperideal_holds_one_and_jacobson_meets_the_maximals(
+    all_fixture_rings, large_rings, rings_past_2_2, census_rings, mode
+):
+    """A proper hyperideal with 1 would absorb g(1, r, 1^(n-2)) = r for
+    every r, so the complement of any union of proper hyperideals is never
+    empty; and the Jacobson-style radical is the intersection of the proper
+    hyperideals whose ``maximal`` verdict holds."""
+    for ring in [*all_fixture_rings, *large_rings.values(), *rings_past_2_2, *census_rings.values()]:
+        proper = proper_hyperideals(ring, mode)
+        assert not any(ring.one in p for p in proper), ring.name
+        jacobson = ring.full_subset()
+        for p in proper:
+            if classify_ideal(ring, p, mode).maximal.ok:
+                jacobson &= p
+        assert special_sets(ring, mode).jacobson == jacobson, ring.name
+
+
 # ---------------------------------------------------------------------------
 # minimal primes over an ideal
 

@@ -76,6 +76,35 @@ def test_unknown_element_rejected():
         parse_spec(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field", ["name", "m", "n", "elements", "zero", "one", "f", "g"])
+def test_missing_top_level_field_rejected(field):
+    doc = paper_doc()
+    del doc[field]
+    with pytest.raises(SpecFormatError) as info:
+        parse_spec(json.dumps(doc))
+    assert type(info.value) is SpecFormatError
+    assert str(info.value) == f"missing top-level field {field!r}"
+
+
+def test_subset_from_names_refuses_an_unknown_name(paper):
+    assert paper.subset_from_names(["2", "0"]).members() == (0, 2)
+    with pytest.raises(UnknownElement) as info:
+        paper.subset_from_names(["0", "7"])
+    assert str(info.value) == "unknown element name '7' in paper-example"
+
+
+def test_equal_masks_hash_alike_and_rings_stay_apart(z4):
+    other = cyclic_ring(4)
+    assert hash(z4.subset([0, 2])) == hash(z4.subset([2, 0]))
+    assert {z4.subset([0, 2]), z4.subset([2, 0]), z4.subset([0])} == {z4.subset([0]), z4.subset([0, 2])}
+    assert len({z4.subset([0, 2]), other.subset([0, 2])}) == 2
+
+
+def test_ring_repr(paper, z6):
+    assert repr(paper) == "HyperRing('paper-example', order=3, m=3, n=3)"
+    assert repr(z6) == "HyperRing('z6', order=6, m=2, n=2)"
+
+
 def test_empty_hypervalue_rejected():
     doc = paper_doc()
     doc["f"]["0,0,2"] = []

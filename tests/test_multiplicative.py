@@ -4,8 +4,10 @@ import pytest
 
 from hyperideal import (
     SVerdict,
+    Verdict,
     check_theorem,
     classify_ideal,
+    cyclic_ring,
     classify_s,
     enumerate_hyperideals,
     enumerate_multiplicative_sets,
@@ -35,6 +37,7 @@ from hyperideal import (
 from hyperideal.errors import (
     EmptySubset,
     HypothesisViolation,
+    InternalContradiction,
     NotAHyperideal,
     NotMultiplicative,
     RingMismatch,
@@ -300,6 +303,31 @@ def test_primary_decomposition_hypothesis_errors(z6):
     with pytest.raises(HypothesisViolation):
         # {0} is not an S-hyperideal for S = complement of {0,2,4}
         primary_decomposition(z6, z6.subset([0]), [z6.subset([0, 2, 4])])
+
+
+def test_primary_decomposition_needs_a_prime(z6):
+    with pytest.raises(HypothesisViolation, match="^at least one minimal prime is required$"):
+        primary_decomposition(z6, z6.subset([0]), [])
+
+
+def _lying_ms(monkeypatch, ring):
+    """Make the ring's MS verdict refuse every set, with a witness."""
+    monkeypatch.setattr(ring.analysis, "ms", lambda bits: Verdict(False, "g-closure", (1, 1), "product 1 escapes"))
+
+
+def test_primary_decomposition_refuses_a_complement_that_is_not_an_ms(monkeypatch):
+    ring = cyclic_ring(6)
+    _lying_ms(monkeypatch, ring)
+    with pytest.raises(HypothesisViolation, match="^the complement of the union is not multiplicatively closed$"):
+        primary_decomposition(ring, ring.subset([0]), [ring.subset([0, 2, 4]), ring.subset([0, 3])])
+
+
+def test_maximal_ms_for_names_a_candidate_that_is_not_an_ms(monkeypatch):
+    ring = cyclic_ring(6)
+    _lying_ms(monkeypatch, ring)
+    with pytest.raises(InternalContradiction) as info:
+        maximal_ms_for(ring, ring.subset([0, 2, 4]))
+    assert str(info.value) == "candidate {1,3,5} is not multiplicatively closed at (1,1)"
 
 
 def test_tri_equivalence_small(z6):
