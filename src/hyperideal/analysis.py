@@ -10,8 +10,12 @@ checked one element of S at a time, so it is fixed by one set per ideal:
 ``compatible(P, P)`` is the largest compatible MS S*(P), and P is an
 S-hyperideal exactly when S lies in it (``is_s``; an S_r-hyperideal when S
 lies in ``compatible(P, radical(P))``).  Residuals and saturations are
-intersections and unions of the colon ideals ``colons(Q)``.  Only the witness
-scans, such as ``scan_s``, and the second routes of the harness walk n-tuples.
+intersections and unions of the colon ideals ``colons(Q)``.  The n-ary tables
+are read where a verdict or its witness is n-ary: ``_prime``, ``_primary``, the
+witness scans such as ``scan_s`` and the second routes of the harness walk the
+n-tuples (``g_tuples``); ``_hyperideal`` and ``_ms`` walk the m- and
+n-multisets of the members, and an escape from ``absorb`` is named by the
+first (n-1)-tuple of ``g_row`` that leaves the set.
 
 The multiplicative-set index names a family of MS by one int, bit i for
 ``ms_all[i]``: ``containing[x]`` holds the MS with x, ``within(T)`` those
@@ -43,7 +47,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import WalkBudgetExceeded
@@ -200,15 +204,15 @@ class RingAnalysis:
         for key in combinations_with_replacement(members, ring.m):
             value = ring.f_bits(key)
             if value & ~bits:
-                out = next(i for i in range(ring.order) if (value & ~bits) >> i & 1)
+                out = bit_members(value & ~bits)[0]
                 return Verdict(False, "f-closure", key, f"hyperaddition escapes via {ring.elements[out]}")
         absorb = self.absorb
         for x in members:
             if absorb[x] & ~bits:
-                # the first escaping (n-1)-tuple in dense order is sorted, so
-                # it is also the first escaping multiset
-                k, prod = next((k, p) for k, p in enumerate(ring.g_row(x)) if not bits >> p & 1)
-                rest = (k // ring.order**i % ring.order for i in range(ring.n - 2, -1, -1))
+                # dense order is lexicographic: the first escaping (n-1)-tuple
+                # is sorted, so it is also the first escaping multiset
+                rows = zip(product(range(ring.order), repeat=ring.n - 1), ring.g_row(x))
+                rest, prod = next((r, p) for r, p in rows if not bits >> p & 1)
                 return Verdict(False, "g-absorption", (x, *rest), f"product {ring.elements[prod]} escapes")
         if mode == "strict":
             for x in members:
@@ -396,12 +400,8 @@ class RingAnalysis:
 
     def _ms(self, bits: int) -> Verdict:
         ring = self._ring()
-        g, order = ring.g_dense, ring.order
         for key in combinations_with_replacement(bit_members(bits), ring.n):
-            k = 0
-            for x in key:
-                k = k * order + x
-            prod = g[k]
+            prod = ring.g_at(key)
             if not (bits >> prod & 1):
                 return Verdict(False, "g-closure", key, f"product {ring.elements[prod]} escapes")
         return PASS

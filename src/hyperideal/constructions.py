@@ -59,9 +59,8 @@ class HyperRingHom:
         if bits < 0 or bits >> self.source.order:
             raise ValueError("mask bits out of range for the source")
         out = 0
-        for x in range(bits.bit_length()):
-            if bits >> x & 1:
-                out |= 1 << self.mapping[x]
+        for x in bit_members(bits):
+            out |= 1 << self.mapping[x]
         return out
 
     def preimage_bits(self, bits: int) -> int:
@@ -251,9 +250,8 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
     representatives.
     """
     require_proper_hyperideal(ring, modulus, mode)
-    f2, order = ring.f2, ring.order
     # x lies in its own coset, as P holds 0 and f2(x, 0) = {x}: the cosets cover
-    coset_bits = [reduce(or_, (f2[x * order + y] for y in modulus)) for x in range(order)]
+    coset_bits = [reduce(or_, map(row.__getitem__, modulus)) for row in ring.analysis.sum_rows]
     # by least member; overlapping cosets that tie keep their first-seen order
     distinct = sorted(dict.fromkeys(coset_bits), key=lambda b: b & -b)
     for i, a in enumerate(distinct):

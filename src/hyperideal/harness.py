@@ -555,7 +555,7 @@ def _check_t10(ring: HyperRing, mode: str, tally: _Tally) -> None:
         tally.instances += 1
         s = 0
         for x in bit_members(q):
-            s |= ring.f2[x * ring.order + ring.one]
+            s |= a.sum_rows[x][ring.one]
         if not a.ms(s).ok:
             tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
                        clause="shifted image is not multiplicatively closed")

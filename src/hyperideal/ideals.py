@@ -149,18 +149,12 @@ def radical_power_diagnostic(
     require_hyperideal(ring, subset, mode)
     ring._element(p)
     in_radical = bool(ring.analysis.radical(subset.bits, mode) >> p & 1)
-    seen = set()
-    w = 1
-    exponent = None
-    while True:
-        value = ring.power(p, w)
-        if subset.bits >> value & 1:
-            exponent = w
-            break
-        if value in seen:
-            break
+    # p^(w+1) = p·p^w, as ``power`` folds it, until p^w is in the ideal or repeats
+    seen, w, value = set(), 1, p
+    while not subset.bits >> value & 1 and value not in seen:
         seen.add(value)
-        w += 1
+        w, value = w + 1, ring.scalar_multiply(p, value)
+    exponent = w if subset.bits >> value & 1 else None
     anomaly = in_radical and exponent is None
     return PowerDiagnostic(element=p, in_radical=in_radical, exponent=exponent, anomaly=anomaly)
 

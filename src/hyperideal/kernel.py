@@ -613,13 +613,10 @@ class HyperRing:
         """n-ary multiplication; with subset arguments, the set of outcomes."""
         if len(args) != self.n:
             raise ArityMismatch(self.n, len(args))
-        g = self.g_dense
+        products = set(map(self.g_dense.__getitem__, self._choice_indices(args)))
         if all(isinstance(a, int) for a in args):
-            return g[_index(map(self._element, args), self.order)]  # type: ignore[arg-type]
-        bits = 0
-        for i in self._choice_indices(args):
-            bits |= 1 << g[i]
-        return SubsetMask(self, bits)
+            return products.pop()
+        return SubsetMask(self, sum(1 << p for p in products))
 
     def scalar_multiply(self, a: int, b: int) -> int:
         """The induced binary product g(a, b, 1^(n-2))."""

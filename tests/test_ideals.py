@@ -235,6 +235,24 @@ def test_power_diagnostic_never_anomalous(all_fixture_rings):
                 assert not radical_power_diagnostic(ring, p, x).anomaly
 
 
+@pytest.mark.parametrize("mode", ["lenient", "strict"])
+def test_power_diagnostic_matches_the_power_orbit(all_fixture_rings, large_rings, rings_past_2_2,
+                                                  census_rings, mode):
+    """Against the orbit p, p^2, ..., p^(order+1) read from ``power``: a
+    finite orbit repeats within ``order`` steps, so a power in the ideal shows
+    there or never."""
+    rings = [*all_fixture_rings, *large_rings.values(), *rings_past_2_2, *census_rings.values()]
+    for ring in rings:
+        for p in proper_hyperideals(ring, mode):
+            rad = radical(ring, p, mode)
+            for x in range(ring.order):
+                orbit = [ring.power(x, w) for w in range(1, ring.order + 2)]
+                exponent = next((w for w, value in enumerate(orbit, 1) if value in p), None)
+                diag = radical_power_diagnostic(ring, p, x, mode)
+                assert (diag.element, diag.in_radical, diag.exponent) == (x, x in rad, exponent)
+                assert diag.anomaly == (x in rad and exponent is None)
+
+
 def test_power_diagnostic_z6(z6):
     diag = radical_power_diagnostic(z6, z6.subset([0, 2, 4]), 2)
     assert diag.in_radical and diag.exponent == 1

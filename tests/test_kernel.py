@@ -2,7 +2,7 @@
 
 import json
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -318,6 +318,24 @@ def test_multiply_identity_law(all_fixture_rings):
 def test_multiply_subset_extension(paper):
     result = paper.multiply(paper.subset([0, 1, 2]), 2, 1)
     assert result.members() == (0, 2)
+
+
+def test_multiply_matches_the_table(all_fixture_rings, large_rings, rings_past_2_2, census_rings):
+    """On elements, ``multiply`` reads the product off the spec's multiset
+    table; with one mask argument it is the mask of the products over its
+    members, for the whole ring and each proper hyperideal as the mask.  The
+    mask's position turns with the other arguments, so every position is
+    read."""
+    rings = [*all_fixture_rings, *large_rings.values(), *rings_past_2_2, *census_rings.values()]
+    for ring in rings:
+        table = ring.spec.g_table
+        for key in product(range(ring.order), repeat=ring.n):
+            assert ring.multiply(*key) == ring.g_at(key) == table[tuple(sorted(key))]
+        for mask in (ring.full_subset(), *proper_hyperideals(ring)):
+            for k, rest in enumerate(product(range(ring.order), repeat=ring.n - 1)):
+                i = k % ring.n
+                products = {table[tuple(sorted((*rest, x)))] for x in mask}
+                assert ring.multiply(*rest[:i], mask, *rest[i:]) == ring.subset(products)
 
 
 def test_power_paper(paper):

@@ -2,7 +2,9 @@
 default fixtures, the ``ideals`` report on all 9, and the theorem suite on
 each of the larger rings z16, z2^4 and paper-example², whose many quotients
 reach the transfer checkers (THOM-PRE, THOM-IMG, TQUOT).  The ``fixtures``
-command's output, which has no mode, is pinned too.
+command's output, which has no mode, is pinned too, and so are the
+hyperideal and multiplicative-set verdicts, with their witnesses, of every
+non-empty subset of the small fixtures and of paper-example².
 
 The fixture hashes were recorded on the engine that still refused rings
 above order 16 before any walk, so moving the size guard into the walks is
@@ -10,14 +12,16 @@ shown to change no report these inputs give.  The larger rings' hashes were
 recorded on the engine that still tested the image of every MS for
 closure, so relying on the lemma instead is shown to change none either.
 The ``fixtures`` hashes were recorded while the registry still lived in the
-harness module, so moving it is shown to change no document.
+harness module, so moving it is shown to change no document.  The verdicts'
+hash was recorded while the g-absorption witness was still decoded from its
+dense offset, so reading it off the (n-1)-tuples is shown to change none.
 """
 
 import hashlib
 
 import pytest
 
-from hyperideal import cli, fixtures, run_suite, serialize_spec
+from hyperideal import cli, fixtures, is_hyperideal, is_multiplicative_set, run_suite, serialize_spec
 from hyperideal.fixture_rings import DEFAULT_SUITE_FIXTURES, FIXTURE_NAMES
 
 MODES = ("lenient", "strict")
@@ -57,6 +61,11 @@ LARGE_SUITE_SHA256 = {
     ("paper-example^2", "lenient"): "a1948beda648314fc2d1da534c55f205911609c8e6b813f88fe9845a8570c170",
     ("paper-example^2", "strict"): "ee95af18fd9d57c63113fa2d3e6ef0bad4c2c3fbe1d219f02e1b281d015ca5a5",
 }
+
+# sha256 of the ``is_hyperideal`` (both modes) and ``is_multiplicative_set``
+# verdicts of every non-empty subset of each fixture of order <= 8 and of
+# paper-example², whose (n-1)-tuple witnesses hold digits past 1
+VERDICTS_SHA256 = "1a0abab8bfea586e864836d5a61d2fa9612fc77bbe6b01c5e2d37cb80124f2de"
 
 
 def _sha256(text: str) -> str:
@@ -102,3 +111,16 @@ def test_fixture_documents_are_pinned(tmp_path, name):
     out = tmp_path / "out.txt"
     assert cli.run(["fixtures", *([name] if name else []), "--out", str(out)]) == 0
     assert _sha256(out.read_text(encoding="utf-8")) == FIXTURES_SHA256[name]
+
+
+def test_subset_verdicts_are_pinned(all_fixture_rings, large_rings):
+    rings = [ring for ring in all_fixture_rings if ring.order <= 8] + [large_rings["paper-example^2"]]
+    lines = []
+    for ring in rings:
+        for bits in range(1, 1 << ring.order):
+            subset = ring.subset_from_bits(bits)
+            verdicts = [is_hyperideal(ring, subset, mode) for mode in MODES]
+            verdicts.append(is_multiplicative_set(ring, subset))
+            lines.append(f"{ring.name} {bits} " + " ".join(
+                f"{v.ok}|{v.clause}|{v.witness}|{v.detail}" for v in verdicts))
+    assert _sha256("\n".join(lines)) == VERDICTS_SHA256
