@@ -11,6 +11,16 @@ verifier decides associativity.  The same comparison names the failure: it
 yields the differing tuples of a row that differs, and its first yield is
 the first failing sorted key.  The projection of a quotient and the
 identity are homomorphisms by construction and are not checked again.
+
+Z_k is a commutative ring, and a product of Krasner (m,n)-hyperrings of one
+arity satisfies every axiom componentwise (Davvaz & Leoreanu-Fotea, *Hyperring
+Theory and Applications*, 2007); the factors are ``HyperRing``s, which only
+``verify_axioms`` and these constructions make.  So ``cyclic_ring`` and
+``product_ring`` carry their proof: ``_proven_ring`` builds the ring from
+the dense tables, the all-pass report and the negation they know (-x mod k,
+or componentwise), with no ``verify_axioms`` call.  ``ring_from_ring_table``
+and ``quotient_ring`` verify, since their tables come from a user's tables
+or a user's modulus.
 """
 
 from __future__ import annotations
@@ -27,9 +37,9 @@ from .errors import (
     CosetsNotPartition,
     HypothesisViolation,
     InducedOpIllDefined,
-    InternalContradiction,
     NotARing,
     RingMismatch,
+    SpecFormatError,
 )
 from .ideals import require_proper_hyperideal
 from .kernel import (
@@ -38,8 +48,10 @@ from .kernel import (
     HyperRing,
     HyperRingSpec,
     SubsetMask,
+    _dense_tables,
     _index,
     _Memo,
+    _passing_report,
     bit_members,
     check_table_size,
     verify_axioms,
@@ -179,11 +191,13 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
     """Componentwise product; element names join the factor names with '|',
     or, where those collide, the element indices.
 
-    The resulting tables are re-verified as a sanity gate; a product past the
+    The product carries its proof (see the module docstring); one past the
     verifier's table limit is refused (``TablesTooLarge``) before any is built.
     """
     if not rings:
         raise ValueError("at least one factor is required")
+    if not isinstance(name, str):  # the one spec field not taken from the factors
+        raise SpecFormatError("top-level field 'name' must be a string")
     m, n = rings[0].m, rings[0].n
     for r in rings[1:]:
         if r.m != m or r.n != n:
@@ -230,10 +244,16 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
         f_table=f_table,
         g_table=g_table,
     )
-    result = verify_axioms(spec)
-    if isinstance(result, AxiomReport):
-        raise InternalContradiction("product of valid rings failed axiom verification")
-    return result
+    negatives = zip(*(map(r.negation.__getitem__, part) for r, part in zip(rings, parts)))
+    return _proven_ring(spec, tuple(map(index_of.__getitem__, negatives)))
+
+
+def _proven_ring(spec: HyperRingSpec, negation: tuple[int, ...]) -> HyperRing:
+    """The ring of a spec that its construction has made a hyperring (see
+    the module docstring): its dense tables, the all-pass report and the
+    negation the construction knows, with no ``verify_axioms`` call."""
+    f, g = _dense_tables(spec)[:2]
+    return HyperRing(spec, _passing_report(()), negation, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +271,8 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
     """
     require_proper_hyperideal(ring, modulus, mode)
     # x lies in its own coset, as P holds 0 and f2(x, 0) = {x}: the cosets cover
-    coset_bits = [reduce(or_, map(row.__getitem__, modulus)) for row in ring.analysis.sum_rows]
+    in_modulus = modulus.members()
+    coset_bits = [reduce(or_, map(row.__getitem__, in_modulus)) for row in ring.analysis.sum_rows]
     # by least member; overlapping cosets that tie keep their first-seen order
     distinct = sorted(dict.fromkeys(coset_bits), key=lambda b: b & -b)
     for i, a in enumerate(distinct):
@@ -343,13 +364,6 @@ def ring_from_ring_table(
 ) -> HyperRingSpec:
     """Present a finite commutative unital ring as a (2,2)-hyperring with
     singleton hyperaddition; the axiom verifier is the ring detector."""
-    return _ring_from_tables(add_table, mul_table, zero, one, name, element_names).spec
-
-
-def _ring_from_tables(
-    add_table: list[list[int]], mul_table: list[list[int]], zero: int, one: int,
-    name: str, element_names: tuple[str, ...] | None,
-) -> HyperRing:
     order = len(add_table)
     if any(len(table) != order or any(len(row) != order for row in table)
            for table in (add_table, mul_table)):
@@ -385,13 +399,26 @@ def _ring_from_tables(
     if isinstance(result, AxiomReport):
         failing = ", ".join(result.failures())
         raise NotARing(f"tables do not define a ring: {failing}")
-    return result
+    return spec
 
 
 def cyclic_ring(k: int) -> HyperRing:
-    """The integers modulo k as a (2,2)-hyperring."""
+    """The integers modulo k as a (2,2)-hyperring, which carries its proof
+    (see the module docstring)."""
     if k < 2:
         raise ValueError("modulus must be at least 2")
-    add = [[(a + b) % k for b in range(k)] for a in range(k)]
-    mul = [[(a * b) % k for b in range(k)] for a in range(k)]
-    return _ring_from_tables(add, mul, 0, 1, f"z{k}", None)
+    check_table_size(k, 2, 2)
+    keys = list(combinations_with_replacement(range(k), 2))
+    sums = [frozenset({x}) for x in range(k)]  # one f value per distinct sum
+    names = tuple(map(str, range(k)))
+    spec = HyperRingSpec(
+        name=f"z{k}",
+        m=2,
+        n=2,
+        elements=names,
+        zero="0",
+        one="1",
+        f_table=dict(zip(keys, [sums[(a + b) % k] for a, b in keys])),
+        g_table=dict(zip(keys, [a * b % k for a, b in keys])),
+    )
+    return _proven_ring(spec, tuple(-x % k for x in range(k)))

@@ -42,6 +42,26 @@ images settle the id width: by ``bytes.translate`` where every id fits in
 a byte (``_BYTE_IDS``), by itemgetters over lists past that.  On a 2-CPU
 host z256 verifies in about 0.2 s and z257 in 1.2-1.6 s.
 
+Generators.  (2,2) tables whose f values are all singletons and whose ids
+fit in a byte are first tried by ``_generator_route``: it proves every
+axiom from O(order^2 |S|) byte compositions or gives up, and the passes
+decide and name the witnesses.  S is a greedy additive generating set: each
+new member is the least element not yet reached from 0 and S by sums, and
+it must at least double the set reached, as it does in a group (the coset
+H + s is as large as the subgroup H and disjoint from it), so
+|S| <= log2(order).  Three lemmas carry each check on S to the carrier:
+1. Light: the a with (xa)y = x(ay) for all x and y form a closed set; it
+   holds S and the neutral 0, so every sum reached (Clifford & Preston
+   1961, 1.2).
+2. Once f is associative, the s with h_p(x+s) = h_p(x) + h_p(s) for all x,
+   for h_p = g(., p), are closed under +.
+3. Once distributivity holds as equality, which it does for single-valued
+   f, the a that pass Light's test for g are closed under +.
+The rest are row compares: the row of 0 is the identity, 0 occurs once in
+each row and its place is the negation, and g(1, .) is the identity.
+Reversibility holds in every abelian group, and zero absorption follows
+from distributivity: g(p, 0) = g(p, 0 + 0) = g(p, 0) + g(p, 0).
+
 A spec with m > 2 or n > 2 is first decided on its binary reducts
 f2(a, b) = f(a, b, 0^(m-2)) and g2(a, b) = g(a, b, 1^(n-2)), each one
 strided slice of its dense table.  If ``f_dense`` and ``g_dense`` equal the
@@ -515,7 +535,8 @@ ElementsOrSubsets = Union[int, SubsetMask, Iterable[int]]
 
 
 class HyperRing:
-    """A validated ring; construct via verify_axioms or require_ring.  Its
+    """A validated ring; construct via verify_axioms or require_ring, or by
+    a construction that carries its proof (``constructions``).  Its
     ``f_dense`` and ``g_dense`` (see the module docstring) are never mutated."""
 
     def __init__(
@@ -960,7 +981,8 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     hyperaddition of the slotted products must land inside the image of the
     hyperaddition value (the two sides coincide whenever the hyperaddition is
     single valued).  A ring past (2,2) that is the lift of its binary
-    reducts is decided on the reducts (see the module docstring).
+    reducts is decided on the reducts, and single-valued (2,2) tables on an
+    additive generating set first (see the module docstring).
     """
     validate_spec(spec)
     order = spec.order
@@ -982,7 +1004,103 @@ def _verify_tables(
 ) -> tuple[AxiomReport, tuple[int, ...]]:
     """The report on dense tables ``f`` and ``g`` of arities m and n, and
     the negation it read (meaningful where inverses are unique).  ``f_ids``
-    is ``f`` as ids, ``f_values[i]`` the mask of id i (``_dense_tables``)."""
+    is ``f`` as ids, ``f_values[i]`` the mask of id i (``_dense_tables``).
+    Single-valued (2,2) tables are first tried by ``_generator_route``;
+    where it gives up, the passes decide and name the witnesses."""
+    routed = m == n == 2 and _generator_route(order, f_ids, g, zero, one, f_values)
+    return routed or _passes(order, m, n, f, g, zero, one, f_ids, f_values)
+
+
+def _generator_route(
+    order: int, f_ids: list[int], g: list[int], zero: int, one: int, f_values: list[int],
+) -> tuple[AxiomReport, tuple[int, ...]] | None:
+    """The all-pass report and the negation of (2,2) tables whose f values
+    are singletons and whose ids fit in a byte, proved on a greedy additive
+    generating set S (``_generators``) by the three lemmas of the module
+    docstring; None where any step fails, and the passes decide.  Every step
+    must hold, so the steps go in ``AXIOM_ORDER``, each timed with its
+    axiom, though lemma 3 leans on distributivity.  Each table is bytes: the
+    row of x holds x + y (or x y) over y, and its translate table sends y
+    there, so a whole plane of compositions is one join."""
+    if order > _BYTE_IDS or any(bits & (bits - 1) for bits in f_values):
+        return None
+    clock = [perf_counter()]
+    tick = clock.append
+    sums = _plane_rows(bytes(f_ids).translate(_table([bits.bit_length() - 1 for bits in f_values], True)), order)
+    products = _plane_rows(bytes(g), order)
+    adds, times = [_table(row, True) for row in sums], [_table(row, True) for row in products]
+    generators = _generators(adds, order, zero)
+    if generators is None or not all(_light(sums, adds, s) for s in generators):
+        return None
+    tick(perf_counter())
+    if sums[zero] != bytes(range(order)):  # the neutral element
+        return None
+    tick(perf_counter())
+    if list(map(bytes.count, sums, repeat(zero))) != [1] * order:  # unique inverses
+        return None
+    negation = tuple(map(bytes.index, sums, repeat(zero)))
+    tick(perf_counter())
+    tick(perf_counter())  # reversibility holds in every abelian group
+    tick(perf_counter())  # g-commutativity holds by table construction
+    if not all(_light(products, times, s) for s in generators):  # g-associativity
+        return None
+    tick(perf_counter())
+    # distributivity: g(p, x + s) = g(p, x) + g(p, s), a plane over (p, x) for each s
+    if not all(b"".join(map(sums[s].translate, times))
+               == b"".join(map(bytes.translate, products, map(adds.__getitem__, products[s])))
+               for s in generators):
+        return None
+    tick(perf_counter())
+    tick(perf_counter())  # zero absorption: g(p, 0) = g(p, 0 + 0) = g(p, 0) + g(p, 0)
+    if products[one] != bytes(range(order)):  # the scalar identity
+        return None
+    tick(perf_counter())
+    return _passing_report(map(sub, clock[1:], clock)), negation
+
+
+def _generators(adds: list[bytes], order: int, zero: int) -> list[int] | None:
+    """A greedy additive generating set S of the table whose translate
+    tables are ``adds``: the closure of {0} and S under the operation covers
+    the carrier.  Each new member is the least element not yet reached, and
+    must at least double the set reached, as it does in every group; None
+    where it does not, so |S| <= log2(order)."""
+    generators, reached = [], {zero}
+    while len(reached) < order:
+        generator = next(x for x in range(order) if x not in reached)
+        generators.append(generator)
+        size, frontier = len(reached), {generator}
+        while frontier:  # the sums of the members first reached with every member
+            reached |= frontier
+            members = bytes(reached)
+            frontier = set(b"".join(map(members.translate, map(adds.__getitem__, frontier)))) - reached
+        if len(reached) < 2 * size:
+            return None
+    return generators
+
+
+def _light(rows: list[bytes], tables: list[bytes], s: int) -> bool:
+    """Light's test at s: (x s) y = x (s y) for every x and y, the plane of
+    the rows of x s against the row of s sent through the table of each x."""
+    return b"".join(map(rows.__getitem__, rows[s])) == b"".join(map(rows[s].translate, tables))
+
+
+# g is commutative by its multiset keys, not by any pass
+_G_COMMUTES = Verdict(True, detail="by table construction")
+
+
+def _passing_report(timings_s: Iterable[float]) -> AxiomReport:
+    """The report of tables that pass every axiom, each timed as given."""
+    entries = dict.fromkeys(AXIOM_ORDER, PASS)
+    entries["g-commutativity"] = _G_COMMUTES
+    return AxiomReport(entries, array("d", timings_s))
+
+
+def _passes(
+    order: int, m: int, n: int, f: list[int], g: list[int], zero: int, one: int,
+    f_ids: list[int], f_values: list[int],
+) -> tuple[AxiomReport, tuple[int, ...]]:
+    """The report of ``_verify_tables`` by one pass per axiom, each naming
+    the lexicographically first witness."""
     report = AxiomReport()
     entries = report.entries
     # the clock after each entry, which is computed in AXIOM_ORDER
@@ -1039,7 +1157,7 @@ def _verify_tables(
     tick(perf_counter())
 
     # commutativity of g holds by multiset keying.
-    entries["g-commutativity"] = Verdict(True, detail="by table construction")
+    entries["g-commutativity"] = _G_COMMUTES
     tick(perf_counter())
 
     # g-associativity: lifting v with rest is g(v, rest), by symmetry the

@@ -12,8 +12,9 @@ name their witnesses, over every sorted multiset in lexicographic order.
 They are the reference that the passes of ``kernel._associativity``,
 ``kernel._distributivity`` and ``kernel._reversibility`` must match,
 verdict, witness and detail; ``spec_scans`` runs all four on a spec.
-``nary_route`` runs the verifier's n-ary passes on a spec's own tables, the
-route that ``verify_axioms`` skips where a spec's binary reducts decide.
+``nary_route`` runs the verifier's passes alone on a spec's own tables: the
+route that ``verify_axioms`` skips where a spec's binary reducts decide, or
+where the generator route proves a single-valued (2,2) spec.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import itemgetter
 
 from hyperideal import Verdict, fixtures
 from hyperideal.analysis import PASS, bit_members
-from hyperideal.kernel import HyperRingSpec, _dense_tables, _first_failure, _index, _verify_tables
+from hyperideal.kernel import HyperRingSpec, _dense_tables, _first_failure, _index, _passes
 
 MUTATED_FIXTURES = ("paper-example", "z4", "z2-as-33")
 
@@ -68,12 +69,13 @@ def fixture_mutations():
 
 
 def nary_route(spec) -> tuple:
-    """The report and negation of ``verify_axioms``' passes on
+    """The report and negation of ``verify_axioms``' passes alone on
     ``spec``'s own tables: the n-ary route, which past (2,2) runs only where
-    the binary reducts do not decide."""
+    the binary reducts do not decide, and at (2,2) only where the generator
+    route gives up."""
     f, g, f_ids, f_values = _dense_tables(spec)
-    return _verify_tables(spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one),
-                          f_ids, f_values)
+    return _passes(spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one),
+                   f_ids, f_values)
 
 
 def negation_of(spec, f: list[int]) -> list[int] | None:
