@@ -12,15 +12,29 @@ yields the differing tuples of a row that differs, and its first yield is
 the first failing sorted key.  The projection of a quotient and the
 identity are homomorphisms by construction and are not checked again.
 
-Z_k is a commutative ring, and a product of Krasner (m,n)-hyperrings of one
-arity satisfies every axiom componentwise (Davvaz & Leoreanu-Fotea, *Hyperring
-Theory and Applications*, 2007); the factors are ``HyperRing``s, which only
-``verify_axioms`` and these constructions make.  So ``cyclic_ring`` and
-``product_ring`` carry their proof: ``_proven_ring`` builds the ring from
-the dense tables, the all-pass report and the negation they know (-x mod k,
-or componentwise), with no ``verify_axioms`` call.  ``ring_from_ring_table``
-and ``quotient_ring`` verify, since their tables come from a user's tables
-or a user's modulus.
+``cyclic_ring``, ``product_ring`` and ``quotient_ring`` carry their proof:
+each builds its ring through ``_proven_ring`` from the values it computed,
+with the all-pass report and the negation it knows, and no ``verify_axioms``
+call.  Only ``ring_from_ring_table``, whose tables come from a user,
+verifies.  The proofs (Davvaz & Leoreanu-Fotea, *Hyperring Theory and
+Applications*, 2007; Mirvakili & Davvaz, Eur. J. Combin. 31, 2010):
+
+- Z_k is a commutative ring; -x is -x mod k.
+- A product of Krasner (m,n)-hyperrings of one arity, which only
+  ``verify_axioms`` and these constructions make, satisfies every axiom
+  componentwise; -x is componentwise.
+- R/P: let pi send x to its coset.  Once the cosets partition R and both
+  induced tables pass ``_differences`` against themselves at the least
+  members, F(pi x_1, ..., pi x_m) = pi f(x_1, ..., x_m) for any
+  representatives, and so for G: pi is a surjective strong homomorphism.
+  So associativity, the neutral element, g-associativity, distributivity
+  (either form), zero absorption and the scalar identity carry over to the
+  image.  Reversibility: lift pi w in F(pi x_1, ...) to some w' in
+  f(x_1, ...), reverse in R, project.  Unique inverses: if pi 0 is in
+  F(pi x, pi y, pi 0, ...), some z in f(x, y, 0, ...) lies in the coset of
+  0, which is P, and reversibility in R puts y in f2(-x, z), inside the
+  coset of -x: pi y = pi(-x), so -pi x = pi(-x).  P need not be closed
+  under negation, so lenient moduli are covered.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement, product
 from operator import add, or_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analysis import Verdict
 from .errors import (
@@ -214,11 +228,11 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
 
     parts = list(zip(*tuples))  # each factor's component of every element
 
-    def at(tables: list, keys: list) -> Iterator[tuple]:
-        """Each key's entries in the factors' dense ``tables``, as one tuple;
-        the dense index of its components in each factor is built a whole
-        column of keys at a time."""
-        columns = list(zip(*keys))
+    def at(tables: list, arity: int) -> Iterator[tuple]:
+        """Each sorted key's entries in the factors' dense ``tables``, as one
+        tuple; the dense index of its components in each factor is built a
+        whole column of keys at a time."""
+        columns = list(zip(*combinations_with_replacement(range(total), arity)))
         per_factor = []
         for table, r, part in zip(tables, rings, parts):
             index = map(part.__getitem__, columns[0])
@@ -229,29 +243,24 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
 
     # each tuple of factor masks names one frozenset of product elements
     f_value = _Memo(lambda masks: frozenset(map(index_of.__getitem__, product(*map(bit_members, masks)))))
-    f_keys = list(combinations_with_replacement(range(total), m))
-    f_table = dict(zip(f_keys, map(f_value.__getitem__, at([r.f_dense for r in rings], f_keys))))
-    g_keys = list(combinations_with_replacement(range(total), n))
-    g_table = dict(zip(g_keys, map(index_of.__getitem__, at([r.g_dense for r in rings], g_keys))))
-
-    spec = HyperRingSpec(
-        name=name or "x".join(r.name for r in rings),
-        m=m,
-        n=n,
-        elements=names,
-        zero=names[index_of[tuple(r.zero for r in rings)]],
-        one=names[index_of[tuple(r.one for r in rings)]],
-        f_table=f_table,
-        g_table=g_table,
-    )
     negatives = zip(*(map(r.negation.__getitem__, part) for r, part in zip(rings, parts)))
-    return _proven_ring(spec, tuple(map(index_of.__getitem__, negatives)))
+    return _proven_ring(name or "x".join(r.name for r in rings), names, index_of[tuple(r.zero for r in rings)],
+                        index_of[tuple(r.one for r in rings)], m, n,
+                        map(f_value.__getitem__, at([r.f_dense for r in rings], m)),
+                        map(index_of.__getitem__, at([r.g_dense for r in rings], n)),
+                        tuple(map(index_of.__getitem__, negatives)))
 
 
-def _proven_ring(spec: HyperRingSpec, negation: tuple[int, ...]) -> HyperRing:
-    """The ring of a spec that its construction has made a hyperring (see
-    the module docstring): its dense tables, the all-pass report and the
-    negation the construction knows, with no ``verify_axioms`` call."""
+def _proven_ring(
+    name: str, elements: tuple[str, ...], zero: int, one: int, m: int, n: int,
+    f_values: Iterable, g_values: Iterable, negation: tuple[int, ...],
+) -> HyperRing:
+    """The ring of a construction (see the module docstring), from its f and
+    g values by sorted key; both tables share one key list when m == n."""
+    f_keys = list(combinations_with_replacement(range(len(elements)), m))
+    g_keys = f_keys if n == m else list(combinations_with_replacement(range(len(elements)), n))
+    spec = HyperRingSpec(name, m, n, elements, elements[zero], elements[one],
+                         dict(zip(f_keys, f_values)), dict(zip(g_keys, g_values)))
     f, g = _dense_tables(spec)[:2]
     return HyperRing(spec, _passing_report(()), negation, f, g)
 
@@ -267,7 +276,8 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
 
     Raises CosetsNotPartition when two distinct cosets overlap and
     InducedOpIllDefined when an induced table entry depends on the chosen
-    representatives.
+    representatives.  Otherwise the quotient carries its proof (see the
+    module docstring).
     """
     require_proper_hyperideal(ring, modulus, mode)
     # x lies in its own coset, as P holds 0 and f2(x, 0) = {x}: the cosets cover
@@ -286,24 +296,12 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
     names = tuple("+".join(ring.elements[x] for x in mem) for mem in members)
     if len(set(names)) < len(names):  # an element name holds '+'
         names = tuple(ring.elements[mem[0]] for mem in members)
-    f_table, g_table = _induced_tables(ring, coset_index, members, names)
-
-    spec = HyperRingSpec(
-        name=f"{ring.name}/{ring.render_bits(modulus.bits)}",
-        m=ring.m,
-        n=ring.n,
-        elements=names,
-        zero=names[coset_index[ring.zero]],
-        one=names[coset_index[ring.one]],
-        f_table=f_table,
-        g_table=g_table,
+    f_values, g_values = _induced_tables(ring, coset_index, members, names)
+    quotient = _proven_ring(
+        f"{ring.name}/{ring.render_bits(modulus.bits)}", names, coset_index[ring.zero],
+        coset_index[ring.one], ring.m, ring.n, f_values, g_values,
+        tuple(coset_index[ring.negation[mem[0]]] for mem in members),  # the class of -x
     )
-    result = verify_axioms(spec)
-    if isinstance(result, AxiomReport):
-        raise InducedOpIllDefined(
-            "quotient tables are representative-independent but fail axiom "
-            f"verification: {', '.join(result.failures())}"
-        )
     # the projection is a homomorphism by construction: its sum and product
     # clauses compare the lists the independence test compared, and the
     # quotient's one is the coset of one
@@ -311,26 +309,26 @@ def quotient_ring(ring: HyperRing, modulus: SubsetMask, mode: str = LENIENT) -> 
         base=ring,
         modulus=modulus,
         cosets=tuple(SubsetMask(ring, b) for b in distinct),
-        quotient=result,
-        projection=HyperRingHom(ring, result, tuple(coset_index), True),
+        quotient=quotient,
+        projection=HyperRingHom(ring, quotient, tuple(coset_index), True),
     )
 
 
 def _induced_tables(
     ring: HyperRing, coset_index: list[int], members: list[list[int]], names: tuple[str, ...],
-) -> tuple[dict, dict]:
-    """The hyperaddition and multiplication induced on the classes
-    ``members`` (a partition of the carrier, each class ascending;
-    ``coset_index`` names the class of each element), keyed like spec
-    tables.  Each operation is lifted to classes over the whole dense table
-    and compared with itself at the least members of the arguments' classes.
+) -> tuple[list, list]:
+    """The values of the hyperaddition and the multiplication induced on the
+    classes ``members`` (a partition of the carrier, each class ascending;
+    ``coset_index`` names the class of each element), by sorted class key.
+    Each operation is lifted to classes over the whole dense table and
+    compared with itself at the least members of the arguments' classes.
     A class key depends on the representatives exactly when some tuple of
     its classes differs there; the least such key is refused.  Otherwise
     each entry is read at the least members."""
     order = ring.order
     reps = [members[c][0] for c in coset_index]
 
-    def induced(arity: int, lifted: list, operation: str) -> dict:
+    def induced(arity: int, lifted: list, operation: str) -> list:
         differing = (tuple(sorted(coset_index[x] for x in t))
                      for t in _differences(arity, lifted, reps, lifted, order))
         key = min(differing, default=None)
@@ -339,15 +337,12 @@ def _induced_tables(
                 f"{operation} of cosets {tuple(names[c] for c in key)} "
                 "depends on the representatives"
             )
-        return {
-            key: lifted[_index((members[c][0] for c in key), order)]
-            for key in combinations_with_replacement(range(len(members)), arity)
-        }
+        return [lifted[_index((members[c][0] for c in key), order)]
+                for key in combinations_with_replacement(range(len(members)), arity)]
 
     classes = _Memo(lambda bits: frozenset(coset_index[z] for z in bit_members(bits)))
-    f_table = induced(ring.m, list(map(classes.__getitem__, ring.f_dense)), "hyperaddition")
-    g_table = induced(ring.n, list(map(coset_index.__getitem__, ring.g_dense)), "multiplication")
-    return f_table, g_table
+    return (induced(ring.m, list(map(classes.__getitem__, ring.f_dense)), "hyperaddition"),
+            induced(ring.n, list(map(coset_index.__getitem__, ring.g_dense)), "multiplication"))
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +403,8 @@ def cyclic_ring(k: int) -> HyperRing:
     if k < 2:
         raise ValueError("modulus must be at least 2")
     check_table_size(k, 2, 2)
-    keys = list(combinations_with_replacement(range(k), 2))
     sums = [frozenset({x}) for x in range(k)]  # one f value per distinct sum
-    names = tuple(map(str, range(k)))
-    spec = HyperRingSpec(
-        name=f"z{k}",
-        m=2,
-        n=2,
-        elements=names,
-        zero="0",
-        one="1",
-        f_table=dict(zip(keys, [sums[(a + b) % k] for a, b in keys])),
-        g_table=dict(zip(keys, [a * b % k for a, b in keys])),
-    )
-    return _proven_ring(spec, tuple(-x % k for x in range(k)))
+    return _proven_ring(f"z{k}", tuple(map(str, range(k))), 0, 1, 2, 2,
+                        [sums[(a + b) % k] for a, b in combinations_with_replacement(range(k), 2)],
+                        [a * b % k for a, b in combinations_with_replacement(range(k), 2)],
+                        tuple(-x % k for x in range(k)))

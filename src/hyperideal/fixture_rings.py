@@ -1,6 +1,7 @@
 """The fixture registry: ``fixtures(name)`` builds each reference ring once,
-axioms verified.  ``FIXTURE_NAMES`` lists all nine, ``DEFAULT_SUITE_FIXTURES``
-the eight of the default suite (all but z2-as-33, a companion of TPROD).
+the cyclic rings and z2xz3 proven (see ``constructions``), the others verified.
+``FIXTURE_NAMES`` lists all nine, ``DEFAULT_SUITE_FIXTURES`` the eight of
+the default suite (all but z2-as-33, a companion of TPROD).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ DEFAULT_SUITE_FIXTURES = (
 
 @lru_cache(maxsize=None)
 def fixtures(name: str) -> HyperRing:
-    """Deterministic, axiom-verified reference rings."""
+    """Deterministic reference rings, each proven or verified."""
     if name == "paper-example":
         return require_ring(_paper_example_spec())
     if name in ("z2", "z4", "z6", "z8", "z12"):

@@ -26,10 +26,10 @@ scalar rows of the analysis, goes through them.  At (2,2) they are the
 dense lists themselves.  ``g_row`` reads ``g_dense`` in place; only
 ``g_tuples`` is built as a second structure.  A table is mapped once per
 distinct value by one memo, ``_Memo``: the f values of ``parse_spec``,
-``serialize_spec`` and ``_dense_tables``, the f2 row unions of ``_fold``,
-and in ``constructions``.  ``_dense_tables`` also gives f as ids, the
-places of its distinct masks (``_interned``), which the verifier's passes
-read.
+the f2 row unions of ``_fold``, and in ``constructions``; ``serialize_spec``
+and ``_dense_tables`` render each distinct f value once, by its id, its
+place among the distinct values (``_interned``).  ``_dense_tables`` also
+gives f as these ids, which the verifier's passes read.
 
 Associativity, reversibility and distributivity, the costly axioms, are
 decided by one pass each that also names the lexicographically first
@@ -435,7 +435,8 @@ class _Memo(dict):
 def _interned(values: Iterable) -> tuple[list[int], list]:
     """The id of each of ``values``, its place among the distinct values by
     first appearance, and those distinct values in id order."""
-    ids = _Memo(lambda value: len(ids))  # a new value takes the next id
+    values = list(values)  # no memo that reads itself: a cycle left to the collector
+    ids = {value: i for i, value in enumerate(dict.fromkeys(values))}
     return list(map(ids.__getitem__, values)), list(ids)
 
 

@@ -1,5 +1,6 @@
 """Peak memory of repeated ``theorems`` calls, with and without a full
-garbage collection after each call.  CI runs it.
+garbage collection after each call, and what one call leaves to the
+cyclic collector.  CI runs it.
 
     PYTHONPATH=src python tests/compare_memory.py [calls]   # default: 30
 
@@ -12,6 +13,14 @@ ring that sits in a reference cycle waits for the cyclic collector once its
 call returns, so the plain run's peak rises by the dead rings it holds
 (about 8 MB over 30 calls when every ring did).  Both runs take about 3 s
 on a 2-CPU host.
+
+A third fresh interpreter makes one text ``theorems`` call on the same
+documents after a first call has filled the caches, under
+``gc.DEBUG_SAVEALL``, and reports the objects the collector then finds in
+reference cycles, by type.  The script prints them and exits 1 if there
+are any: each is work a call leaves to the collector (the ids memo of the
+dense tables once left 35 cycles a call).  The JSON format is not checked:
+the standard library's pure-Python indent encoder leaves cycles of its own.
 
 It also prints, for each module of the package, its code tokens (the
 ``tokenize`` tokens less comments and blank-line NL tokens) and the peak
@@ -34,6 +43,7 @@ import sys
 import tempfile
 import tokenize
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 BOUND_MB = 1.0
@@ -49,6 +59,16 @@ def peak_mb() -> float:
 def child(mode: str, calls: int, paths: list[str]) -> int:
     from hyperideal import cli
 
+    if mode == "cycles":  # one warm call, then the objects the next leaves in cycles
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(["theorems", *paths])
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            rc = cli.run(["theorems", *paths])
+            gc.collect()
+        kinds = Counter(type(o).__name__ for o in gc.garbage)
+        print(" ".join(f"{kind}={count}" for kind, count in kinds.most_common()))
+        return 0 if rc == 0 else 2
     for _ in range(calls):
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.run(["theorems", *paths])
@@ -87,8 +107,8 @@ def main(argv: list[str]) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(serialize_spec(fixtures(name).spec), encoding="utf-8")
             paths.append(str(path))
-        peaks = {}
-        for mode in ("plain", "collect"):
+        out = {}
+        for mode in ("plain", "collect", "cycles"):
             run = subprocess.run(
                 [sys.executable, __file__, "--child", mode, str(calls), *paths],
                 capture_output=True, text=True, env=os.environ,
@@ -96,15 +116,21 @@ def main(argv: list[str]) -> int:
             if run.returncode != 0:
                 print(f"{mode} run failed:\n{run.stderr}", file=sys.stderr)
                 return 1
-            peaks[mode] = float(run.stdout)
+            out[mode] = run.stdout.strip()
     print_modules()
-    gap = peaks["plain"] - peaks["collect"]
-    print(f"{calls} theorems calls: peak {peaks['plain']:.1f} MB plain, "
-          f"{peaks['collect']:.1f} MB with gc.collect() after each call, gap {gap:+.1f} MB")
+    plain, collect = float(out["plain"]), float(out["collect"])
+    gap = plain - collect
+    print(f"{calls} theorems calls: peak {plain:.1f} MB plain, "
+          f"{collect:.1f} MB with gc.collect() after each call, gap {gap:+.1f} MB")
+    print(f"one theorems call leaves to the cyclic collector: {out['cycles'] or 'nothing'}")
+    failed = False
     if abs(gap) > BOUND_MB:
         print(f"the peaks differ by more than {BOUND_MB} MB: a reference cycle keeps dead rings")
-        return 1
-    return 0
+        failed = True
+    if out["cycles"]:
+        print("a theorems call leaves objects in reference cycles")
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -177,6 +177,54 @@ def census_rings():
     return rings
 
 
+def unit_subgroups(k):
+    """The subgroups G != {1} of the units of Z_k that at most two units
+    generate, each a frozenset, in sorted order."""
+    from itertools import combinations
+    from math import gcd
+
+    units = [u for u in range(1, k) if gcd(u, k) == 1]
+    groups = set()
+    for generators in [*combinations(units, 1), *combinations(units, 2)]:
+        group, grown = set(), {1}
+        while grown != group:
+            group, grown = grown, grown | {x * s % k for x in grown for s in generators}
+        if len(group) > 1:
+            groups.add(frozenset(group))
+    return sorted(groups, key=sorted)
+
+
+def krasner_spec(k, group):
+    """The Krasner quotient Z_k/G of Z_k by a subgroup G of its units
+    (Krasner, Int. J. Math. Math. Sci. 6, 1983): the classes xG, each named
+    by its least member, with xG + yG the classes of xg + yh for g, h in G
+    and xG yG = xyG.  Its sum is multivalued whenever G != {1}."""
+    from itertools import combinations_with_replacement
+
+    from hyperideal import HyperRingSpec
+
+    classes = sorted({frozenset(x * g % k for g in group) for x in range(k)}, key=min)
+    class_of = {x: i for i, c in enumerate(classes) for x in c}
+    least = [min(c) for c in classes]
+    keys = list(combinations_with_replacement(range(len(classes)), 2))
+    return HyperRingSpec(
+        name=f"z{k}/{{{','.join(map(str, sorted(group)))}}}", m=2, n=2,
+        elements=tuple(map(str, least)), zero="0", one="1",
+        f_table={(a, b): frozenset(class_of[(least[a] * g + least[b] * h) % k] for g in group for h in group)
+                 for a, b in keys},
+        g_table={(a, b): class_of[least[a] * least[b] % k] for a, b in keys},
+    )
+
+
+@pytest.fixture(scope="session")
+def krasner_rings():
+    """``verify_axioms`` of ``krasner_spec`` for k <= 30 and every group of
+    ``unit_subgroups``: 130 rings of orders 2-21."""
+    from hyperideal import verify_axioms
+
+    return [verify_axioms(krasner_spec(k, group)) for k in range(3, 31) for group in unit_subgroups(k)]
+
+
 def relabel_spec(spec, perm):
     """The spec with element i moved to index ``perm[i]``, 0 and 1 included.
     Names move with the elements, so the zero and the one keep their names."""

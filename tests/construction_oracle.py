@@ -52,10 +52,10 @@ def homomorphism_scan(source, target, mapping: tuple[int, ...]) -> HyperRingHom 
 
 
 def induced_scan(members: list[list[int]], names: tuple[str, ...], arity: int, of_reps,
-                 operation: str) -> dict:
-    """The table of classes keyed like ``arity``-ary entries, each value
+                 operation: str) -> list:
+    """The values of the table of classes by sorted ``arity``-ary key, each
     ``of_reps`` of the representatives, which must not depend on them."""
-    table = {}
+    table = []
     for key in combinations_with_replacement(range(len(members)), arity):
         values = {of_reps(reps) for reps in product(*(members[c] for c in key))}
         if len(values) > 1:
@@ -63,12 +63,13 @@ def induced_scan(members: list[list[int]], names: tuple[str, ...], arity: int, o
                 f"{operation} of cosets {tuple(names[c] for c in key)} "
                 "depends on the representatives"
             )
-        (table[key],) = values
+        (value,) = values
+        table.append(value)
     return table
 
 
 def induced_tables_scan(ring, coset_index: list[int], members: list[list[int]],
-                        names: tuple[str, ...]) -> tuple[dict, dict]:
+                        names: tuple[str, ...]) -> tuple[list, list]:
     """``_induced_tables`` by the scan: hyperaddition, then multiplication."""
     f_table = induced_scan(
         members, names, ring.m,

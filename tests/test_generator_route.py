@@ -11,9 +11,10 @@ passes' entries and negation, and on every strided single-entry mutation it
 must give up exactly when some axiom fails, leaving the passes' failing
 report to ``verify_axioms``.
 
-``cyclic_ring`` and ``product_ring`` carry their proof and do not call
-``verify_axioms``; here ``verify_axioms`` re-checks every ring they build
-over the corpora, with the same dense tables, entries and negation.
+``cyclic_ring``, ``product_ring`` and ``quotient_ring`` carry their proof
+and do not call ``verify_axioms``; here ``verify_axioms`` re-checks every
+ring they build over the corpora, every quotient by a proper hyperideal
+included, with the same dense tables, entries and negation.
 """
 
 import math
@@ -37,8 +38,11 @@ from hyperideal import (
     harness,
     kernel,
     product_ring,
+    proper_hyperideals,
+    quotient_ring,
     verify_axioms,
 )
+from hyperideal.errors import CosetsNotPartition, InducedOpIllDefined
 
 
 def _routes(spec) -> tuple:
@@ -212,10 +216,32 @@ def _tprod_products() -> list:
     return rings
 
 
-def test_verify_axioms_rechecks_every_built_ring():
+def _quotients(rings) -> list:
+    """Every quotient that ``quotient_ring`` builds by a proper hyperideal of
+    one of ``rings``, in both modes."""
+    built = []
+    for ring in rings:
+        for mode in (LENIENT, STRICT):
+            for ideal in proper_hyperideals(ring, mode):
+                try:
+                    built.append(quotient_ring(ring, ideal, mode).quotient)
+                except (CosetsNotPartition, InducedOpIllDefined):
+                    continue
+    return built
+
+
+def _distinct(rings) -> list:
+    """``rings`` without repeats of one object, in first-seen order."""
+    return list({id(ring): ring for ring in rings}.values())
+
+
+def test_verify_axioms_rechecks_every_built_ring(census_rings, large_rings, rings_past_2_2, krasner_rings):
     """The check of the constructions moved here: each ring that
-    ``cyclic_ring`` and ``product_ring`` build verifies, with the dense
-    tables, entries and negation the construction gave it."""
+    ``cyclic_ring``, ``product_ring`` and ``quotient_ring`` build verifies,
+    with the dense tables, entries and negation the construction gave it.
+    The quotients are those by every proper hyperideal, in both modes, of
+    the fixtures, the census, ``large_rings``, ``rings_past_2_2``, the TPROD
+    products and the Krasner rings."""
     z2, pe, z2_33 = fixtures("z2"), fixtures("paper-example"), fixtures("z2-as-33")
     rings = [
         *map(cyclic_ring, range(2, 65)),
@@ -224,7 +250,12 @@ def test_verify_axioms_rechecks_every_built_ring():
         *_tprod_products(),
     ]
     assert len(rings) == 63 + 6 + 5
-    for ring in rings:
+    quotients = _quotients(_distinct([
+        *map(fixtures, FIXTURE_NAMES), *census_rings.values(), *large_rings.values(), *rings_past_2_2,
+        *_tprod_products(), *krasner_rings,
+    ]))
+    assert len(quotients) == 1132
+    for ring in [*rings, *quotients]:
         verified = verify_axioms(ring.spec)
         assert isinstance(verified, HyperRing), ring.name
         assert (verified.f_dense, verified.g_dense) == (ring.f_dense, ring.g_dense), ring.name
@@ -232,15 +263,18 @@ def test_verify_axioms_rechecks_every_built_ring():
         assert verified.negation == ring.negation, ring.name
 
 
-def test_modes_agree_where_minus_one_times_x_is_minus_x(census_rings, large_rings, rings_past_2_2):
+def test_modes_agree_where_minus_one_times_x_is_minus_x(census_rings, large_rings, rings_past_2_2,
+                                                        krasner_rings):
     """Strict mode is lenient mode plus closure under negation, and a
     lenient hyperideal holds (-1)x for each member x: so the modes agree on
     every ring with (-1)x = -x for every x.  Over the corpora they differ
     exactly on the rings where that fails, paper-example, two census rings
-    and two of paper-example's products among them."""
-    rings = {id(ring): ring for ring in [
+    and two of paper-example's products among them, and on none of the
+    Krasner rings, which are equality-distributive."""
+    rings = _distinct([
         *map(fixtures, FIXTURE_NAMES), *census_rings.values(), *large_rings.values(), *rings_past_2_2,
-    ]}.values()
+        *krasner_rings,
+    ])
     differ, negating = set(), set()
     for ring in rings:
         minus_one = ring.negation[ring.one]

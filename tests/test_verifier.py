@@ -184,6 +184,21 @@ def _census() -> list:
     ]
 
 
+def test_every_krasner_quotient_verifies(krasner_rings):
+    """Each Krasner quotient Z_k/G (``conftest.krasner_spec``, k <= 30)
+    verifies, has a multivalued sum and distributes in the equality form:
+    g2(f2(a, b), c) = f2(g2(a, c), g2(b, c)) for all a, b and c."""
+    assert len(krasner_rings) == 130
+    assert all(isinstance(ring, HyperRing) for ring in krasner_rings)
+    assert {ring.order for ring in krasner_rings} == {*range(2, 17), 18, 20, 21}
+    for ring in krasner_rings:
+        order, f2, g2 = ring.order, ring.f2, ring.g2
+        assert any(bits & (bits - 1) for bits in f2), ring.name
+        for a, b, c in product(range(order), repeat=3):
+            image = sum({1 << g2[w * order + c] for w in bit_members(f2[a * order + b])})
+            assert f2[g2[a * order + c] * order + g2[b * order + c]] == image, (ring.name, a, b, c)
+
+
 def test_census_verdicts_match_the_oracle(monkeypatch):
     """Each of the 1029 order-3 (2,2) candidates of ``order3_spec``, composed
     by bytes (the default) and by lists, agrees with the naive oracle
