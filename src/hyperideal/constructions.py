@@ -230,16 +230,10 @@ def product_ring(rings: list[HyperRing], name: str = "") -> HyperRing:
 
     def at(tables: list, arity: int) -> Iterator[tuple]:
         """Each sorted key's entries in the factors' dense ``tables``, as one
-        tuple; the dense index of its components in each factor is built a
-        whole column of keys at a time."""
+        tuple."""
         columns = list(zip(*combinations_with_replacement(range(total), arity)))
-        per_factor = []
-        for table, r, part in zip(tables, rings, parts):
-            index = map(part.__getitem__, columns[0])
-            for column in columns[1:]:
-                index = map(add, map(r.order.__mul__, index), map(part.__getitem__, column))
-            per_factor.append(map(table.__getitem__, index))
-        return zip(*per_factor)
+        return zip(*(map(table.__getitem__, _dense_indices(columns, part, r.order))
+                     for table, r, part in zip(tables, rings, parts)))
 
     # each tuple of factor masks names one frozenset of product elements
     f_value = _Memo(lambda masks: frozenset(map(index_of.__getitem__, product(*map(bit_members, masks)))))
@@ -256,13 +250,27 @@ def _proven_ring(
     f_values: Iterable, g_values: Iterable, negation: tuple[int, ...],
 ) -> HyperRing:
     """The ring of a construction (see the module docstring), from its f and
-    g values by sorted key; both tables share one key list when m == n."""
-    f_keys = list(combinations_with_replacement(range(len(elements)), m))
-    g_keys = f_keys if n == m else list(combinations_with_replacement(range(len(elements)), n))
+    g values by sorted key: the spec tables key them (one key list for both
+    when m == n), and the dense tables spread them as they are."""
+    order = len(elements)
+    f_values, g_values = list(f_values), list(g_values)
+    f_keys = list(combinations_with_replacement(range(order), m))
+    g_keys = f_keys if n == m else list(combinations_with_replacement(range(order), n))
     spec = HyperRingSpec(name, m, n, elements, elements[zero], elements[one],
                          dict(zip(f_keys, f_values)), dict(zip(g_keys, g_values)))
-    f, g = _dense_tables(spec)[:2]
+    f, g = _dense_tables(order, m, n, f_values, g_values)[:2]
     return HyperRing(spec, _passing_report(()), negation, f, g)
+
+
+def _dense_indices(columns: list[tuple[int, ...]], place: Sequence[int], order: int) -> Iterator[int]:
+    """The dense index (see ``kernel``), in a table over ``order`` elements,
+    of each sorted key, given column by column in ``columns`` (the i-th
+    tuple holds every key's i-th argument), with every argument x read as
+    ``place[x]``: built a whole column of keys at a time."""
+    index = map(place.__getitem__, columns[0])
+    for column in columns[1:]:
+        index = map(add, map(order.__mul__, index), map(place.__getitem__, column))
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +334,8 @@ def _induced_tables(
     its classes differs there; the least such key is refused.  Otherwise
     each entry is read at the least members."""
     order = ring.order
-    reps = [members[c][0] for c in coset_index]
+    least = [mem[0] for mem in members]
+    reps = list(map(least.__getitem__, coset_index))
 
     def induced(arity: int, lifted: list, operation: str) -> list:
         differing = (tuple(sorted(coset_index[x] for x in t))
@@ -337,8 +346,8 @@ def _induced_tables(
                 f"{operation} of cosets {tuple(names[c] for c in key)} "
                 "depends on the representatives"
             )
-        return [lifted[_index((members[c][0] for c in key), order)]
-                for key in combinations_with_replacement(range(len(members)), arity)]
+        columns = list(zip(*combinations_with_replacement(range(len(members)), arity)))
+        return list(map(lifted.__getitem__, _dense_indices(columns, least, order)))
 
     classes = _Memo(lambda bits: frozenset(coset_index[z] for z in bit_members(bits)))
     return (induced(ring.m, list(map(classes.__getitem__, ring.f_dense)), "hyperaddition"),

@@ -24,10 +24,10 @@ when S lies in the preimage of C.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 from .analysis import LookupBudget, RingAnalysis, SVerdict, bit_members
 from .constructions import (
@@ -48,6 +48,7 @@ from .kernel import (
     LENIENT,
     HyperRing,
     SubsetMask,
+    _json_block,
     check_mode,
 )
 
@@ -824,12 +825,29 @@ class SuiteResult:
     aggregate: str  # counterexample | hypothesis-gap | truncated | pass, first match wins
 
     def to_json(self, include_timings: bool = False) -> str:
-        rows = []
-        for ring_name, report in self.entries:
-            row = {"ring": ring_name}
-            row.update(report.to_dict(include_timings=include_timings))
-            rows.append(row)
-        return json.dumps(rows, indent=2) + "\n"
+        """``json.dumps(rows, indent=2) + "\\n"`` of one object per entry,
+        written by hand as ``serialize_spec`` writes a document: with an
+        indent, ``json.dumps`` takes its pure-Python encoder, whose nested
+        closures each call leaves to the cyclic collector."""
+        rows = [{"ring": ring_name, **report.to_dict(include_timings=include_timings)}
+                for ring_name, report in self.entries]
+        return _json_text(rows, 0) + "\n"
+
+
+# the encoder's text of each scalar type in a report (a runtime is finite)
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+            bool: {False: "false", True: "true"}.__getitem__}
+
+
+def _json_text(value, indent: int) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` lays it out at depth
+    ``indent``: a list or dict as a ``_json_block``, a scalar as above."""
+    if type(value) is dict:
+        return _json_block("{}", [f"{encode_basestring_ascii(key)}: {_json_text(item, indent + 2)}"
+                                  for key, item in value.items()], indent + 2)
+    if type(value) is list:
+        return _json_block("[]", [_json_text(item, indent + 2) for item in value], indent + 2)
+    return _SCALARS[type(value)](value)
 
 
 def run_suite(

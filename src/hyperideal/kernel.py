@@ -7,10 +7,15 @@ checks every remaining axiom exhaustively and only hands out ``HyperRing``
 objects for specs that pass.  It first calls ``validate_spec``, the one
 statement of the spec rules, whose every accepted spec round-trips through
 its document; ``parse_spec`` checks only what resolving names and keys needs.
-Both resolve and check a table whole, once per distinct value: one split of
-the joined keys, one shared frozenset per distinct f value list, one type
-check per distinct f value object.  Where that refuses, a walk over the
-entries only names the first error.
+Both resolve and check a table whole, once per distinct value: one shared
+frozenset per distinct f value list, one type check per distinct f value
+object.  A document whose keys are the canonical texts of its own element
+order (``_key_texts``, built a run of last arguments at a time, as
+``serialize_spec`` writes them) has them taken as the sorted multisets with
+no split; any other has its joined keys split once.  A spec table's count is
+compared with the carrier's before any key is built, so a small document
+that declares a huge carrier is refused at its first missing key.  Where a
+check refuses, a walk over the entries only names the first error.
 
 The multiset-keyed dicts of ``HyperRingSpec`` are the document form.  For
 checking and computing, each table is expanded once into a dense list over
@@ -18,18 +23,21 @@ every ordered tuple, indexed in mixed radix: ``(x_1, ..., x_k)`` sits at
 ``x_1*order**(k-1) + ... + x_(k-1)*order + x_k``, so ``f(a, b)`` is
 ``f_dense[a*order + b]`` when m=2.  ``f_dense`` holds bitmasks of element
 indices and ``g_dense`` element indices.  The verifier builds these lists
-(``_dense_tables``, with no sort per ordered tuple), checks the axioms on
-them and hands the same lists to the ``HyperRing``.  The ring also keeps
-its binary reducts ``f2`` and ``g2``, stated once by ``_reduct``:
+(``_dense_tables``, spread from the values by sorted key that validation
+read, with no lookup by key and no sort per ordered tuple), checks the
+axioms on them and hands the same lists to the ``HyperRing``.  The ring
+also keeps its binary reducts ``f2`` and ``g2``, stated once by ``_reduct``:
 every binary read, such as ``scalar_multiply``, ``power`` and the sum and
 scalar rows of the analysis, goes through them.  At (2,2) they are the
 dense lists themselves.  ``g_row`` reads ``g_dense`` in place; only
 ``g_tuples`` is built as a second structure.  A table is mapped once per
 distinct value by one memo, ``_Memo``: the f values of ``parse_spec``,
-the f2 row unions of ``_fold``, and in ``constructions``; ``serialize_spec``
-and ``_dense_tables`` render each distinct f value once, by its id, its
-place among the distinct values (``_interned``).  ``_dense_tables`` also
-gives f as these ids, which the verifier's passes read.
+the f2 row unions of ``_fold``, and in ``constructions``.  ``serialize_spec``
+and ``_dense_tables`` take a table as its list of values by sorted key
+(``_sorted_values``, or the lists that ``_validated`` and the constructions
+hand over) and render each distinct f value once, by its id, its place
+among the distinct values (``_interned``).  ``_dense_tables`` also gives f
+as these ids, which the verifier's passes read.
 
 Associativity, reversibility and distributivity, the costly axioms, are
 decided by one pass each that also names the lexicographically first
@@ -92,7 +100,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce
 from itertools import chain, combinations, combinations_with_replacement, count, product, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter, le, or_, sub
+from math import comb
+from operator import add, eq, itemgetter, le, or_, sub
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
@@ -208,6 +217,12 @@ def validate_spec(spec: HyperRingSpec) -> None:
 
     A spec built in code reaches here without ``parse_spec``, so every value
     is type-checked before it is compared."""
+    _validated(spec)
+
+
+def _validated(spec: HyperRingSpec) -> tuple[list, list]:
+    """``validate_spec``, returning the f and g values by sorted key in
+    ``combinations_with_replacement`` order, as ``_check_table`` read them."""
     _check_arities(spec.m, spec.n)
     if max(spec.m, spec.n) > MAX_VERIFY_ARITY:  # before a key walk builds a key that long
         raise TablesTooLarge(f"m={spec.m}, n={spec.n} is past the arity limit {MAX_VERIFY_ARITY}")
@@ -234,27 +249,37 @@ def validate_spec(spec: HyperRingSpec) -> None:
         raise UnknownElement(spec.one, "one")
     if spec.zero == spec.one:
         raise SpecFormatError("zero and one must be distinct elements")
-    for table in ("f", "g"):
-        _check_table(spec, table)
+    return _check_table(spec, "f"), _check_table(spec, "g")
 
 
 _SETS = frozenset({set, frozenset})
 
 
-def _check_table(spec: HyperRingSpec, table: str) -> None:
-    """Check one table of ``spec`` whole: its keys are the sorted multisets,
-    each distinct f value object (by identity: True == 1) is a non-empty set
-    of exact ints in range, and the g values, as one list, are exact ints in
-    range.  Where it refuses, ``_refuse_spec_table`` names the error."""
+def _sorted_values(mapping: Mapping, order: int, arity: int) -> list | None:
+    """The values of ``mapping`` at every sorted key, in
+    ``combinations_with_replacement`` order, or None unless its keys are
+    exactly those.  Keys in that order, as documents and constructions build
+    them, give its values as they stand, with no lookup; the count is
+    compared first, so no key list outgrows the table."""
+    if len(mapping) != comb(order + arity - 1, arity):
+        return None
+    if all(map(eq, mapping, combinations_with_replacement(range(order), arity))):
+        return list(mapping.values())
+    keys = list(combinations_with_replacement(range(order), arity))
+    return list(map(mapping.__getitem__, keys)) if all(map(mapping.__contains__, keys)) else None
+
+
+def _check_table(spec: HyperRingSpec, table: str) -> list:
+    """Check one table of ``spec`` whole and return its values by sorted
+    key: its keys are the sorted multisets, each distinct f value object (by
+    identity: True == 1) is a non-empty set of exact ints in range, and the g
+    values, as one list, are exact ints in range.  Where it refuses,
+    ``_refuse_spec_table`` names the error."""
     mapping, arity = (spec.f_table, spec.m) if table == "f" else (spec.g_table, spec.n)
     order = spec.order
-    keys = list(combinations_with_replacement(range(order), arity))
-    if list(mapping) == keys:  # in sorted key order, as documents and constructions build them
-        values = list(mapping.values())
-    elif len(mapping) == len(keys) and all(map(mapping.__contains__, keys)):
-        values = list(map(mapping.__getitem__, keys))
-    else:
-        _refuse_spec_table(spec, table, mapping, keys)
+    values = _sorted_values(mapping, order, arity)
+    if values is None:
+        _refuse_spec_table(spec, table, mapping)
     if table == "g":
         holds = _INT.issuperset(map(type, values)) and 0 <= min(values) and max(values) < order
     else:
@@ -263,16 +288,19 @@ def _check_table(spec: HyperRingSpec, table: str) -> None:
                  and _INT.issuperset(map(type, chain.from_iterable(distinct)))
                  and frozenset(range(order)).issuperset(chain.from_iterable(distinct)))
     if not holds:
-        _refuse_spec_table(spec, table, mapping, keys)
+        _refuse_spec_table(spec, table, mapping)
+    return values
 
 
-def _refuse_spec_table(spec: HyperRingSpec, table: str, mapping: Mapping, keys: list) -> NoReturn:
+def _refuse_spec_table(spec: HyperRingSpec, table: str, mapping: Mapping) -> NoReturn:
     """Raise the first error of a table that ``_check_table`` refused, in
     ``combinations_with_replacement`` order: the per-entry walk, which only
-    names the error.  Past the last key, all that is left is surplus keys."""
+    names the error.  The keys are walked lazily, so a table far smaller
+    than its carrier asks for stops at its first missing key; past the last
+    key, all that is left is surplus keys."""
     order = spec.order
     carrier = frozenset(range(order))
-    for key in keys:
+    for key in combinations_with_replacement(range(order), spec.m if table == "f" else spec.n):
         if key not in mapping:
             raise MissingEntry(table, tuple(spec.elements[i] for i in key))
         value = mapping[key]
@@ -291,31 +319,55 @@ def _refuse_spec_table(spec: HyperRingSpec, table: str, mapping: Mapping, keys: 
     raise SpecFormatError(f"{table} table has surplus keys")
 
 
-def _resolve_table(raw: dict, name_to_index: dict, arity: int, table: str) -> dict:
-    """The spec table of a document table, resolved whole: the keys, once
-    each has arity - 1 commas, by one split of their joined text (each
-    sorted, unless all are), and each distinct f value list once, into one
-    shared frozenset.  An unknown name or an unhashable member fails its
-    lookup, and a duplicate multiset gives a shorter dict; where it
-    refuses, ``_refuse_document_table`` names the error."""
+def _key_texts(names: Sequence[str], arity: int) -> list[str]:
+    """The text of every sorted key over ``names``, its names joined by
+    commas, in ``combinations_with_replacement`` order.  The keys that share
+    their first arity - 1 arguments are one run of last arguments, as in
+    ``_spread``: each key is its prefix's text plus one tail, and the
+    prefixes are built width by width the same way."""
+    tails = [f",{name}" for name in names]
+    texts = list(names)
+    for width in range(1, arity):  # each prefix of this width, with its text, runs from its last argument
+        texts = [text + tail for text, prefix in zip(texts, combinations_with_replacement(range(len(names)), width))
+                 for tail in tails[prefix[-1]:]]
+    return texts
+
+
+def _resolve_table(raw: dict, name_to_index: dict, arity: int, table: str, texts: _Memo | None) -> dict:
+    """The spec table of a document table, resolved whole, with each
+    distinct f value list resolved once, into one shared frozenset.  Where
+    the document's keys are exactly ``texts[arity]``, the canonical key
+    texts by ``_key_texts`` in order (``texts`` is None where the element
+    names are not distinct or hold a comma), the keys are the sorted
+    multisets as they stand and nothing is split.  Otherwise, once each key
+    has arity - 1 commas, they come from one split of their joined text
+    (each sorted, unless all are).  An unknown name or an unhashable member
+    fails its lookup, and a duplicate multiset gives a shorter dict; where
+    it refuses, ``_refuse_document_table`` names the error."""
     if not raw:
         return {}
+    order = len(name_to_index)
+    # past the arity limit, which validation refuses, the count can take seconds to compute
+    canonical = (texts is not None and arity <= MAX_VERIFY_ARITY
+                 and len(raw) == comb(order + arity - 1, arity) and list(raw) == texts[arity])
     try:
-        if {*map(str.count, raw, repeat(","))} == {arity - 1} and (
-                table == "g" or {*map(type, raw.values())} == {list}):
-            names = list(map(name_to_index.__getitem__, ",".join(raw).split(",")))
-            places = [names[i::arity] for i in range(arity)]  # each key's i-th name, for every i
-            keys = zip(*places)
-            if not all(map(all, map(map, repeat(le), places, places[1:]))):  # some key is not sorted
-                keys = map(tuple, map(sorted, keys))
+        if table == "g" or {*map(type, raw.values())} == {list}:
             if table == "g":
                 values = map(name_to_index.__getitem__, raw.values())
             else:
                 members = _Memo(lambda value: frozenset(map(name_to_index.__getitem__, value)))
                 values = map(members.__getitem__, map(tuple, raw.values()))
-            resolved = dict(zip(keys, values))
-            if len(resolved) == len(raw):
-                return resolved
+            if canonical:
+                return dict(zip(combinations_with_replacement(range(order), arity), values))
+            if {*map(str.count, raw, repeat(","))} == {arity - 1}:
+                split = list(map(name_to_index.__getitem__, ",".join(raw).split(",")))
+                places = [split[i::arity] for i in range(arity)]  # each key's i-th name, for every i
+                keys = zip(*places)
+                if not all(map(all, map(map, repeat(le), places, places[1:]))):  # some key is not sorted
+                    keys = map(tuple, map(sorted, keys))
+                resolved = dict(zip(keys, values))
+                if len(resolved) == len(raw):
+                    return resolved
     except (KeyError, TypeError):
         pass
     _refuse_document_table(raw, name_to_index, arity, table)
@@ -372,9 +424,11 @@ def parse_spec(document: str) -> HyperRingSpec:
     for table in ("f", "g"):
         if not isinstance(data[table], dict):
             raise SpecFormatError(f"table {table!r} must be an object")
-
-    f_table = _resolve_table(data["f"], name_to_index, m, "f")
-    g_table = _resolve_table(data["g"], name_to_index, n, "g")
+    # each key text names one multiset where the names are distinct and hold no comma
+    texts = _Memo(partial(_key_texts, elements)) if (
+        len(name_to_index) == len(elements) and "," not in "".join(elements)) else None
+    f_table = _resolve_table(data["f"], name_to_index, m, "f", texts)
+    g_table = _resolve_table(data["g"], name_to_index, n, "g", texts)
     spec = HyperRingSpec(
         name=data["name"],
         m=m,
@@ -390,22 +444,21 @@ def parse_spec(document: str) -> HyperRingSpec:
 
 
 def serialize_spec(spec: HyperRingSpec) -> str:
-    """Emit the canonical JSON document: keys in index order, values sorted.
+    """Emit the canonical JSON document of a valid spec: keys in index
+    order, values sorted.
 
     The text is ``json.dumps(doc, indent=2) + "\\n"`` of the document, written
     line by line: with an indent, ``json.dumps`` takes its pure-Python
-    encoder, so each name, key and distinct f value is rendered once here."""
+    encoder, so each name and distinct f value is rendered once here, and
+    the key texts a run at a time (``_key_texts``)."""
     quoted = list(map(encode_basestring_ascii, spec.elements))
     bare = [name[1:-1] for name in quoted]  # a key joins names unquoted
-    full = range(spec.order)
-    keys = {  # each key's text up to its value, by arity
-        arity: [f'"{",".join(map(bare.__getitem__, key))}": ' for key in combinations_with_replacement(full, arity)]
-        for arity in {spec.m, spec.n}
-    }
-    f_ids, f_blocks = _by_f_value(spec, lambda value: _json_block("[]", map(quoted.__getitem__, sorted(value)), 6))
-    f_values = map(f_blocks.__getitem__, f_ids)
-    g_values = map(quoted.__getitem__, map(spec.g_table.__getitem__, combinations_with_replacement(full, spec.n)))
-    f_items, g_items = map(add, keys[spec.m], f_values), map(add, keys[spec.n], g_values)
+    f_ids, f_values = _interned(map(frozenset, _sorted_values(spec.f_table, spec.order, spec.m)))
+    f_blocks = [_json_block("[]", map(quoted.__getitem__, sorted(value)), 6) for value in f_values]
+    g_values = _sorted_values(spec.g_table, spec.order, spec.n)
+    keys = {arity: _key_texts(bare, arity) for arity in {spec.m, spec.n}}
+    f_items = [f'"{key}": {f_blocks[i]}' for key, i in zip(keys[spec.m], f_ids)]
+    g_items = [f'"{key}": {quoted[x]}' for key, x in zip(keys[spec.n], g_values)]
     return _json_block("{}", [
         f'"name": {encode_basestring_ascii(spec.name)}',
         f'"m": {json.dumps(spec.m)}',
@@ -438,15 +491,6 @@ def _interned(values: Iterable) -> tuple[list[int], list]:
     values = list(values)  # no memo that reads itself: a cycle left to the collector
     ids = {value: i for i, value in enumerate(dict.fromkeys(values))}
     return list(map(ids.__getitem__, values)), list(ids)
-
-
-def _by_f_value(spec: HyperRingSpec, render) -> tuple[list[int], list]:
-    """The id of the f value of each sorted key in order (``_interned``; a
-    set value is taken as its frozenset), and ``render(value)`` of each
-    distinct value in id order: each is rendered once."""
-    keys = combinations_with_replacement(range(spec.order), spec.m)
-    ids, values = _interned(map(frozenset, map(spec.f_table.__getitem__, keys)))
-    return ids, list(map(render, values))
 
 
 def _json_block(brackets: str, items: Iterable[str], indent: int) -> str:
@@ -689,16 +733,19 @@ def _index(args: Iterable[int], order: int) -> int:
     return i
 
 
-def _dense_tables(spec: HyperRingSpec) -> tuple[list[int], list[int], list[int], list[int]]:
+def _dense_tables(
+    order: int, m: int, n: int, f_values: list, g_values: list[int],
+) -> tuple[list[int], list[int], list[int], list[int]]:
     """``f`` as bitmasks and ``g`` as indices, over every ordered tuple, and
-    ``f`` as ids with the distinct masks they name.  The ids number the
-    values by first appearance in dense order, as they do in sorted key
-    order: a value first shows at a sorted tuple."""
-    ids, masks = _by_f_value(spec, lambda value: sum(map((1).__lshift__, value)))
+    ``f`` as ids with the distinct masks they name, spread from the f and g
+    values by sorted key (``_spread``; a set value is taken as its
+    frozenset).  The ids number the values by first appearance in dense
+    order, as they do in sorted key order: a value first shows at a sorted
+    tuple."""
+    ids, distinct = _interned(map(frozenset, f_values))
+    masks = [sum(map((1).__lshift__, value)) for value in distinct]
     f = list(map(masks.__getitem__, ids))
-    g = list(map(spec.g_table.__getitem__, combinations_with_replacement(range(spec.order), spec.n)))
-    order, m = spec.order, spec.m
-    return _spread(f, order, m), _spread(g, order, spec.n), _spread(ids, order, m), masks
+    return _spread(f, order, m), _spread(g_values, order, n), _spread(ids, order, m), masks
 
 
 def _spread(values: list[int], order: int, arity: int) -> list[int]:
@@ -985,13 +1032,13 @@ def verify_axioms(spec: HyperRingSpec) -> "HyperRing | AxiomReport":
     reducts is decided on the reducts, and single-valued (2,2) tables on an
     additive generating set first (see the module docstring).
     """
-    validate_spec(spec)
+    values = _validated(spec)
     order = spec.order
     m, n = spec.m, spec.n
     check_table_size(order, m, n)
     zero = spec.index(spec.zero)
     one = spec.index(spec.one)
-    f, g, f_ids, f_values = _dense_tables(spec)
+    f, g, f_ids, f_values = _dense_tables(order, m, n, *values)
     verified = _verify_reducts(order, m, n, f, g, zero, one) if max(m, n) > 2 else None
     report, negation = verified or _verify_tables(order, m, n, f, g, zero, one, f_ids, f_values)
     if not report.all_pass:

@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from hyperideal import Verdict, fixtures
 from hyperideal.analysis import PASS, bit_members
-from hyperideal.kernel import HyperRingSpec, _dense_tables, _first_failure, _index, _passes
+from hyperideal.kernel import HyperRingSpec, _dense_tables, _first_failure, _index, _passes, _validated
 
 MUTATED_FIXTURES = ("paper-example", "z4", "z2-as-33")
 
@@ -68,12 +68,18 @@ def fixture_mutations():
         yield from single_entry_mutations(fixtures(name).spec)
 
 
+def dense_tables(spec) -> tuple:
+    """``kernel._dense_tables`` of ``spec``, from the value lists that
+    validating it reads, as ``verify_axioms`` builds them."""
+    return _dense_tables(spec.order, spec.m, spec.n, *_validated(spec))
+
+
 def nary_route(spec) -> tuple:
     """The report and negation of ``verify_axioms``' passes alone on
     ``spec``'s own tables: the n-ary route, which past (2,2) runs only where
     the binary reducts do not decide, and at (2,2) only where the generator
     route gives up."""
-    f, g, f_ids, f_values = _dense_tables(spec)
+    f, g, f_ids, f_values = dense_tables(spec)
     return _passes(spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one),
                    f_ids, f_values)
 
@@ -199,7 +205,7 @@ def distributivity_scan(order: int, m: int, n: int, f: list[int], g: list[int]) 
 def spec_reversibility_scan(spec) -> Verdict | None:
     """``reversibility_scan`` on ``spec``, or None when its inverses are not
     unique (the verifier then reports reversibility as not checkable)."""
-    f = _dense_tables(spec)[0]
+    f = dense_tables(spec)[0]
     negation = negation_of(spec, f)
     return None if negation is None else reversibility_scan(spec.order, spec.m, f, negation)
 
@@ -208,7 +214,7 @@ def spec_scans(spec) -> dict[str, Verdict]:
     """The scans' verdicts on ``spec``, by family; reversibility is left out
     when inverses are not unique."""
     order, m, n = spec.order, spec.m, spec.n
-    f, g = _dense_tables(spec)[:2]
+    f, g = dense_tables(spec)[:2]
     scans = {
         "f-associativity": f_associativity_scan(order, m, f),
         "g-associativity": g_associativity_scan(order, n, g),

@@ -14,13 +14,13 @@ call returns, so the plain run's peak rises by the dead rings it holds
 (about 8 MB over 30 calls when every ring did).  Both runs take about 3 s
 on a 2-CPU host.
 
-A third fresh interpreter makes one text ``theorems`` call on the same
-documents after a first call has filled the caches, under
-``gc.DEBUG_SAVEALL``, and reports the objects the collector then finds in
-reference cycles, by type.  The script prints them and exits 1 if there
-are any: each is work a call leaves to the collector (the ids memo of the
-dense tables once left 35 cycles a call).  The JSON format is not checked:
-the standard library's pure-Python indent encoder leaves cycles of its own.
+Two more fresh interpreters, one per ``--format`` (text and JSON), each
+make one ``theorems`` call on the same documents after a first call has
+filled the caches, under ``gc.DEBUG_SAVEALL``, and report the objects the
+collector then finds in reference cycles, by type.  The script prints them
+and exits 1 if there are any: each is work a call leaves to the collector
+(the ids memo of the dense tables once left 35 cycles a call, and the
+standard library's pure-Python indent encoder 33 a JSON call).
 
 It also prints, for each module of the package, its code tokens (the
 ``tokenize`` tokens less comments and blank-line NL tokens) and the peak
@@ -48,6 +48,7 @@ from pathlib import Path
 
 BOUND_MB = 1.0
 TOKEN_STEP = 8192
+CYCLES = ("cycles-text", "cycles-json")  # the child modes that count what one call leaves
 
 
 def peak_mb() -> float:
@@ -59,12 +60,13 @@ def peak_mb() -> float:
 def child(mode: str, calls: int, paths: list[str]) -> int:
     from hyperideal import cli
 
-    if mode == "cycles":  # one warm call, then the objects the next leaves in cycles
+    if mode.startswith("cycles-"):  # one warm call, then the objects the next leaves in cycles
+        argv = ["theorems", "--format", mode.removeprefix("cycles-"), *paths]
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.run(["theorems", *paths])
+            cli.run(argv)
             gc.collect()
             gc.set_debug(gc.DEBUG_SAVEALL)
-            rc = cli.run(["theorems", *paths])
+            rc = cli.run(argv)
             gc.collect()
         kinds = Counter(type(o).__name__ for o in gc.garbage)
         print(" ".join(f"{kind}={count}" for kind, count in kinds.most_common()))
@@ -108,7 +110,7 @@ def main(argv: list[str]) -> int:
             path.write_text(serialize_spec(fixtures(name).spec), encoding="utf-8")
             paths.append(str(path))
         out = {}
-        for mode in ("plain", "collect", "cycles"):
+        for mode in ("plain", "collect", *CYCLES):
             run = subprocess.run(
                 [sys.executable, __file__, "--child", mode, str(calls), *paths],
                 capture_output=True, text=True, env=os.environ,
@@ -122,12 +124,14 @@ def main(argv: list[str]) -> int:
     gap = plain - collect
     print(f"{calls} theorems calls: peak {plain:.1f} MB plain, "
           f"{collect:.1f} MB with gc.collect() after each call, gap {gap:+.1f} MB")
-    print(f"one theorems call leaves to the cyclic collector: {out['cycles'] or 'nothing'}")
+    for mode in CYCLES:
+        print(f"one {mode.removeprefix('cycles-')} theorems call leaves to the cyclic collector: "
+              f"{out[mode] or 'nothing'}")
     failed = False
     if abs(gap) > BOUND_MB:
         print(f"the peaks differ by more than {BOUND_MB} MB: a reference cycle keeps dead rings")
         failed = True
-    if out["cycles"]:
+    if any(out[mode] for mode in CYCLES):
         print("a theorems call leaves objects in reference cycles")
         failed = True
     return 1 if failed else 0

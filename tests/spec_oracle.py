@@ -149,7 +149,7 @@ def parse_spec(document: str) -> HyperRingSpec:
 
 
 def product_spec(rings: list, name: str = "") -> HyperRingSpec:
-    """The spec ``product_ring`` verifies, by its per-key table loops; the
+    """The spec ``product_ring`` builds, by its per-key table loops; the
     arities must agree and the product must be within the table limit."""
     m, n = rings[0].m, rings[0].n
     total = 1

@@ -23,7 +23,7 @@ from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
 import pytest
-from axiom_oracle import single_entry_mutations
+from axiom_oracle import dense_tables, single_entry_mutations
 from conftest import reduct_spec, relabel_spec
 
 from hyperideal import (
@@ -48,7 +48,7 @@ from hyperideal.errors import CosetsNotPartition, InducedOpIllDefined
 def _routes(spec) -> tuple:
     """The generator route's report and negation (None where it gives up)
     and the passes', on a (2,2) spec's dense tables."""
-    f, g, f_ids, f_values = kernel._dense_tables(spec)
+    f, g, f_ids, f_values = dense_tables(spec)
     zero, one = spec.index(spec.zero), spec.index(spec.one)
     return (kernel._generator_route(spec.order, f_ids, g, zero, one, f_values),
             kernel._passes(spec.order, 2, 2, f, g, zero, one, f_ids, f_values))
@@ -172,7 +172,7 @@ def _generators(table: list[int], order: int, zero: int):
 
 def _sums(spec) -> list[int]:
     """The single-valued sum of a (2,2) spec, as elements."""
-    f = kernel._dense_tables(spec)[0]
+    f = dense_tables(spec)[0]
     return [bits.bit_length() - 1 for bits in f]
 
 

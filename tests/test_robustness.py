@@ -163,6 +163,40 @@ def test_dense_table_limit_is_enforced(monkeypatch):
         verify_axioms(z4.spec)
 
 
+def test_huge_carrier_is_refused_without_building_its_key_list(doc_path, monkeypatch):
+    """2,000 names with m = n = 6 ask for C(2005, 6), about 9 * 10^16,
+    sorted keys, and the document gives one.  Validation compares a table's
+    count with the carrier's first and walks the keys lazily, so it names
+    the first missing key.  The kernel's key generator is capped at 10^5
+    items, so a key list built from the declared carrier fails this test
+    instead of exhausting memory."""
+    from itertools import combinations_with_replacement
+
+    from hyperideal import kernel
+    from hyperideal.errors import MissingEntry
+
+    cap = 10**5
+
+    def capped(iterable, r):
+        for i, key in enumerate(combinations_with_replacement(iterable, r)):
+            if i == cap:
+                raise AssertionError(f"more than {cap:,} sorted keys built")
+            yield key
+
+    monkeypatch.setattr(kernel, "combinations_with_replacement", capped)
+    names = [f"e{i}" for i in range(2000)]
+    doc = {"name": "huge", "m": 6, "n": 6, "elements": names, "zero": "e0", "one": "e1",
+           "f": {",".join(["e1"] * 6): ["e1"]}, "g": {}}
+    with pytest.raises(MissingEntry) as refused:
+        parse_spec(json.dumps(doc))
+    assert refused.value.key == ("e0",) * 6
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert cli.run(["verify", str(doc_path)]) == 2
+    assert err.getvalue() == f"error: {refused.value}\n"
+
+
 @pytest.mark.parametrize("m", [1_000_000, 1_000_000_000])
 def test_huge_arity_is_refused_before_any_key_walk(doc_path, m):
     import time

@@ -7,17 +7,26 @@ the oracle's error with the same type and message: on every fixture
 document, on those documents with keys and f members out of canonical order,
 on single-entry corruptions of the z2, z4 and paper-example documents and
 specs, and on every product the tests and the benchmark build.
+
+``parse_spec`` takes the keys of a canonical document as the sorted
+multisets, by comparing them with the key texts of ``_key_texts``, and
+splits those of any other document; both paths must give the same spec on
+every corpus document.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
+from functools import partial
+from itertools import combinations_with_replacement
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
 import spec_oracle
-from hyperideal import FIXTURE_NAMES, cyclic_ring, fixtures, parse_spec, product_ring, serialize_spec, verify_axioms
+from hyperideal import FIXTURE_NAMES, cyclic_ring, fixtures, kernel, parse_spec, product_ring, serialize_spec, verify_axioms
 from hyperideal.kernel import validate_spec
 
 CORRUPTED = ("z2", "z4", "paper-example")
@@ -158,3 +167,40 @@ def test_products_match_the_oracle():
         assert serialize_spec(spec) == serialize_spec(spec_oracle.product_spec(factors, name))
     # the colliding names fall back to the element indices
     assert product_ring([_renamed_z2(("0", "0|0"))] * 2).elements == ("0|0", "0|1", "1|0", "1|1")
+
+
+# names that a JSON document must escape, as text and as the bare escaped
+# form that serialize_spec joins
+ESCAPED = ("a\"b", "back\\slash", "tab\t", "\u00e9", "\u2028", "x")
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_key_texts_join_the_sorted_keys(arity):
+    for names in ([str(i) for i in range(7)], list(ESCAPED), [encode_basestring_ascii(n)[1:-1] for n in ESCAPED],
+                  ["only"]):
+        assert kernel._key_texts(names, arity) == [",".join(key) for key in combinations_with_replacement(names, arity)]
+
+
+def test_both_resolve_paths_give_the_same_spec(all_fixture_rings, census_rings, large_rings, rings_past_2_2,
+                                               krasner_rings):
+    """Each corpus document is canonical: every table resolves to the ring's
+    own, in the same key order, by its key texts and by the split.  With
+    each key's names reversed and the keys shuffled, which takes the split,
+    the document still parses to the ring's spec."""
+    rng = random.Random(34)
+    rings = [*all_fixture_rings, *census_rings.values(), *large_rings.values(), *rings_past_2_2, *krasner_rings]
+    for ring in rings:
+        data = json.loads(serialize_spec(ring.spec))
+        name_to_index = {name: i for i, name in enumerate(data["elements"])}
+        texts = kernel._Memo(partial(kernel._key_texts, data["elements"]))
+        for table, arity, own in (("f", ring.m, ring.spec.f_table), ("g", ring.n, ring.spec.g_table)):
+            assert list(data[table]) == texts[arity], ring.name
+            by_texts = kernel._resolve_table(data[table], name_to_index, arity, table, texts)
+            by_split = kernel._resolve_table(data[table], name_to_index, arity, table, None)
+            assert list(by_texts.items()) == list(by_split.items()) == list(own.items()), ring.name
+        shuffled = _reordered(data)
+        for table in ("f", "g"):
+            items = list(shuffled[table].items())
+            rng.shuffle(items)
+            shuffled[table] = dict(items)
+        assert parse_spec(_document(shuffled)) == parse_spec(_document(data)) == ring.spec, ring.name

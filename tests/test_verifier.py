@@ -28,6 +28,7 @@ from itertools import combinations, combinations_with_replacement, islice, produ
 import pytest
 from axiom_oracle import (
     NaiveOracle,
+    dense_tables,
     fixture_mutations,
     nary_route,
     negation_of,
@@ -232,7 +233,7 @@ def test_census_verdicts_match_the_oracle(monkeypatch):
 def _reduct_route(spec):
     """What the reduct route of ``verify_axioms`` gives on ``spec``: the
     report and negation of the binary reducts, or None where it defers."""
-    f, g, f_ids, f_values = kernel._dense_tables(spec)
+    f, g, f_ids, f_values = dense_tables(spec)
     return kernel._verify_reducts(
         spec.order, spec.m, spec.n, f, g, spec.index(spec.zero), spec.index(spec.one))
 
@@ -299,7 +300,7 @@ def test_a_ring_whose_reducts_verify_but_is_no_lift_is_refused():
     scans' witnesses."""
     paper = fixtures("paper-example").spec
     spec = replace(paper, f_table={**paper.f_table, (1, 1, 1): frozenset({0, 1})})
-    f, g = kernel._dense_tables(spec)[:2]
+    f, g = dense_tables(spec)[:2]
     reducts = kernel._reduct(f, 3, 3, 0), kernel._reduct(g, 3, 3, 1)
     assert kernel._verify_tables(3, 2, 2, *reducts, 0, 1, *kernel._interned(reducts[0]))[0].all_pass
     assert _reduct_route(spec) is None
@@ -323,9 +324,12 @@ def _sorted_lookup_tables(spec) -> tuple[list[int], list[int]]:
 
 
 def test_dense_tables_match_the_sorted_lookup():
-    """``_dense_tables`` spreads each sorted key over its orderings; the
-    lists equal the sorted lookup's on every fixture, the (3,3) products,
-    z257, rings of mixed or higher arity and the order-3 census."""
+    """``_dense_tables`` spreads the f and g values of the sorted keys, in
+    ``combinations_with_replacement`` order, over their orderings; the lists
+    equal the sorted lookup's on every fixture, the (3,3) products, z257,
+    rings of mixed or higher arity and the order-3 census, with set values
+    taken as their frozensets.  Validation hands over exactly those value
+    lists, whether or not a table is in sorted key order."""
     z2_as_33, paper = fixtures("z2-as-33"), fixtures("paper-example")
     specs = [fixtures(name).spec for name in FIXTURE_NAMES] + [
         product_ring([z2_as_33, z2_as_33]).spec,
@@ -337,10 +341,17 @@ def test_dense_tables_match_the_sorted_lookup():
         *_census(),
     ]
     for spec in specs:
-        f, g, f_ids, f_values = kernel._dense_tables(spec)
+        order, m, n = spec.order, spec.m, spec.n
+        f_values = [spec.f_table[key] for key in combinations_with_replacement(range(order), m)]
+        g_values = [spec.g_table[key] for key in combinations_with_replacement(range(order), n)]
+        reordered = replace(spec, f_table=dict(reversed(spec.f_table.items())),
+                            g_table=dict(reversed(spec.g_table.items())))
+        assert kernel._validated(spec) == kernel._validated(reordered) == (f_values, g_values), spec.name
+        f, g, f_ids, masks = kernel._dense_tables(order, m, n, f_values, g_values)
         assert (f, g) == _sorted_lookup_tables(spec), spec.name
         # the ids number the masks by first appearance in dense order
-        assert (f_ids, f_values) == kernel._interned(f), spec.name
+        assert (f_ids, masks) == kernel._interned(f), spec.name
+        assert kernel._dense_tables(order, m, n, list(map(set, f_values)), g_values) == (f, g, f_ids, masks)
 
 
 def test_the_passes_take_f_ids_from_the_dense_build(monkeypatch):
@@ -415,7 +426,7 @@ def test_reversibility_past_a_byte(f_change, expected):
     """At order 257, past a byte, the reversibility pass takes its ids as a
     list and names the scan's witness."""
     spec = z257_spec(f_change)
-    f = kernel._dense_tables(spec)[0]
+    f = dense_tables(spec)[0]
     values = list(dict.fromkeys(f))
     ids = {bits: i for i, bits in enumerate(values)}
     negation = negation_of(spec, f)
