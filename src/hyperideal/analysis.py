@@ -1,16 +1,18 @@
 """The per-ring owner of derived data: hyperideal, prime and multiplicative
 set lists and the verdict memos, keyed by element bitmasks and freed with the
 ring (``ring.analysis``).  The public functions in ``ideals`` and
-``multiplicative`` add argument checks on top.  The proper hyperideals are
-not kept apart: ``proper(mode)`` is ``ideals(mode)`` less its last member,
-the whole ring.
+``multiplicative`` add argument checks on top.  Each memo is a ``_Memo``, a
+dict that builds a missing value once, read by subscript with the arguments
+of the method it memoises: ``prime[P]``, ``radical[P, mode]``,
+``ideals[mode]``.  The proper hyperideals are not kept apart:
+``proper(mode)`` is ``ideals[mode]`` less its last member, the whole ring.
 
 No memo is keyed by an MS or by an (ideal, set) pair.  The S-condition is
 checked one element of S at a time, so it is fixed by one set per ideal:
-``compatible(P, P)`` is the largest compatible MS S*(P), and P is an
+``compatible[P, P]`` is the largest compatible MS S*(P), and P is an
 S-hyperideal exactly when S lies in it (``is_s``; an S_r-hyperideal when S
-lies in ``compatible(P, radical(P))``).  Residuals and saturations are
-intersections and unions of the colon ideals ``colons(Q)``.  The n-ary tables
+lies in ``compatible[P, radical[P, mode]]``).  Residuals and saturations are
+intersections and unions of the colon ideals ``colons[Q]``.  The n-ary tables
 are read where a verdict or its witness is n-ary: ``_prime``, ``_primary``, the
 witness scans such as ``scan_s`` and the second routes of the harness walk the
 n-tuples (``g_tuples``); ``_hyperideal`` and ``_ms`` walk the m- and
@@ -18,9 +20,9 @@ n-multisets of the members, and an escape from ``absorb`` is named by the
 first (n-1)-tuple of ``g_row`` that leaves the set.
 
 The multiplicative-set index names a family of MS by one int, bit i for
-``ms_all[i]``: ``containing[x]`` holds the MS with x, ``within(T)`` those
+``ms_all[i]``: ``containing[x]`` holds the MS with x, ``within[T]`` those
 inside the element mask T, ``meeting(T)`` those that meet it, and
-``admissible(P) = within(compatible(P, P))`` those for which P is an
+``admissible(P) = within[compatible[P, P]]`` those for which P is an
 S-hyperideal.  The harness checks the catalog with these masks instead of a
 loop over the MS, so nothing is memoised per MS.  A homomorphism h keeps
 products, h(g(x_1, ..., x_n)) = g(h(x_1), ..., h(x_n)), so the image of every
@@ -46,9 +48,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from itertools import combinations_with_replacement, product
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import WalkBudgetExceeded
 
@@ -142,51 +144,54 @@ class LookupBudget:
             )
 
 
-def _memo(owner: weakref.ref, function: Callable) -> Callable:
-    """A per-instance ``lru_cache`` of ``function`` called on the owner.  It
-    reaches the owner through a weak reference, where the ``lru_cache`` of a
-    bound method would hold it, so the memo keeps its owner in no cycle."""
+class _Memo(dict):
+    """A dict that builds a missing value with ``build(key)`` and keeps it:
+    the one per-key memo of the package, for a table mapped once per
+    distinct value and for the verdicts and families of ``RingAnalysis``."""
 
-    def miss(*args):
-        return function(owner(), *args)
+    __slots__ = ("build",)
 
-    return lru_cache(maxsize=None)(miss)
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class RingAnalysis:
     """Derived lists and verdict memos of one ring.
 
-    Each of its 11 memos is a per-instance ``lru_cache`` held in an
-    instance attribute, so a hit costs one attribute lookup and one C call,
-    with no wrapper frame; only a miss runs ``_memo``'s function.  A
-    class-level descriptor of the same name would make CPython skip
-    specialising that lookup.
+    Each of its 11 memos is a ``_Memo`` read by subscript, keyed by the
+    arguments of the method it memoises: ``prime[bits]`` for ``_prime``,
+    ``radical[bits, mode]`` for ``_radical``, and ``ideals[kind]`` for
+    ``closed_sets``.  A hit is one dict lookup; only a miss calls the method.
     ``quotients`` holds, by modulus, the target and mapping of each
     projection the harness builds (None for an ill-defined quotient), and
     ``refused`` the message of each refused walk, by kind and budget.
 
     The ring owns its analysis (``HyperRing.analysis``), which reaches the
     ring through a weak reference (``ring``), and nothing the analysis keeps
-    refers back to the ring.  So a ring and its analysis are freed by
-    reference counting once the last outside reference to the ring drops,
+    refers back to the ring.  The memos reach the analysis the same way, so
+    none of them holds it in a cycle.  So a ring and its analysis are freed
+    by reference counting once the last outside reference to the ring drops,
     without waiting for the cyclic garbage collector.
     """
 
     def __init__(self, ring: HyperRing):
         self._ring = weakref.ref(ring)
-        memo = partial(_memo, weakref.ref(self))
-        cls = RingAnalysis
-        self.hyperideal = memo(cls._hyperideal)
-        self.prime = memo(cls._prime)
-        self.primary = memo(cls._primary)
-        self.radical = memo(cls._radical)
-        self.ms = memo(cls._ms)
-        self.compatible = memo(cls._compatible)
-        self.colons = memo(cls._colons)
-        self.within = memo(cls._within)
-        self.ideals = memo(cls.closed_sets)
-        self.primes = memo(cls._primes)
-        self.min_primes = memo(cls._min_primes)
+        me = weakref.ref(self)
+        self.hyperideal = _Memo(lambda key: me()._hyperideal(*key))
+        self.prime = _Memo(lambda bits: me()._prime(bits))
+        self.primary = _Memo(lambda key: me()._primary(*key))
+        self.radical = _Memo(lambda key: me()._radical(*key))
+        self.ms = _Memo(lambda bits: me()._ms(bits))
+        self.compatible = _Memo(lambda key: me()._compatible(*key))
+        self.colons = _Memo(lambda bits: me()._colons(bits))
+        self.within = _Memo(lambda bits: me()._within(bits))
+        self.ideals = _Memo(lambda kind: me().closed_sets(kind))
+        self.primes = _Memo(lambda mode: me()._primes(mode))
+        self.min_primes = _Memo(lambda mode: me()._min_primes(mode))
         self.quotients: dict[int, tuple[HyperRing, tuple[int, ...]] | None] = {}
         self.refused: dict[tuple[str, int], str] = {}
 
@@ -224,7 +229,7 @@ class RingAnalysis:
 
     def proper(self, mode: str) -> tuple[int, ...]:
         """``ideals`` less its last member, the whole ring."""
-        return self.ideals(mode)[:-1]
+        return self.ideals[mode][:-1]
 
     # -- closed sets ---------------------------------------------------------
 
@@ -358,7 +363,7 @@ class RingAnalysis:
         return PASS
 
     def _primary(self, bits: int, mode: str) -> Verdict:
-        rad = self.radical(bits, mode)
+        rad = self.radical[bits, mode]
         ring = self._ring()
         n = ring.n
         for tup, prod, subs in ring.g_tuples:
@@ -379,19 +384,19 @@ class RingAnalysis:
         return PASS
 
     def _primes(self, mode: str) -> tuple[int, ...]:
-        return tuple(b for b in self.proper(mode) if self.prime(b).ok)
+        return tuple(b for b in self.proper(mode) if self.prime[b].ok)
 
     def _min_primes(self, mode: str) -> tuple[int, ...]:
-        return extremal(self.primes(mode))
+        return extremal(self.primes[mode])
 
     def minimal_primes_over(self, bits: int, mode: str) -> tuple[int, ...]:
-        return extremal([q for q in self.primes(mode) if not (bits & ~q)])
+        return extremal([q for q in self.primes[mode] if not (bits & ~q)])
 
     def _radical(self, bits: int, mode: str) -> int:
         """Intersection of the primes containing the mask; the whole ring
         when none does."""
         out = self._ring().full_bits
-        for prime in self.primes(mode):
+        for prime in self.primes[mode]:
             if not (bits & ~prime):
                 out &= prime
         return out
@@ -444,7 +449,7 @@ class RingAnalysis:
 
     def admissible(self, p_bits: int) -> int:
         """The MS S for which P has the substitution property: S within S*(P)."""
-        return self.within(self.compatible(p_bits, p_bits))
+        return self.within[self.compatible[p_bits, p_bits]]
 
     # -- S-classification, residuals and saturation -------------------------
 
@@ -460,12 +465,12 @@ class RingAnalysis:
     def classify_s(self, p_bits: int, s_bits: int, mode: str) -> SVerdict:
         if self.is_s(p_bits, s_bits):
             return SVerdict.S_HYPERIDEAL
-        if not s_bits & ~self.compatible(p_bits, self.radical(p_bits, mode)):
+        if not s_bits & ~self.compatible[p_bits, self.radical[p_bits, mode]]:
             return SVerdict.SR_ONLY
         return SVerdict.NEITHER
 
     def is_s(self, p_bits: int, s_bits: int) -> bool:
-        return not s_bits & ~self.compatible(p_bits, p_bits)
+        return not s_bits & ~self.compatible[p_bits, p_bits]
 
     def scan_s(self, p_bits: int, s_bits: int) -> Iterator[SWitness]:
         """Every failing (tuple, position) pair in lexicographic order: a
@@ -486,7 +491,7 @@ class RingAnalysis:
 
     def residual(self, p_bits: int, x_bits: int) -> int:
         """The intersection of (p : x) over x in X."""
-        colons = self.colons(p_bits)
+        colons = self.colons[p_bits]
         out = self._ring().full_bits
         for x in bit_members(x_bits):
             out &= colons[x]
@@ -494,7 +499,7 @@ class RingAnalysis:
 
     def saturation(self, q_bits: int, s_bits: int) -> int:
         """The union of (q : t) over t in S."""
-        colons = self.colons(q_bits)
+        colons = self.colons[q_bits]
         out = 0
         for t in bit_members(s_bits):
             out |= colons[t]

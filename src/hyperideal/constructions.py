@@ -45,7 +45,7 @@ from itertools import combinations_with_replacement, product
 from operator import add, or_
 from typing import Iterable, Iterator, Sequence
 
-from .analysis import Verdict
+from .analysis import Verdict, _Memo
 from .errors import (
     ArityMismatch,
     CosetsNotPartition,
@@ -64,7 +64,6 @@ from .kernel import (
     SubsetMask,
     _dense_tables,
     _index,
-    _Memo,
     _passing_report,
     bit_members,
     check_table_size,

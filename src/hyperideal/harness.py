@@ -121,19 +121,19 @@ class _Tally:
 # constructions over a ring, kept on its analysis
 
 
-def _transfer(ring: HyperRing, modulus_bits: int, mode: str) -> HyperRingHom | None:
+def _transfer(ring: HyperRing, modulus_bits: int) -> HyperRingHom | None:
     """The projection onto the quotient by the modulus; ``None`` when the
     quotient is ill-defined.  The quotient is built once per ring, and its
     analysis keeps the target and the mapping, not the map, whose source is
-    the ring: each call wraps them in a new ``HyperRingHom``.  The mode only
-    validates the modulus: a strict hyperideal is a lenient one, and the
-    quotient does not depend on the mode.  The projection is a homomorphism
-    by construction, so it keeps the g-law and the image of every MS is an
-    MS of the target."""
+    the ring: each call wraps them in a new ``HyperRingHom``.  The modulus is
+    a proper hyperideal of some mode, so it is a lenient one, which is all
+    ``quotient_ring`` checks by default; the quotient does not depend on the
+    mode.  The projection is a homomorphism by construction, so it keeps
+    the g-law and the image of every MS is an MS of the target."""
     quotients = ring.analysis.quotients
     if modulus_bits not in quotients:
         try:
-            proj = quotient_ring(ring, SubsetMask(ring, modulus_bits), mode).projection
+            proj = quotient_ring(ring, SubsetMask(ring, modulus_bits)).projection
             quotients[modulus_bits] = proj.target, proj.mapping
         except (CosetsNotPartition, InducedOpIllDefined):
             quotients[modulus_bits] = None
@@ -145,13 +145,13 @@ def _transfers(ring: HyperRing, mode: str) -> list[HyperRingHom]:
     """The identity, then the projection onto every well-defined quotient;
     each map is onto.  The identity is built per call: kept on the
     analysis, it would hold the ring, its own target."""
-    homs = (_transfer(ring, bits, mode) for bits in ring.analysis.proper(mode))
+    homs = (_transfer(ring, bits) for bits in ring.analysis.proper(mode))
     return [identity_hom(ring), *(hom for hom in homs if hom is not None)]
 
 
 def _s_sets(a: RingAnalysis, bits: int, mode: str) -> int:
     """The MS for which the mask is a proper S-hyperideal."""
-    if bits == a.ring.full_bits or not a.hyperideal(bits, mode).ok:
+    if bits == a.ring.full_bits or not a.hyperideal[bits, mode].ok:
         return 0
     return a.admissible(bits)
 
@@ -162,17 +162,17 @@ def _image_s_sets(a: RingAnalysis, hom: HyperRingHom, image: int, mode: str) -> 
     exactly when S lies in the preimage of C."""
     target = hom.target
     ta = target.analysis
-    if image == target.full_bits or not ta.hyperideal(image, mode).ok:
+    if image == target.full_bits or not ta.hyperideal[image, mode].ok:
         return 0
-    return a.within(hom.preimage_bits(ta.compatible(image, image)))
+    return a.within[hom.preimage_bits(ta.compatible[image, image])]
 
 
 def _saturation_fixed(a: RingAnalysis, p_bits: int) -> int:
     """The MS S with saturation(P, S) = P: no (P : t) with t in S leaves P,
     and every x in P lies in (P : t) for some t in S.  (P : 1) = P is not
     assumed."""
-    colons = a.colons(p_bits)
-    out = a.within(sum(1 << t for t, c in enumerate(colons) if not c & ~p_bits))
+    colons = a.colons[p_bits]
+    out = a.within[sum(1 << t for t, c in enumerate(colons) if not c & ~p_bits)]
     for x in bit_members(p_bits):
         out &= a.meeting(sum(1 << t for t, c in enumerate(colons) if c >> x & 1))
     return out
@@ -223,7 +223,7 @@ def _check_t1_2(ring: HyperRing, mode: str, tally: _Tally) -> None:
     ms_all = a.ms_all
     for p in a.proper(mode):
         tally.instances += len(ms_all)
-        rad = a.radical(p, mode)
+        rad = a.radical[p, mode]
         if rad == ring.full_bits:
             continue  # statement presumes a proper radical
         hyp = a.admissible(p)
@@ -287,8 +287,8 @@ def _check_p2(ring: HyperRing, mode: str, tally: _Tally) -> None:
     the S disjoint from it against those that P, or a prime over Q, admits."""
     a = ring.analysis
     ms_all, full = a.ms_all, ring.full_bits
-    disjoint = {q: a.within(full & ~q) for q in a.proper(mode)}  # primes are proper
-    covers = {p: disjoint[p] & a.admissible(p) for p in a.primes(mode)}
+    disjoint = {q: a.within[full & ~q] for q in a.proper(mode)}  # primes are proper
+    covers = {p: disjoint[p] & a.admissible(p) for p in a.primes[mode]}
     failing: list[tuple[object, int]] = [
         ({"clause": "prime-disjoint", "P": ring.render_bits(p)}, disjoint[p] & ~cover)
         for p, cover in covers.items()
@@ -315,7 +315,7 @@ def _check_t7(ring: HyperRing, mode: str, tally: _Tally) -> None:
             if r != p and not p & ~r:
                 maximal &= ~a.admissible(r)
         tally.count(maximal.bit_count())
-        if not a.prime(p).ok:
+        if not a.prime[p].ok:
             failing.append((p, maximal))
     tally.name_failures(failing, lambda i, p: tally.fail(
         P=ring.render_bits(p), S=ring.render_bits(ms_all[i])))
@@ -338,12 +338,12 @@ def _check_t6(ring: HyperRing, mode: str, tally: _Tally) -> None:
 
 def _check_t3(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Every proper hyperideal admits a largest compatible MS: S*(P) =
-    ``compatible(P, P)``, which ``is_s`` reads, is an MS and equals D(P) for P."""
+    ``compatible[P, P]``, which ``is_s`` reads, is an MS and equals D(P) for P."""
     a = ring.analysis
     for p in a.proper(mode):
         tally.instances += 1
-        smax = a.compatible(p, p)
-        if not a.ms(smax).ok:
+        smax = a.compatible[p, p]
+        if not a.ms[smax].ok:
             tally.fail(anomaly="candidate set is not multiplicatively closed",
                        P=ring.render_bits(p), S=ring.render_bits(smax))
             continue
@@ -358,16 +358,16 @@ def _check_t3(ring: HyperRing, mode: str, tally: _Tally) -> None:
 def _check_t4(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Saturation is the least S-hyperideal containing a hyperideal.
 
-    saturation(Q, S) is the union of the colon classes of ``colons(Q)`` that
+    saturation(Q, S) is the union of the colon classes of ``colons[Q]`` that
     S meets, so per Q the MS with 1 split into groups of equal saturation,
     once per class.  Each (Q, saturation) group is decided with masks, and
     its failures are named in clause order, Q outer and S ascending."""
     a = ring.analysis
     ms_all, full, ones = a.ms_all, ring.full_bits, a.containing[ring.one]
-    for q in a.ideals(mode):
+    for q in a.ideals[mode]:
         tally.instances += ones.bit_count()
         classes: dict[int, int] = {}  # each distinct colon, with the t giving it
-        for t, c in enumerate(a.colons(q)):
+        for t, c in enumerate(a.colons[q]):
             classes[c] = classes.get(c, 0) | 1 << t
         groups = {0: ones}  # by saturation, the S giving it
         for c, t_bits in classes.items():
@@ -410,10 +410,10 @@ def _check_t5(ring: HyperRing, mode: str, tally: _Tally) -> None:
     ms_all = a.ms_all
     for p in a.proper(mode):
         tally.count(len(ms_all))
-        colons = a.colons(p)
+        colons = a.colons[p]
         direct = a.admissible(p)
         # (P : t) = P for every t in S
-        residual_fixed = a.within(sum(1 << t for t, c in enumerate(colons) if c == p))
+        residual_fixed = a.within[sum(1 << t for t, c in enumerate(colons) if c == p)]
         saturation_fixed = _saturation_fixed(a, p)
         failing = (direct ^ residual_fixed) | (direct ^ saturation_fixed)
         tally.name_failures([(p, failing)], lambda i, p: tally.fail(
@@ -426,9 +426,9 @@ def _check_tprimary_eq(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Against the complement of a minimal prime, S-hyperideal and primary
     with that radical are the same thing."""
     a = ring.analysis
-    for q in a.min_primes(mode):
+    for q in a.min_primes[mode]:
         s = _avoiding(ring, [q])
-        if not a.ms(s).ok:
+        if not a.ms[s].ok:
             tally.instances += 1
             tally.fail(anomaly="complement of a minimal prime is not an MS",
                        Q=ring.render_bits(q))
@@ -437,8 +437,8 @@ def _check_tprimary_eq(ring: HyperRing, mode: str, tally: _Tally) -> None:
             tally.count(1)
             lhs = a.is_s(p, s)
             rhs = (
-                a.primary(p, mode).ok
-                and a.radical(p, mode) == q
+                a.primary[p, mode].ok
+                and a.radical[p, mode] == q
             )
             if lhs != rhs:
                 tally.fail(P=ring.render_bits(p), Q=ring.render_bits(q),
@@ -450,11 +450,11 @@ def _check_tdecomp(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """S-hyperideals for S avoiding a union of minimal primes decompose as
     the intersection of their per-prime saturations."""
     a = ring.analysis
-    minp = a.min_primes(mode)
+    minp = a.min_primes[mode]
     for k in range(1, len(minp) + 1):
         for combo in combinations(minp, k):
             s = _avoiding(ring, combo)
-            if not a.ms(s).ok:
+            if not a.ms[s].ok:
                 tally.instances += 1
                 tally.fail(anomaly="complement of the union is not an MS",
                            primes=",".join(ring.render_bits(q) for q in combo))
@@ -476,8 +476,8 @@ def _check_tdecomp(ring: HyperRing, mode: str, tally: _Tally) -> None:
                 for q, c in zip(combo, comps):
                     if c == ring.full_bits:
                         continue  # vacuous component: the ideal escapes this prime
-                    if not (a.primary(c, mode).ok
-                            and a.radical(c, mode) == q):
+                    if not (a.primary[c, mode].ok
+                            and a.radical[c, mode] == q):
                         tally.fail(P=ring.render_bits(p), Q=ring.render_bits(q),
                                    component=ring.render_bits(c),
                                    clause="component is not primary for its prime")
@@ -516,7 +516,7 @@ def _check_p8(ring: HyperRing, mode: str, tally: _Tally) -> None:
     every = ones
     for p in a.proper(mode):
         every &= a.admissible(p)
-    units = ones & a.within(special_sets(ring, mode).units.bits)
+    units = ones & a.within[special_sets(ring, mode).units.bits]
     tally.count(ones.bit_count())
     tally.name_failures([(None, every ^ units)], lambda i, _: tally.fail(
         S=ring.render_bits(ms_all[i]), all_ideals=str(bool(every >> i & 1)),
@@ -528,10 +528,10 @@ def _check_t9_fwd(ring: HyperRing, mode: str, tally: _Tally) -> None:
     is the only S-hyperideal."""
     a = ring.analysis
     tally.instances += 1
-    if not a.prime(1 << ring.zero).ok:  # {0} is prime: no zero divisors
+    if not a.prime[1 << ring.zero].ok:  # {0} is prime: no zero divisors
         return
     s = ring.full_bits & ~(1 << ring.zero)
-    if not a.ms(s).ok:
+    if not a.ms[s].ok:
         tally.fail(anomaly="nonzero elements of a domain fail closure",
                    S=ring.render_bits(s))
         return
@@ -557,7 +557,7 @@ def _check_t10(ring: HyperRing, mode: str, tally: _Tally) -> None:
         s = 0
         for x in bit_members(q):
             s |= a.sum_rows[x][ring.one]
-        if not a.ms(s).ok:
+        if not a.ms[s].ok:
             tally.fail(Q=ring.render_bits(q), S=ring.render_bits(s),
                        clause="shifted image is not multiplicatively closed")
             continue
@@ -581,9 +581,9 @@ def _check_t12(ring: HyperRing, mode: str, tally: _Tally) -> None:
     """Ideals closed under minimal-prime intersections are S-hyperideals for
     S avoiding every minimal prime."""
     a = ring.analysis
-    minp = a.min_primes(mode)
+    minp = a.min_primes[mode]
     s = _avoiding(ring, minp)
-    if not a.ms(s).ok:
+    if not a.ms[s].ok:
         tally.instances += 1
         tally.fail(anomaly="complement of the minimal primes is not an MS",
                    S=ring.render_bits(s))
@@ -610,7 +610,7 @@ def _check_tavoid(ring: HyperRing, mode: str, tally: _Tally) -> None:
     the S-hyperideal slot.  Each (cover, slot) decides every S at once, and
     charges the walk's ``LookupBudget`` one lookup per pool member."""
     a = ring.analysis
-    pool, full, ones = a.ideals(mode), ring.full_bits, a.containing[ring.one]
+    pool, full, ones = a.ideals[mode], ring.full_bits, a.containing[ring.one]
     meets = {b: ones & a.meeting(b) for b in pool}  # the S with 1 that meet b
     budget = LookupBudget(f"TAVOID walk over the covers on {ring.name}")
     try:
@@ -680,7 +680,7 @@ def _check_tquot(ring: HyperRing, mode: str, tally: _Tally) -> None:
     a = ring.analysis
     ms_all = a.ms_all
     for modulus in a.proper(mode):
-        proj = _transfer(ring, modulus, mode)
+        proj = _transfer(ring, modulus)
         if proj is None:
             continue
         uppers = [upper for upper in a.proper(mode) if not modulus & ~upper]
@@ -728,7 +728,7 @@ def _check_tprod(ring: HyperRing, mode: str, tally: _Tally) -> None:
             pb = product_bits(p1, p2)
             for s1, s2, sb in sets:
                 tally.count(1)
-                lhs = pa.hyperideal(pb, mode).ok and pa.is_s(pb, sb)  # pb is proper
+                lhs = pa.hyperideal[pb, mode].ok and pa.is_s(pb, sb)  # pb is proper
                 rhs = a.is_s(p1, s1) and ca.is_s(p2, s2)
                 if lhs != rhs:
                     tally.fail(P1=ring.render_bits(p1), P2=companion.render_bits(p2),
@@ -743,10 +743,10 @@ def _check_fw_sr(ring: HyperRing, mode: str, tally: _Tally) -> None:
     ms_all = a.ms_all
     for p in a.proper(mode):
         tally.instances += len(ms_all)
-        rad = a.radical(p, mode)
+        rad = a.radical[p, mode]
         s_ideal = a.admissible(p)
-        s_r = s_ideal | a.within(a.compatible(p, rad))  # the verdict is not NEITHER
-        direct = a.within(_sr_elements(ring, p, rad))
+        s_r = s_ideal | a.within[a.compatible[p, rad]]  # the verdict is not NEITHER
+        direct = a.within[_sr_elements(ring, p, rad)]
         tally.hypothesis += s_ideal.bit_count()
 
         def fail(i: int, clause: str) -> None:

@@ -63,7 +63,7 @@ def is_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> V
     check_ring(ring, subset)
     if subset.is_empty:
         raise EmptySubset("hyperideal candidate must be non-empty")
-    return ring.analysis.hyperideal(subset.bits, check_mode(mode))
+    return ring.analysis.hyperideal[subset.bits, check_mode(mode)]
 
 
 def require_hyperideal(ring: HyperRing, subset: SubsetMask, mode: str) -> None:
@@ -97,7 +97,7 @@ def generated_hyperideal(ring: HyperRing, seed: SubsetMask, mode: str = LENIENT)
 
 def enumerate_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
     """All hyperideals in ascending mask order, the whole ring included."""
-    return [SubsetMask(ring, bits) for bits in ring.analysis.ideals(check_mode(mode))]
+    return [SubsetMask(ring, bits) for bits in ring.analysis.ideals[check_mode(mode)]]
 
 
 def proper_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
@@ -118,8 +118,8 @@ def classify_ideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> 
         mode=mode,
         hyperideal=PASS,
         proper=True,
-        prime=analysis.prime(bits),
-        primary=analysis.primary(bits, mode),
+        prime=analysis.prime[bits],
+        primary=analysis.primary[bits, mode],
         semiprime=analysis.semiprime(bits),
         maximal=analysis.maximal(bits, mode),
     )
@@ -127,14 +127,14 @@ def classify_ideal(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> 
 
 def prime_hyperideals(ring: HyperRing, mode: str = LENIENT) -> list[SubsetMask]:
     check_mode(mode)
-    return [SubsetMask(ring, bits) for bits in ring.analysis.primes(mode)]
+    return [SubsetMask(ring, bits) for bits in ring.analysis.primes[mode]]
 
 
 def radical(ring: HyperRing, subset: SubsetMask, mode: str = LENIENT) -> SubsetMask:
     """Intersection of all prime hyperideals containing the set; the whole
     ring when no prime contains it."""
     require_hyperideal(ring, subset, mode)
-    return SubsetMask(ring, ring.analysis.radical(subset.bits, mode))
+    return SubsetMask(ring, ring.analysis.radical[subset.bits, mode])
 
 
 def radical_power_diagnostic(
@@ -148,7 +148,7 @@ def radical_power_diagnostic(
     """
     require_hyperideal(ring, subset, mode)
     ring._element(p)
-    in_radical = bool(ring.analysis.radical(subset.bits, mode) >> p & 1)
+    in_radical = bool(ring.analysis.radical[subset.bits, mode] >> p & 1)
     # p^(w+1) = p·p^w, as ``power`` folds it, until p^w is in the ideal or repeats
     seen, w, value = set(), 1, p
     while not subset.bits >> value & 1 and value not in seen:
@@ -184,5 +184,5 @@ def special_sets(ring: HyperRing, mode: str = LENIENT) -> SpecialSets:
         units=SubsetMask(ring, units),
         regulars=SubsetMask(ring, regulars),
         jacobson=SubsetMask(ring, jacobson),
-        min_primes=tuple(SubsetMask(ring, q) for q in analysis.min_primes(mode)),
+        min_primes=tuple(SubsetMask(ring, q) for q in analysis.min_primes[mode]),
     )

@@ -31,7 +31,8 @@ every binary read, such as ``scalar_multiply``, ``power`` and the sum and
 scalar rows of the analysis, goes through them.  At (2,2) they are the
 dense lists themselves.  ``g_row`` reads ``g_dense`` in place; only
 ``g_tuples`` is built as a second structure.  A table is mapped once per
-distinct value by one memo, ``_Memo``: the f values of ``parse_spec``,
+distinct value by the package's one per-key memo, ``analysis._Memo``, which
+also keeps the verdicts of ``RingAnalysis``: the f values of ``parse_spec``,
 the f2 row unions of ``_fold``, and in ``constructions``.  ``serialize_spec``
 and ``_dense_tables`` take a table as its list of values by sorted key
 (``_sorted_values``, or the lists that ``_validated`` and the constructions
@@ -105,7 +106,7 @@ from operator import add, eq, itemgetter, le, or_, sub
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
-from .analysis import PASS, RingAnalysis, Verdict, bit_members, render_tuple
+from .analysis import PASS, RingAnalysis, Verdict, _Memo, bit_members, render_tuple
 from .errors import (
     ArityMismatch,
     ArityOutOfRange,
@@ -469,20 +470,6 @@ def serialize_spec(spec: HyperRingSpec) -> str:
         f'"f": {_json_block("{}", f_items, 4)}',
         f'"g": {_json_block("{}", g_items, 4)}',
     ], 2) + "\n"
-
-
-class _Memo(dict):
-    """A dict that builds a missing value with ``build(key)`` and keeps it:
-    the one way a table is mapped once per distinct value."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
 
 
 def _interned(values: Iterable) -> tuple[list[int], list]:

@@ -48,7 +48,7 @@ def is_multiplicative_set(ring: HyperRing, subset: SubsetMask) -> Verdict:
     check_ring(ring, subset)
     if subset.is_empty:
         raise EmptySubset("multiplicative set candidate must be non-empty")
-    return ring.analysis.ms(subset.bits)
+    return ring.analysis.ms[subset.bits]
 
 
 def multiplicative_set(ring: HyperRing, subset: SubsetMask) -> MulSet:
@@ -107,7 +107,7 @@ def classify_s(
         # where the reported substitution lands: anywhere, or outside the radical
         escape = ring.full_bits
         if verdict is SVerdict.NEITHER:
-            escape &= ~a.radical(p_bits, mode)
+            escape &= ~a.radical[p_bits, mode]
         scan = witnesses or a.scan_s(p_bits, s_bits)
         witness = next(w for w in scan if escape >> w.substituted & 1)
     return SClassification(verdict=verdict, witness=witness, mode=mode, witnesses=witnesses)
@@ -170,8 +170,8 @@ def maximal_ms_for(ring: HyperRing, ideal: SubsetMask, mode: str = LENIENT) -> M
     """The largest multiplicative set with respect to which the ideal keeps
     the substitution property, built by exhaustive scan and re-verified."""
     require_proper_hyperideal(ring, ideal, mode)
-    bits = ring.analysis.compatible(ideal.bits, ideal.bits)
-    verdict = ring.analysis.ms(bits)
+    bits = ring.analysis.compatible[ideal.bits, ideal.bits]
+    verdict = ring.analysis.ms[bits]
     if not verdict:
         raise InternalContradiction(
             f"candidate {ring.render_bits(bits)} is not multiplicatively closed at "
@@ -204,7 +204,7 @@ def primary_decomposition(
     require_proper_hyperideal(ring, ideal, mode)
     if not min_primes:
         raise HypothesisViolation("at least one minimal prime is required")
-    actual = ring.analysis.min_primes(mode)
+    actual = ring.analysis.min_primes[mode]
     union = 0
     for q in min_primes:
         check_ring(ring, q)
@@ -213,7 +213,7 @@ def primary_decomposition(
         union |= q.bits
     s_bits = ring.full_bits & ~union
     analysis = ring.analysis
-    if not analysis.ms(s_bits):
+    if not analysis.ms[s_bits]:
         raise HypothesisViolation("the complement of the union is not multiplicatively closed")
     if not analysis.is_s(ideal.bits, s_bits):
         raise HypothesisViolation("the ideal is not an S-hyperideal for the complement")

@@ -29,7 +29,7 @@ def _proper_s_ideal(a: RingAnalysis, bits: int, s_bits: int, mode: str) -> bool:
     """Full conclusion check: proper hyperideal plus substitution property."""
     return (
         bits != a.ring.full_bits
-        and a.hyperideal(bits, mode).ok
+        and a.hyperideal[bits, mode].ok
         and a.is_s(bits, s_bits)
     )
 
@@ -44,7 +44,7 @@ def _s_family(a: RingAnalysis, s_bits: int, mode: str) -> list[int]:
 
 
 def _direct_sr_scan(ring: HyperRing, p_bits: int, s_bits: int, mode: str) -> bool:
-    rad = ring.analysis.radical(p_bits, mode)
+    rad = ring.analysis.radical[p_bits, mode]
     for tup, prod, subs in ring.g_tuples:
         if not (p_bits >> prod & 1):
             continue
@@ -74,7 +74,7 @@ def _check_t1_2(ring, mode, tally) -> None:
             tally.instances += 1
             if not a.is_s(p, s):
                 continue
-            rad = a.radical(p, mode)
+            rad = a.radical[p, mode]
             if rad == ring.full_bits:
                 continue  # statement presumes a proper radical
             tally.hypothesis += 1
@@ -117,7 +117,7 @@ def _check_t1_3(ring, mode, tally) -> None:
 
 def _check_p2(ring, mode, tally) -> None:
     a = ring.analysis
-    primes = a.primes(mode)
+    primes = a.primes[mode]
     for s in a.ms_all:
         for p in primes:
             if p & s:
@@ -148,7 +148,7 @@ def _check_t7(ring, mode, tally) -> None:
         for p in extremal(_s_family(a, s, mode), maximal=True):
             tally.instances += 1
             tally.hypothesis += 1
-            if not a.prime(p).ok:
+            if not a.prime[p].ok:
                 tally.fail(P=ring.render_bits(p), S=ring.render_bits(s))
 
 
@@ -168,7 +168,7 @@ def _check_t6(ring, mode, tally) -> None:
 
 def _check_t4(ring, mode, tally) -> None:
     a = ring.analysis
-    for q in a.ideals(mode):
+    for q in a.ideals[mode]:
         for s in _ms_with_one(a):
             tally.instances += 1
             sat = a.saturation(q, s)
@@ -251,7 +251,7 @@ def _check_thom_pre(ring, mode, tally) -> None:
         ta = target.analysis
         for s in a.ms_all:
             img_s = hom.image_bits(s)
-            if not ta.ms(img_s).ok:
+            if not ta.ms[img_s].ok:
                 tally.instances += 1
                 tally.fail(anomaly="image of an MS is not an MS",
                            S=ring.render_bits(s), hom=target.name)
@@ -278,7 +278,7 @@ def _check_thom_img(ring, mode, tally) -> None:
         ker = hom.preimage_bits(1 << target.zero)
         for s in a.ms_all:
             img_s = hom.image_bits(s)
-            if not ta.ms(img_s).ok:
+            if not ta.ms[img_s].ok:
                 continue
             for p in a.proper(mode):
                 tally.instances += 1
@@ -297,14 +297,14 @@ def _check_thom_img(ring, mode, tally) -> None:
 def _check_tquot(ring, mode, tally) -> None:
     a = ring.analysis
     for modulus in a.proper(mode):
-        proj = harness._transfer(ring, modulus, mode)
+        proj = harness._transfer(ring, modulus)
         if proj is None:
             continue
         target = proj.target
         ta = target.analysis
         for s in a.ms_all:
             img_s = proj.image_bits(s)
-            if not ta.ms(img_s).ok:
+            if not ta.ms[img_s].ok:
                 continue
             for upper in a.proper(mode):
                 if modulus & ~upper:
@@ -323,7 +323,7 @@ def _check_tquot(ring, mode, tally) -> None:
 
 def _check_tavoid(ring, mode, tally) -> None:
     a = ring.analysis
-    pool = a.ideals(mode)
+    pool = a.ideals[mode]
     n = ring.n
     for combo in combinations(pool, n):
         union = 0

@@ -27,6 +27,7 @@ from hyperideal import (
     serialize_spec,
     verify_axioms,
 )
+from hyperideal.analysis import _Memo
 from hyperideal.errors import UnknownFixture, UnknownTheorem
 from hyperideal.harness import MAX_COUNTEREXAMPLES
 
@@ -215,13 +216,13 @@ def test_checker_reports_injected_disjointness_violation(monkeypatch):
     bad_s = 1 << 3
     real = ring.analysis.compatible
 
-    def lying(p, target):
+    def lying(key):
         # S*(P) wrongly admits the overlapping set S
-        if p == target == bad_p:
-            return real(p, target) | bad_s
-        return real(p, target)
+        if key == (bad_p, bad_p):
+            return real[key] | bad_s
+        return real[key]
 
-    monkeypatch.setattr(ring.analysis, "compatible", lying)
+    monkeypatch.setattr(ring.analysis, "compatible", _Memo(lying))
     report = harness.check_theorem(ring, "T1.1")
     assert report.status == "counterexample"
     assert report.counterexamples[0]["P"] == "{0,3}"
@@ -236,12 +237,12 @@ def test_checker_reports_injected_saturation_drift(monkeypatch):
     def lying(q):
         # the saturation of {0} by S={1}, the union of the colons (q : t)
         # over t in S, drifts to take in 2
-        out = real(q)
+        out = real[q]
         if q == 1:
             return out[:1] + (out[1] | 1 << 2,) + out[2:]
         return out
 
-    monkeypatch.setattr(ring.analysis, "colons", lying)
+    monkeypatch.setattr(ring.analysis, "colons", _Memo(lying))
     report = harness.check_theorem(ring, "T5")
     assert report.status == "counterexample"
 
@@ -256,7 +257,7 @@ def test_a_target_mask_that_is_no_hyperideal_admits_no_s(monkeypatch, ident):
     # calls each mask no hyperideal
     targets = [hom.target for hom in harness._transfers(ring, "lenient")]
     for target in targets:
-        monkeypatch.setattr(target.analysis, "hyperideal", lambda bits, mode: Verdict(False, "zero-membership"))
+        monkeypatch.setattr(target.analysis, "hyperideal", _Memo(lambda key: Verdict(False, "zero-membership")))
     report = harness.check_theorem(ring, ident)
     assert report.status == "counterexample"
     assert report.hypothesis_met > 0

@@ -19,7 +19,7 @@ from hyperideal import (
     require_ring,
 )
 from hyperideal import analysis, harness
-from hyperideal.analysis import Verdict
+from hyperideal.analysis import Verdict, _Memo
 from hyperideal.harness import MAX_COUNTEREXAMPLES
 
 MODES = ("lenient", "strict")
@@ -49,7 +49,7 @@ def test_engine_matches_oracle(mask_rings, monkeypatch, key, mode):
                 # the oracle's loop takes about 1 s here, and it would repeat
                 # the lenient comparison: in z2^4 every element is its own
                 # negative, so both modes have the same hyperideals
-                assert ring.analysis.ideals(mode) == ring.analysis.ideals("lenient")
+                assert ring.analysis.ideals[mode] == ring.analysis.ideals["lenient"]
                 continue
             engine = check_theorem(ring, ident, mode).to_dict()
             oracle, _ = oracle_report(monkeypatch, ring, ident, mode)
@@ -81,7 +81,7 @@ def test_image_of_every_multiplicative_set_is_one(mask_rings, key, mode):
         for hom in harness._transfers(ring, mode):
             ms = hom.target.analysis.ms
             for s in ring.analysis.ms_all:
-                assert ms(hom.image_bits(s)).ok, (ring.name, hom.target.name, s)
+                assert ms[hom.image_bits(s)].ok, (ring.name, hom.target.name, s)
 
 
 # f11={1}, f12={0,1,2}, f22={2}, g22=0: not distributive in the equality form
@@ -103,12 +103,13 @@ def test_census_counterexample_cells_are_compared(census_rings):
 
 
 def _liar(name, lie):
-    """Patch ``name`` on a ring's analysis ``a`` with ``lie(a, real, *args)``."""
+    """Replace the memo ``name`` on a ring's analysis ``a`` by one that
+    answers ``lie(a, real, *args)``; a two-argument memo is keyed by the pair."""
 
     def install(monkeypatch, ring):
         a = ring.analysis
         real = getattr(a, name)
-        monkeypatch.setattr(a, name, lambda *args: lie(a, real, *args))
+        monkeypatch.setattr(a, name, _Memo(lambda key: lie(a, real, *(key if isinstance(key, tuple) else (key,)))))
 
     return install
 
@@ -118,10 +119,10 @@ EVERYTHING_COMPATIBLE = _liar("compatible", lambda a, real, p, target: Z12)
 # S*(P) is everything unless P is its own radical, so T1.2 must read the radical
 COMPATIBLE_BELOW_RADICALS = _liar(
     "compatible",
-    lambda a, real, p, target: Z12 if a.radical(p, "lenient") != p else real(p, target),
+    lambda a, real, p, target: Z12 if a.radical[p, "lenient"] != p else real[p, target],
 )
 # the unit 7 leaves S*(P) on z12 but not on its quotients
-COMPATIBLE_WITHOUT_7 = _liar("compatible", lambda a, real, p, target: real(p, target) & ~(1 << 7))
+COMPATIBLE_WITHOUT_7 = _liar("compatible", lambda a, real, p, target: real[p, target] & ~(1 << 7))
 NO_HYPERIDEALS = _liar("hyperideal", lambda a, real, bits, mode: Verdict(False, "lie"))
 # every colon misses its ideal, so no saturation covers it
 EMPTY_COLONS = _liar("colons", lambda a, real, q: (0,) * 12)
@@ -135,20 +136,20 @@ ONE_MISSING_ONLY = _liar(
 
 # the colons of {0} are true and every other (x : t) with t != 1 is the
 # whole ring, so a proper saturation of {0} is not its own saturation
-FULL_COLONS_ABOVE_ZERO = _liar("colons", lambda a, real, q: real(q) if q == 1 else tuple(
-    c if t == 1 else Z12 for t, c in enumerate(real(q))))
+FULL_COLONS_ABOVE_ZERO = _liar("colons", lambda a, real, q: real[q] if q == 1 else tuple(
+    c if t == 1 else Z12 for t, c in enumerate(real[q])))
 
 # two non-ideals taken for hyperideals: (2) lies in (3) and {0,2,4,8,10}
 # together but in neither alone, and the S inside S*((3)) = R \ (3) that
 # contain 1 and meet the other slot do not keep it inside (3)
 EXTRA_COVERS = _liar("ideals", lambda a, real, mode: tuple(sorted(
-    {*real(mode), sum(1 << x for x in (0, 3, 9)), sum(1 << x for x in (0, 2, 4, 8, 10))})))
+    {*real[mode], sum(1 << x for x in (0, 3, 9)), sum(1 << x for x in (0, 2, 4, 8, 10))})))
 
 # (2) admits no S, so an ideal under (2) alone, as (4) is, has no prime
 # S-hyperideal over it for the S that (3) admits
 EVENS_ADMIT_NOTHING = _liar(
     "compatible",
-    lambda a, real, p, target: 0 if p == sum(1 << x for x in range(0, 12, 2)) else real(p, target),
+    lambda a, real, p, target: 0 if p == sum(1 << x for x in range(0, 12, 2)) else real[p, target],
 )
 
 # per checker, faults on z12 that make it fail more than the cap
@@ -277,7 +278,7 @@ def test_t3_compares_the_maximal_set_with_the_tuple_scan(monkeypatch):
     assert report.instances_checked == report.hypothesis_met == len(proper)
     assert report.counterexamples == tuple(
         {"P": ring.render_bits(p), "S": ring.render_bits(Z12),
-         "direct": ring.render_bits(real(p, p)),
+         "direct": ring.render_bits(real[p, p]),
          "clause": "maximal set disagrees with the n-tuple scan"}
         for p in proper
     )
@@ -301,7 +302,7 @@ def test_fw_sr_catches_sr_only_folded_into_neither(census_rings, monkeypatch):
     ring = require_ring(census_rings[SR_RING].spec)
     real = ring.analysis.compatible
     # the radical target becomes P itself, so every SR_ONLY verdict reads NEITHER
-    monkeypatch.setattr(ring.analysis, "compatible", lambda p, target: real(p, p))
+    monkeypatch.setattr(ring.analysis, "compatible", _Memo(lambda key: real[key[0], key[0]]))
     report = check_theorem(ring, "FW-SR", "strict")
     assert report.status == "counterexample"
     assert [(cx["P"], cx["S"], cx["clause"], cx["verdict"], cx["direct"])

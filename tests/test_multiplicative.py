@@ -34,6 +34,7 @@ from hyperideal import (
     special_sets,
     transport_ideal,
 )
+from hyperideal.analysis import _Memo
 from hyperideal.errors import (
     EmptySubset,
     HypothesisViolation,
@@ -312,7 +313,7 @@ def test_primary_decomposition_needs_a_prime(z6):
 
 def _lying_ms(monkeypatch, ring):
     """Make the ring's MS verdict refuse every set, with a witness."""
-    monkeypatch.setattr(ring.analysis, "ms", lambda bits: Verdict(False, "g-closure", (1, 1), "product 1 escapes"))
+    monkeypatch.setattr(ring.analysis, "ms", _Memo(lambda bits: Verdict(False, "g-closure", (1, 1), "product 1 escapes")))
 
 
 def test_primary_decomposition_refuses_a_complement_that_is_not_an_ms(monkeypatch):

@@ -4,7 +4,9 @@ each of the larger rings z16, z2^4 and paper-example², whose many quotients
 reach the transfer checkers (THOM-PRE, THOM-IMG, TQUOT).  The ``fixtures``
 command's output, which has no mode, is pinned too, and so are the
 hyperideal and multiplicative-set verdicts, with their witnesses, of every
-non-empty subset of the small fixtures and of paper-example².
+non-empty subset of the small fixtures and of paper-example².  So is the
+theorem suite on the 130 Krasner quotients of ``krasner_rings``, whose sums
+are all multivalued: no cell is a counterexample.
 
 The fixture hashes were recorded on the engine that still refused rings
 above order 16 before any walk, so moving the size guard into the walks is
@@ -15,9 +17,13 @@ The ``fixtures`` hashes were recorded while the registry still lived in the
 harness module, so moving it is shown to change no document.  The verdicts'
 hash was recorded while the g-absorption witness was still decoded from its
 dense offset, so reading it off the (n-1)-tuples is shown to change none.
+The Krasner hashes were recorded while the analysis memos were still
+``lru_cache`` wrappers, so keeping them in ``_Memo`` dicts is shown to change
+none.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -62,6 +68,12 @@ LARGE_SUITE_SHA256 = {
     ("paper-example^2", "strict"): "ee95af18fd9d57c63113fa2d3e6ef0bad4c2c3fbe1d219f02e1b281d015ca5a5",
 }
 
+# sha256 of ``run_suite(krasner_rings, mode).to_json()``
+KRASNER_SUITE_SHA256 = {
+    "lenient": "f02f10f136f28716a2ba2944aaeb0ef0a40b15e27d636c17f044dc77ce45811f",
+    "strict": "b868621dd9a82d74bb22e16e0fd3326f47444c602f9867c509a74b021fa0b06e",
+}
+
 # sha256 of the ``is_hyperideal`` (both modes) and ``is_multiplicative_set``
 # verdicts of every non-empty subset of each fixture of order <= 8 and of
 # paper-example², whose (n-1)-tuple witnesses hold digits past 1
@@ -103,6 +115,15 @@ def test_ideals_reports_are_pinned(fixture_paths, tmp_path, mode):
 def test_large_ring_suite_reports_are_pinned(large_rings, name, mode):
     report = run_suite([large_rings[name]], mode).to_json()
     assert _sha256(report) == LARGE_SUITE_SHA256[name, mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_krasner_suite_report_is_pinned(krasner_rings, mode):
+    suite = run_suite(krasner_rings, mode)
+    statuses = Counter(report.status for _, report in suite.entries)
+    assert "counterexample" not in statuses
+    assert statuses == {"holds": 2576, "hypothesis-never-met": 284}
+    assert _sha256(suite.to_json()) == KRASNER_SUITE_SHA256[mode]
 
 
 @pytest.mark.parametrize("name", FIXTURES_SHA256)

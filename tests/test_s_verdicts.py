@@ -88,8 +88,8 @@ def test_compatible_matches_the_tuple_definition(large_rings, mode):
     for ring in ring_cases(large_rings):
         a = ring.analysis
         for p in a.proper(mode):
-            for target in (p, a.radical(p, mode)):
-                mask = a.compatible(p, target)
+            for target in (p, a.radical[p, mode]):
+                mask = a.compatible[p, target]
                 expected = compatible_by_definition(ring, p, target)
                 assert {x for x in range(ring.order) if mask >> x & 1} == expected, (
                     ring.name, ring.render_bits(p), ring.render_bits(target))

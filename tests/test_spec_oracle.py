@@ -27,6 +27,7 @@ import pytest
 
 import spec_oracle
 from hyperideal import FIXTURE_NAMES, cyclic_ring, fixtures, kernel, parse_spec, product_ring, serialize_spec, verify_axioms
+from hyperideal.analysis import _Memo
 from hyperideal.kernel import validate_spec
 
 CORRUPTED = ("z2", "z4", "paper-example")
@@ -192,7 +193,7 @@ def test_both_resolve_paths_give_the_same_spec(all_fixture_rings, census_rings, 
     for ring in rings:
         data = json.loads(serialize_spec(ring.spec))
         name_to_index = {name: i for i, name in enumerate(data["elements"])}
-        texts = kernel._Memo(partial(kernel._key_texts, data["elements"]))
+        texts = _Memo(partial(kernel._key_texts, data["elements"]))
         for table, arity, own in (("f", ring.m, ring.spec.f_table), ("g", ring.n, ring.spec.g_table)):
             assert list(data[table]) == texts[arity], ring.name
             by_texts = kernel._resolve_table(data[table], name_to_index, arity, table, texts)
